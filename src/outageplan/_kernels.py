@@ -1,65 +1,19 @@
-"""Hot numeric kernels, numba-compiled by default with a pure-python fallback.
+"""Hot numeric kernels: islanding dispatch and Q-learning episodes.
 
-Set ``OUTAGEPLAN_BACKEND=numpy`` to force the fallback (or ``numba`` to
-require compilation). Both paths execute the same source: the kernels use
-only scalar float64/int64 arithmetic on preallocated arrays, and all
-randomness is pre-drawn outside, so results are bit-identical whichever
-backend runs them.
+The kernels use only scalar float64/int64 arithmetic on preallocated arrays,
+and all randomness is pre-drawn by the caller, so a fixed seed reproduces
+every result bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    numba = None
-
-_ENV_VAR = "OUTAGEPLAN_BACKEND"
+# Names the implementation that ran the kernels in the train command's
+# output and in benchmark results.
+ACTIVE_BACKEND = "numpy"
 
 
-def _resolve_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if numba is not None else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"{_ENV_VAR} must be 'numba' or 'numpy', got {choice!r}")
-    if choice == "numba" and numba is None:
-        warnings.warn(f"{_ENV_VAR}=numba requested but numba is not importable; using numpy")
-        return "numpy"
-    return choice
-
-
-ACTIVE_BACKEND = _resolve_backend()
-
-_PY_IMPLS: dict = {}
-_NB_IMPLS: dict = {}
-
-
-def _kernel(fn):
-    _PY_IMPLS[fn.__name__] = fn
-    return fn
-
-
-def get_impl(name: str, backend: str | None = None):
-    """Return the requested kernel; numba variants compile lazily on first call."""
-    backend = backend or ACTIVE_BACKEND
-    if backend == "numpy":
-        return _PY_IMPLS[name]
-    if backend != "numba":
-        raise ValueError(f"unknown backend {backend!r}")
-    if numba is None:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if name not in _NB_IMPLS:
-        _NB_IMPLS[name] = numba.njit(cache=True)(_PY_IMPLS[name])
-    return _NB_IMPLS[name]
-
-
-@_kernel
 def dispatch_span(start_hour, n_hours, demand, pv, class_order, voll, deliverable, power_cap, unserved_out):
     # Hour-by-hour islanded dispatch. PV serves first, storage covers the
     # residual up to its power and remaining-energy limits, and whatever the
@@ -100,7 +54,6 @@ def dispatch_span(start_hour, n_hours, demand, pv, class_order, voll, deliverabl
     return cost
 
 
-@_kernel
 def qlearn_chunk(
     q,
     visits,
@@ -123,7 +76,7 @@ def qlearn_chunk(
     # One chunk of epsilon-greedy Q-learning episodes. Per step the stream
     # supplies: explore uniform, action uniform (consumed whether or not the
     # step explores), then one uniform per unit for the price walk, so a
-    # fixed seed yields the same trajectory on either backend.
+    # fixed seed always yields the same trajectory.
     n_episodes = uniforms.shape[0]
     n_units = ladder_sizes.shape[0]
     n_actions = cap_next.shape[1]

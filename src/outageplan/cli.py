@@ -21,9 +21,9 @@ import yaml
 
 import outageplan
 from outageplan import _kernels, evaluate as ev, solver
-from outageplan.config import AppConfig, load_config, outage_model_to_config
+from outageplan.config import AppConfig, load_config
 from outageplan.errors import ConfigError, OutagePlanError
-from outageplan.outage import CaidiSeries, SuperposedModel, fit_from_caidi, mean_matched_single, severe_years
+from outageplan.outage import CaidiSeries, SuperposedModel, fit_from_caidi, mean_matched_single, outage_model_to_config, severe_years
 from outageplan.simulate import CostTable, build_metamodel
 from outageplan.solver import QTable, TrainResult, policy_value, train, value_iteration, write_convergence_csv
 

@@ -22,7 +22,7 @@ import yaml
 from outageplan import persist
 from outageplan.errors import ConfigError
 from outageplan.mdp import PlanningEnv, PriceChain, UnitCatalogEntry
-from outageplan.outage import HOURS_PER_YEAR, OutageModel, SingleModel, SuperposedModel
+from outageplan.outage import HOURS_PER_YEAR, OutageModel, SingleModel, SuperposedModel, outage_model_to_config
 from outageplan.simulate import FacilityClass, HourlyProfiles, Microgrid, StorageUnitSpec
 from outageplan.solver import TrainingSchedule
 
@@ -66,24 +66,6 @@ def outage_model_from_config(block: dict) -> OutageModel:
     except ValueError as exc:
         raise ConfigError(f"outage_model is invalid: {exc}") from None
     raise ConfigError(f"outage_model type must be 'single' or 'superposed', got {kind!r}")
-
-
-def outage_model_to_config(model: OutageModel) -> dict:
-    if isinstance(model, SingleModel):
-        return {
-            "type": "single",
-            "lambda": model.rate,
-            "kappa": model.duration_rate,
-            "shift_hours": model.shift,
-        }
-    return {
-        "type": "superposed",
-        "lambda1": model.regular_rate,
-        "lambda2": model.severe_rate,
-        "kappa1": model.regular_duration_rate,
-        "kappa2": model.severe_duration_rate,
-        "shift_hours": model.shift,
-    }
 
 
 def read_profile_csv(path) -> np.ndarray:

@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 from outageplan import persist
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.mdp import PlanningEnv, PlanningState
-from outageplan.outage import OutageModel, SingleModel, SuperposedModel, duration_pmf
-from outageplan.simulate import model_meta
+from outageplan.outage import OutageModel, SingleModel, SuperposedModel, duration_pmf, outage_model_to_config
 from outageplan.solver import QTable, greedy_action
 
 TRACE_FORMAT = "outageplan-trace"
@@ -232,7 +231,7 @@ def rollout(
         rows=tuple(rows),
         config_hash=config_hash,
         planning_hash=planning_hash,
-        outage_model=model_meta(model) if model is not None else {},
+        outage_model=outage_model_to_config(model) if model is not None else {},
         trajectory={u: list(v) for u, v in zip(trajectory.units, trajectory.values)},
         totals=totals,
         exact_expected_return=exact_expected_return,

@@ -321,12 +321,17 @@ class PlanningEnv:
         level_txt = f"{level:g}"
         return f"install {name} {level_txt} kWh"
 
-    def capacity_of(self, state: PlanningState) -> Portfolio:
+    def _installed_kwh(self, installs: Sequence[int]) -> tuple[float, ...]:
+        # Summed in multiset order: the metamodel grid, its lookups and every
+        # reward must share this exact float arithmetic.
         kwh = [0.0] * len(self.catalog)
-        for j in state.installs:
+        for j in installs:
             u, l = divmod(j, len(self.levels_kwh))
             kwh[u] += self.levels_kwh[l]
-        return Portfolio(units=self.unit_names, kwh=tuple(kwh))
+        return tuple(kwh)
+
+    def capacity_of(self, state: PlanningState) -> Portfolio:
+        return Portfolio(units=self.unit_names, kwh=self._installed_kwh(state.installs))
 
     def display_tuple(self, state: PlanningState) -> tuple:
         """Flat (period, price per unit in $, installed kWh per unit) view."""
@@ -379,11 +384,7 @@ class PlanningEnv:
             )
         costs = np.empty(self.codec.c_full)
         for c, cap in enumerate(self.codec.cap_sets):
-            kwh = [0.0] * len(self.catalog)
-            for j in cap:
-                u, l = divmod(j, len(self.levels_kwh))
-                kwh[u] += self.levels_kwh[l]
-            costs[c] = table.lookup(Portfolio(units=self.unit_names, kwh=tuple(kwh)))
+            costs[c] = table.lookup(Portfolio(units=self.unit_names, kwh=self._installed_kwh(cap)))
         self.metamodel = table
         self._cost_of_cap = costs
         self._notional_zero_cost = False
@@ -450,11 +451,5 @@ class PlanningEnv:
         """Distinct capacity vectors over all reachable install multisets,
         derived from the codec so the metamodel grid and reward lookups share
         the exact same float arithmetic."""
-        seen: set[tuple[float, ...]] = set()
-        for cap in self.codec.cap_sets:
-            kwh = [0.0] * len(self.catalog)
-            for j in cap:
-                u, l = divmod(j, len(self.levels_kwh))
-                kwh[u] += self.levels_kwh[l]
-            seen.add(tuple(kwh))
+        seen = {self._installed_kwh(cap) for cap in self.codec.cap_sets}
         return [Portfolio(units=self.unit_names, kwh=key) for key in sorted(seen)]

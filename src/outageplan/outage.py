@@ -35,6 +35,7 @@ __all__ = [
     "SingleModel",
     "SuperposedModel",
     "OutageModel",
+    "outage_model_to_config",
     "OutageEvent",
     "CaidiSeries",
     "poisson_quantile",
@@ -148,6 +149,25 @@ class SuperposedModel:
 
 
 OutageModel = Union[SingleModel, SuperposedModel]
+
+
+def outage_model_to_config(model: OutageModel) -> dict:
+    """The ``outage_model`` config block that describes a model."""
+    if isinstance(model, SingleModel):
+        return {
+            "type": "single",
+            "lambda": model.rate,
+            "kappa": model.duration_rate,
+            "shift_hours": model.shift,
+        }
+    return {
+        "type": "superposed",
+        "lambda1": model.regular_rate,
+        "lambda2": model.severe_rate,
+        "kappa1": model.regular_duration_rate,
+        "kappa2": model.severe_duration_rate,
+        "shift_hours": model.shift,
+    }
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from outageplan import _kernels, persist
+from outageplan import persist
+from outageplan._kernels import dispatch_span
 from outageplan.errors import ArtifactMismatchError, ConfigError
-from outageplan.outage import HOURS_PER_YEAR, OutageEvent, OutageModel, sample_trace
+from outageplan.outage import HOURS_PER_YEAR, OutageEvent, OutageModel, outage_model_to_config, sample_trace
 
 METAMODEL_MAGIC = "# outageplan-metamodel "
 
@@ -206,8 +207,7 @@ def simulate_outage(
     deliverable, power_cap = _dispatch_arrays(portfolio, specs)
     n_hours = int(math.ceil(event.duration))
     unserved = np.zeros(len(grid.facilities))
-    dispatch = _kernels.get_impl("dispatch_span")
-    cost = dispatch(
+    cost = dispatch_span(
         start_hour,
         n_hours,
         grid.profiles.demand,
@@ -278,7 +278,6 @@ def _portfolio_costs(
 ) -> np.ndarray:
     starts, lengths, offsets = spans
     deliverable0, power_cap = _dispatch_arrays(portfolio, specs)
-    dispatch = _kernels.get_impl("dispatch_span")
     demand = grid.profiles.demand
     pv = grid.profiles.pv
     order = grid.dispatch_order()
@@ -289,11 +288,20 @@ def _portfolio_costs(
     for r in range(n_reps):
         total = 0.0
         for m in range(offsets[r], offsets[r + 1]):
-            total += dispatch(
+            total += dispatch_span(
                 starts[m], lengths[m], demand, pv, order, voll, deliverable0.copy(), power_cap, scratch
             )
         costs[r] = total
     return costs
+
+
+def _mean_stderr(costs: np.ndarray) -> tuple[float, float]:
+    """Sample mean of per-replication costs and its standard error (0 for
+    a single replication)."""
+    mean = float(np.mean(costs))
+    n = len(costs)
+    stderr = float(np.std(costs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return mean, stderr
 
 
 def expected_period_cost(
@@ -314,12 +322,7 @@ def expected_period_cost(
         raise ValueError("period length must be >= 0")
     seeds = _replication_seeds(rng, replications)
     spans = _outage_spans(model, period_length_years, seeds)
-    costs = _portfolio_costs(spans, portfolio, specs, grid)
-    mean = float(np.mean(costs))
-    if replications > 1:
-        stderr = float(np.std(costs, ddof=1) / math.sqrt(replications))
-    else:
-        stderr = 0.0
+    mean, stderr = _mean_stderr(_portfolio_costs(spans, portfolio, specs, grid))
     return CostEstimate(mean=mean, stderr=stderr, replications=replications)
 
 
@@ -417,26 +420,6 @@ class CostTable:
         return cls(units=units, entries=entries, meta=meta)
 
 
-def model_meta(model: OutageModel) -> dict:
-    from outageplan.outage import SingleModel
-
-    if isinstance(model, SingleModel):
-        return {
-            "type": "single",
-            "lambda": model.rate,
-            "kappa": model.duration_rate,
-            "shift_hours": model.shift,
-        }
-    return {
-        "type": "superposed",
-        "lambda1": model.regular_rate,
-        "lambda2": model.severe_rate,
-        "kappa1": model.regular_duration_rate,
-        "kappa2": model.severe_duration_rate,
-        "shift_hours": model.shift,
-    }
-
-
 def build_metamodel(
     model: OutageModel,
     capacity_grid: Sequence[Portfolio],
@@ -464,15 +447,12 @@ def build_metamodel(
     spans = _outage_spans(model, period_length_years, seeds)
     entries: dict[tuple[float, ...], tuple[float, float]] = {}
     for portfolio in capacity_grid:
-        costs = _portfolio_costs(spans, portfolio, specs, grid)
-        mean = float(np.mean(costs))
-        stderr = float(np.std(costs, ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-        entries[tuple(portfolio.kwh)] = (mean, stderr)
+        entries[tuple(portfolio.kwh)] = _mean_stderr(_portfolio_costs(spans, portfolio, specs, grid))
     meta = {
         "format": "outageplan-metamodel",
         "version": 1,
         "config_hash": config_hash,
-        "outage_model": model_meta(model),
+        "outage_model": outage_model_to_config(model),
         "period_length_years": period_length_years,
         "replications": replications,
         "seed": seed,

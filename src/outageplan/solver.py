@@ -1,8 +1,8 @@
 """Tabular Q-learning on the planning MDP, plus an exact solver.
 
 Training runs in chunks: the uniform stream for a chunk of episodes is
-drawn up front from one PCG64 generator and handed to the compiled kernel,
-so a fixed seed reproduces training bit-for-bit on either backend. The
+drawn up front from one PCG64 generator and handed to the episode kernel,
+so a fixed seed reproduces training bit-for-bit. The
 exact solver does backward induction with the factorized price-chain
 expectation and serves as the oracle the learned policy is judged against.
 """
@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from outageplan import _kernels, persist
+from outageplan import persist
+from outageplan._kernels import qlearn_chunk
 from outageplan.errors import ArtifactMismatchError
 from outageplan.mdp import InstallAction, PlanningEnv, PlanningState
 
@@ -195,7 +196,6 @@ def train(
     tables = env.kernel_tables()
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(schedule.seed))
-    kernel = _kernels.get_impl("qlearn_chunk")
     n_units = len(env.catalog)
     q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
     visits = np.zeros_like(q, dtype=np.int64)
@@ -211,7 +211,7 @@ def train(
         alphas = schedule.alpha_start + (schedule.alpha_end - schedule.alpha_start) * frac
         epsilons = schedule.epsilon_start + (schedule.epsilon_end - schedule.epsilon_start) * frac
         uniforms = rng.random((m, tables.horizon, 2 + n_units))
-        max_delta, total_return, violations = kernel(
+        max_delta, total_return, violations = qlearn_chunk(
             q,
             visits,
             tables.state_codes,
@@ -292,9 +292,6 @@ class ExactSolution:
         p = codec.price_combo(state.price_idx)
         c = codec.cap_index[tuple(state.installs)]
         return float(self.v_per_period[state.period][p, c])
-
-    def optimal_action_index(self, state: PlanningState) -> int:
-        return int(np.argmax(self.q_values(state)))
 
     def expected_return(self) -> float:
         return float(self.v_per_period[0][0, 0])

@@ -60,24 +60,6 @@ def verdict(label: str):
     print(f"PASS {label} ({clock.elapsed:.1f}s)")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    """Compile/load both numeric kernels once so timed sections measure work."""
-    cfg = load_config("tiny")
-    env = cfg.env()
-    table = build_metamodel(
-        model=cfg.outage_model,
-        capacity_grid=env.reachable_portfolios(),
-        specs=cfg.storage_specs(),
-        grid=cfg.microgrid(),
-        period_length_years=cfg.period_length_years,
-        replications=2,
-        seed=0,
-    )
-    env.attach_metamodel(table)
-    train(env, cfg.schedule(seed=0, episodes=200), config_hash=cfg.config_hash)
-
-
 def tiny_trained(metamodel_seed: int, train_seed: int, episodes: int):
     cfg = load_config("tiny")
     env = cfg.env()

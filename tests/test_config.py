@@ -13,6 +13,7 @@ from outageplan.config import (
 )
 from outageplan.errors import ConfigError
 from outageplan.outage import HOURS_PER_YEAR, SingleModel, SuperposedModel
+from outageplan.simulate import build_metamodel
 
 
 def profile_text(values):
@@ -97,6 +98,20 @@ class TestOutageModelBlocks:
             shift=1.0,
         )
         assert outage_model_to_config(model) == block
+
+    @pytest.mark.parametrize("name", ["tiny", "tiny-superposed"])
+    def test_metamodel_header_round_trip(self, name):
+        cfg = load_config(name)
+        table = build_metamodel(
+            model=cfg.outage_model,
+            capacity_grid=cfg.env().reachable_portfolios()[:1],
+            specs=cfg.storage_specs(),
+            grid=cfg.microgrid(),
+            period_length_years=cfg.period_length_years,
+            replications=2,
+            seed=0,
+        )
+        assert outage_model_from_config(table.meta["outage_model"]) == cfg.outage_model
 
     def test_type_key_required(self):
         with pytest.raises(ConfigError, match="needs a 'type' key"):

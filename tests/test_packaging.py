@@ -1,0 +1,23 @@
+"""The declared runtime dependencies are the ones this environment provides."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+# distribution name -> import name, where they differ
+IMPORT_NAMES = {"pyyaml": "yaml"}
+
+
+def test_every_declared_dependency_imports():
+    with open(PYPROJECT, "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert deps
+    for dep in deps:
+        dist = re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
+        importlib.import_module(IMPORT_NAMES.get(dist, dist))

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from outageplan import _kernels
 from outageplan.errors import ArtifactMismatchError
 from outageplan.mdp import (
     InstallAction,
@@ -245,17 +244,6 @@ class TestTraining:
         assert np.array_equal(a.qtable.visits, b.qtable.visits)
         assert a.convergence == b.convergence
         assert not np.array_equal(a.qtable.values, c.qtable.values)
-
-    def test_backends_agree_bit_for_bit(self, monkeypatch):
-        pytest.importorskip("numba")
-        env = mini_env()
-        monkeypatch.setattr(_kernels, "ACTIVE_BACKEND", "numpy")
-        py = train(env, TrainingSchedule(episodes=6000, seed=5))
-        monkeypatch.setattr(_kernels, "ACTIVE_BACKEND", "numba")
-        nb = train(env, TrainingSchedule(episodes=6000, seed=5))
-        assert np.array_equal(py.qtable.values, nb.qtable.values)
-        assert np.array_equal(py.qtable.visits, nb.qtable.visits)
-        assert py.convergence == nb.convergence
 
     def test_convergence_log_epochs(self):
         env = mini_env()
