@@ -1,57 +1,18 @@
-"""Hot numeric kernels: islanding dispatch and Q-learning episodes.
+"""The Q-learning episode kernel.
 
-The kernels use only scalar float64/int64 arithmetic on preallocated arrays,
+The kernel uses only scalar float64/int64 arithmetic on preallocated arrays,
 and all randomness is pre-drawn by the caller, so a fixed seed reproduces
-every result bit for bit.
+every result bit for bit. Islanding dispatch is vectorised numpy in
+`outageplan.simulate.dispatch_spans`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Names the implementation that ran the kernels in the train command's
+# Names the implementation that ran the kernel in the train command's
 # output and in benchmark results.
 ACTIVE_BACKEND = "numpy"
-
-
-def dispatch_span(start_hour, n_hours, demand, pv, class_order, voll, deliverable, power_cap, unserved_out):
-    # Hour-by-hour islanded dispatch. PV serves first, storage covers the
-    # residual up to its power and remaining-energy limits, and whatever the
-    # pool covers goes to classes in descending value-of-lost-load order.
-    # `deliverable` is consumed in place; unserved kWh accumulate per class.
-    n_classes = demand.shape[0]
-    n_units = deliverable.shape[0]
-    cost = 0.0
-    for h in range(n_hours):
-        hh = (start_hour + h) % 8760
-        total_load = 0.0
-        for ci in range(n_classes):
-            total_load += demand[ci, hh]
-        pool = pv[hh]
-        deficit = total_load - pool
-        if deficit > 0.0:
-            for u in range(n_units):
-                draw = power_cap[u]
-                if draw > deliverable[u]:
-                    draw = deliverable[u]
-                if draw > deficit:
-                    draw = deficit
-                deliverable[u] -= draw
-                pool += draw
-                deficit -= draw
-                if deficit <= 0.0:
-                    break
-        for k in range(n_classes):
-            ci = class_order[k]
-            load = demand[ci, hh]
-            served = load
-            if served > pool:
-                served = pool
-            pool -= served
-            short = load - served
-            unserved_out[ci] += short
-            cost += short * voll[ci]
-    return cost
 
 
 def qlearn_chunk(
@@ -137,7 +98,7 @@ def qlearn_chunk(
                 step = -step
             if step > max_delta:
                 max_delta = step
-            if q_new < q_lower or q_new > 1e-9:
+            if not (q_lower <= q_new <= 1e-9):
                 violations += 1
             ep_return += r
             p = p2

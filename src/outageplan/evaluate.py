@@ -196,7 +196,6 @@ def rollout(
     indices = trajectory.indices_for(env)
     installs: tuple[int, ...] = ()
     rows = []
-    mix: dict[str, float] = {u: 0.0 for u in env.unit_names}
     first_invest: Optional[int] = None
     for t in range(env.horizon):
         state = PlanningState(period=t, price_idx=indices[t], installs=installs)
@@ -204,12 +203,9 @@ def rollout(
         if action.is_install:
             a = env.action_index(action)
             installs = tuple(sorted(installs + (a - 1,)))
-            unit_name = env.unit_names[action.unit]
-            level = env.levels_kwh[action.level]
-            mix[unit_name] += level
             if first_invest is None:
                 first_invest = t + 1
-            row_unit, row_level = unit_name, level
+            row_unit, row_level = env.unit_names[action.unit], env.levels_kwh[action.level]
         else:
             row_unit, row_level = None, None
         rows.append(
@@ -221,6 +217,8 @@ def rollout(
                 action_level_kwh=row_level,
             )
         )
+    final = PlanningState(period=env.horizon, price_idx=indices[-1], installs=installs)
+    mix = env.capacity_of(final).as_mapping()
     totals = {
         "total_kwh": float(sum(mix.values())),
         "first_investment_period": first_invest,

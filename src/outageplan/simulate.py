@@ -2,10 +2,13 @@
 
 During a grid outage the microgrid islands and serves load from PV plus
 installed storage, highest value-of-lost-load first. Expected outage cost
-per decision period is estimated by replicated simulation, then cached per
-storage portfolio in a CostTable so the planner never simulates inside its
-training loop. Lookups are exact: a portfolio missing from the table is a
-hard error, never an extrapolation.
+per decision period is estimated by replicated simulation with common random
+numbers: every portfolio replays the same sampled outage spans, so the
+replications' merged spans and the portfolios form one (span x portfolio)
+grid that `dispatch_spans` dispatches in a single numpy pass, hour by hour.
+The estimates are cached per storage portfolio in a CostTable so the planner
+never simulates inside its training loop. Lookups are exact: a portfolio
+missing from the table is a hard error, never an extrapolation.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from outageplan import persist
-from outageplan._kernels import dispatch_span
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.outage import HOURS_PER_YEAR, OutageEvent, OutageModel, outage_model_to_config, sample_trace
 
@@ -190,6 +192,74 @@ def _dispatch_arrays(
     return deliverable, power_cap
 
 
+def dispatch_spans(
+    start_hours: np.ndarray,
+    n_hours: np.ndarray,
+    portfolios: Sequence[Portfolio],
+    specs: Sequence[StorageUnitSpec],
+    grid: Microgrid,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Islanded dispatch of every (span, portfolio) pair, storage full at the
+    onset of each span.
+
+    Span s covers n_hours[s] whole hours from hour-of-year start_hours[s],
+    wrapping across the year boundary. Each hour PV serves first, storage
+    covers the residual unit by unit up to its power and remaining-energy
+    limits, and the pool goes to classes in descending value-of-lost-load
+    order. Returns (cost, unserved): cost[s, p] in $ and unserved[c, s, p]
+    in kWh for facility class c.
+    """
+    start_hours = np.asarray(start_hours, dtype=np.int64)
+    n_hours = np.asarray(n_hours, dtype=np.int64)
+    arrays = [_dispatch_arrays(p, specs) for p in portfolios]
+    deliverable0 = np.array([d for d, _ in arrays]).T
+    power_cap = np.array([c for _, c in arrays]).T
+    demand = grid.profiles.demand
+    pv = grid.profiles.pv
+    n_classes = demand.shape[0]
+    # Every span starts full, so spans are independent. Sorted longest first,
+    # the spans still running at hour h are a prefix of the sorted order.
+    order = np.argsort(-n_hours, kind="stable")
+    starts = start_hours[order]
+    lengths = n_hours[order]
+    deliverable = np.repeat(deliverable0[:, None, :], len(order), axis=1)
+    cost = np.zeros((len(order), len(portfolios)))
+    unserved = np.zeros((n_classes,) + cost.shape)
+    voll = grid.voll()
+    class_order = grid.dispatch_order()
+    for h in range(int(lengths.max(initial=0))):
+        n = int(np.count_nonzero(lengths > h))
+        hh = (starts[:n] + h) % HOURS_PER_YEAR
+        total_load = 0.0
+        for ci in range(n_classes):
+            total_load = total_load + demand[ci, hh]
+        pool = np.repeat(pv[hh][:, None], len(portfolios), axis=1)
+        deficit = np.repeat((total_load - pv[hh])[:, None], len(portfolios), axis=1)
+        for u in range(len(deliverable)):
+            draw = np.minimum(power_cap[u], deliverable[u, :n])
+            np.minimum(draw, deficit, out=draw)
+            # a unit draws nothing once the deficit is covered (or never was)
+            draw[deficit <= 0.0] = 0.0
+            deliverable[u, :n] -= draw
+            pool += draw
+            deficit -= draw
+        for ci in class_order:
+            load = demand[ci, hh][:, None]
+            served = np.minimum(load, pool)
+            pool -= served
+            short = np.subtract(load, served, out=served)
+            unserved[ci, :n] += short
+            short *= voll[ci]
+            cost[:n] += short
+    # Back to span order one (span, portfolio) plane at a time, so the
+    # reordering copies one plane, not the whole working set.
+    rank = np.argsort(order)
+    cost[:] = cost[rank]
+    for plane in unserved:
+        plane[:] = plane[rank]
+    return cost, unserved
+
+
 def simulate_outage(
     event: OutageEvent,
     portfolio: Portfolio,
@@ -204,22 +274,10 @@ def simulate_outage(
     """
     if not 0 <= start_hour < HOURS_PER_YEAR:
         raise ValueError(f"start_hour must be in [0, {HOURS_PER_YEAR}), got {start_hour}")
-    deliverable, power_cap = _dispatch_arrays(portfolio, specs)
     n_hours = int(math.ceil(event.duration))
-    unserved = np.zeros(len(grid.facilities))
-    cost = dispatch_span(
-        start_hour,
-        n_hours,
-        grid.profiles.demand,
-        grid.profiles.pv,
-        grid.dispatch_order(),
-        grid.voll(),
-        deliverable.copy(),
-        power_cap,
-        unserved,
-    )
-    pairs = tuple((f.name, float(u)) for f, u in zip(grid.facilities, unserved))
-    return UnservedReport(unserved_kwh=pairs, outage_hours=n_hours, cost=float(cost))
+    cost, unserved = dispatch_spans([start_hour], [n_hours], [portfolio], specs, grid)
+    pairs = tuple((f.name, float(u)) for f, u in zip(grid.facilities, unserved[:, 0, 0]))
+    return UnservedReport(unserved_kwh=pairs, outage_hours=n_hours, cost=float(cost[0, 0]))
 
 
 def merge_events(events: Iterable[OutageEvent]) -> list[tuple[float, float]]:
@@ -270,31 +328,6 @@ def _outage_spans(
     )
 
 
-def _portfolio_costs(
-    spans: tuple[np.ndarray, np.ndarray, np.ndarray],
-    portfolio: Portfolio,
-    specs: Sequence[StorageUnitSpec],
-    grid: Microgrid,
-) -> np.ndarray:
-    starts, lengths, offsets = spans
-    deliverable0, power_cap = _dispatch_arrays(portfolio, specs)
-    demand = grid.profiles.demand
-    pv = grid.profiles.pv
-    order = grid.dispatch_order()
-    voll = grid.voll()
-    scratch = np.zeros(len(grid.facilities))
-    n_reps = len(offsets) - 1
-    costs = np.zeros(n_reps)
-    for r in range(n_reps):
-        total = 0.0
-        for m in range(offsets[r], offsets[r + 1]):
-            total += dispatch_span(
-                starts[m], lengths[m], demand, pv, order, voll, deliverable0.copy(), power_cap, scratch
-            )
-        costs[r] = total
-    return costs
-
-
 def _mean_stderr(costs: np.ndarray) -> tuple[float, float]:
     """Sample mean of per-replication costs and its standard error (0 for
     a single replication)."""
@@ -302,6 +335,27 @@ def _mean_stderr(costs: np.ndarray) -> tuple[float, float]:
     n = len(costs)
     stderr = float(np.std(costs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return mean, stderr
+
+
+def _crn_estimates(
+    model: OutageModel,
+    portfolios: Sequence[Portfolio],
+    specs: Sequence[StorageUnitSpec],
+    grid: Microgrid,
+    period_length_years: float,
+    seeds: np.ndarray,
+) -> list[tuple[float, float]]:
+    """(mean, stderr) of the period cost of every portfolio, all portfolios
+    dispatched against the same replications' outage spans."""
+    starts, lengths, offsets = _outage_spans(model, period_length_years, seeds)
+    span_cost, _ = dispatch_spans(starts, lengths, portfolios, specs, grid)
+    # Each replication's total adds its spans' costs in span order from 0.0.
+    counts = np.diff(offsets)
+    totals = np.zeros((len(counts), len(portfolios)))
+    for j in range(int(counts.max(initial=0))):
+        reps = np.flatnonzero(counts > j)
+        totals[reps] += span_cost[offsets[reps] + j]
+    return [_mean_stderr(row) for row in np.ascontiguousarray(totals.T)]
 
 
 def expected_period_cost(
@@ -321,8 +375,7 @@ def expected_period_cost(
     if period_length_years < 0:
         raise ValueError("period length must be >= 0")
     seeds = _replication_seeds(rng, replications)
-    spans = _outage_spans(model, period_length_years, seeds)
-    mean, stderr = _mean_stderr(_portfolio_costs(spans, portfolio, specs, grid))
+    [(mean, stderr)] = _crn_estimates(model, [portfolio], specs, grid, period_length_years, seeds)
     return CostEstimate(mean=mean, stderr=stderr, replications=replications)
 
 
@@ -405,13 +458,24 @@ class CostTable:
                 raise ArtifactMismatchError(f"{path}: unexpected cost table columns {columns}")
             units = tuple(c[len("cap_"):] for c in columns[:-2])
             entries: dict[tuple[float, ...], tuple[float, float]] = {}
-            for line in fh:
+            for lineno, line in enumerate(fh, start=3):
                 line = line.strip()
                 if not line:
                     continue
                 cells = line.split(",")
+                if len(cells) != len(columns):
+                    raise ArtifactMismatchError(
+                        f"{path}:{lineno}: row has {len(cells)} cells, expected {len(columns)}"
+                    )
                 key = tuple(float(x) for x in cells[: len(units)])
-                entries[key] = (float(cells[-2]), float(cells[-1]))
+                cost, stderr = float(cells[-2]), float(cells[-1])
+                if not (math.isfinite(cost) and math.isfinite(stderr) and cost >= 0 and stderr >= 0):
+                    raise ArtifactMismatchError(
+                        f"{path}:{lineno}: cost and stderr must be finite and >= 0, got {cost}, {stderr}"
+                    )
+                if key in entries:
+                    raise ArtifactMismatchError(f"{path}:{lineno}: duplicate portfolio {key}")
+                entries[key] = (cost, stderr)
         if expect_config_hash is not None and meta.get("config_hash") != expect_config_hash:
             raise ArtifactMismatchError(
                 f"{path}: cost table was built for config {meta.get('config_hash')!r}, "
@@ -444,10 +508,8 @@ def build_metamodel(
             raise ConfigError("all portfolios in a grid must share the same unit order")
     rng = np.random.Generator(np.random.PCG64(seed))
     seeds = _replication_seeds(rng, replications)
-    spans = _outage_spans(model, period_length_years, seeds)
-    entries: dict[tuple[float, ...], tuple[float, float]] = {}
-    for portfolio in capacity_grid:
-        entries[tuple(portfolio.kwh)] = _mean_stderr(_portfolio_costs(spans, portfolio, specs, grid))
+    estimates = _crn_estimates(model, capacity_grid, specs, grid, period_length_years, seeds)
+    entries = {tuple(p.kwh): est for p, est in zip(capacity_grid, estimates)}
     meta = {
         "format": "outageplan-metamodel",
         "version": 1,

@@ -333,6 +333,7 @@ def run_case_study_compare(out_root: Path) -> Path:
     return cmp_dir / "comparison.json"
 
 
+@pytest.mark.slow
 def test_criterion_8_case_study_comparison_matches_frozen_golden(tmp_path):
     with verdict(
         "criterion 8: case-study pipeline at the documented seeds reproduces the frozen "

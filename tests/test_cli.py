@@ -210,6 +210,40 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert "outageplan-error:" in capsys.readouterr().err
 
+    def _train_on_edited_metamodel(self, pipeline, tmp_path, capsys, edit):
+        lines = (pipeline / "metamodel.csv").read_text().splitlines()
+        path = tmp_path / "metamodel.csv"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        argv = ["train", "--config", "tiny", "--episodes", "10", "--metamodel", str(path), "--out", str(tmp_path)]
+        return main(argv), capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells", ["extra", "missing"])
+    def test_metamodel_row_width_is_checked(self, pipeline, tmp_path, capsys, cells):
+        def edit(lines):
+            row = lines[2] + ",0.0" if cells == "extra" else lines[2].rsplit(",", 1)[0]
+            return lines[:2] + [row] + lines[3:]
+
+        rc, err = self._train_on_edited_metamodel(pipeline, tmp_path, capsys, edit)
+        assert rc == 1
+        assert "outageplan-error:" in err and "cells, expected" in err
+
+    @pytest.mark.parametrize(
+        "cost,stderr", [("nan", "0.0"), ("inf", "0.0"), ("-1.0", "0.0"), ("5.0", "nan"), ("5.0", "-0.5")]
+    )
+    def test_metamodel_values_must_be_finite_and_non_negative(self, pipeline, tmp_path, capsys, cost, stderr):
+        def edit(lines):
+            cells = lines[3].split(",")
+            return lines[:3] + [",".join(cells[:-2] + [cost, stderr])] + lines[4:]
+
+        rc, err = self._train_on_edited_metamodel(pipeline, tmp_path, capsys, edit)
+        assert rc == 1
+        assert "outageplan-error:" in err and "must be finite and >= 0" in err
+
+    def test_metamodel_duplicate_portfolio_is_rejected(self, pipeline, tmp_path, capsys):
+        rc, err = self._train_on_edited_metamodel(pipeline, tmp_path, capsys, lambda ls: ls + [ls[-1]])
+        assert rc == 1
+        assert "outageplan-error:" in err and "duplicate portfolio" in err
+
     def test_unknown_config_name(self, capsys):
         rc = main(["metamodel", "--config", "nonesuch"])
         assert rc == 1

@@ -162,6 +162,32 @@ class TestRollout:
         assert trace.outage_model["type"] == "single"
         assert trace.trajectory == {"alpha": [400.0, 290.0, 290.0], "beta": [150.0, 95.0, 95.0]}
 
+    def test_mix_is_the_final_capacity(self, tmp_path):
+        # 0.2 + 0.7 + 0.1 in action order is 0.9999999999999999; the capacity
+        # of the final install multiset sums 0.1 + 0.2 + 0.7 == 1.0
+        env = PlanningEnv(
+            horizon=3,
+            catalog=(
+                UnitCatalogEntry(
+                    storage=StorageUnitSpec(
+                        name="u", round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=1.0
+                    ),
+                    chain=PriceChain(values=(100.0,), advance_prob=0.5),
+                ),
+            ),
+            levels_kwh=(0.1, 0.2, 0.7),
+        )
+        traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, "unit,p1,p2,p3\nu,100,100,100\n"))
+        wanted = {
+            PlanningState(0, (0,), ()): 2,
+            PlanningState(1, (0,), (1,)): 3,
+            PlanningState(2, (0,), (1, 2)): 1,
+        }
+        trace = rollout(scripted_qtable(env, wanted), env, traj, config_hash="c", planning_hash="p")
+        final = env.capacity_of(PlanningState(3, (0,), (0, 1, 2)))
+        assert trace.totals["mix_kwh"] == {"u": final.kwh[0]}
+        assert trace.totals["total_kwh"] == final.kwh[0] == 1.0
+
     def test_never_investing(self, tmp_path):
         env = make_env()
         traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))

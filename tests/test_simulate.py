@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import outageplan.simulate as sim
+from outageplan.config import load_config
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.outage import OutageEvent, OutageKind, SingleModel, SuperposedModel
 from outageplan.simulate import (
@@ -16,6 +19,7 @@ from outageplan.simulate import (
     Portfolio,
     StorageUnitSpec,
     build_metamodel,
+    dispatch_spans,
     expected_period_cost,
     merge_events,
     reachable_portfolios,
@@ -48,6 +52,91 @@ def one_unit(deliverable_kwh, power_cap_kw):
     )
     portfolio = Portfolio(units=("u",), kwh=(deliverable_kwh,))
     return (spec,), portfolio
+
+
+def dispatch_span_oracle(
+    start_hour, n_hours, demand, pv, class_order, voll, deliverable, power_cap, unserved_out
+):
+    """Scalar reference for one span and one portfolio: the hour-by-hour loop
+    that `dispatch_spans` must reproduce bit for bit. `deliverable` is consumed
+    in place; unserved kWh accumulate per class into `unserved_out`."""
+    n_classes = demand.shape[0]
+    n_units = deliverable.shape[0]
+    cost = 0.0
+    for h in range(n_hours):
+        hh = (start_hour + h) % 8760
+        total_load = 0.0
+        for ci in range(n_classes):
+            total_load += demand[ci, hh]
+        pool = pv[hh]
+        deficit = total_load - pool
+        if deficit > 0.0:
+            for u in range(n_units):
+                draw = power_cap[u]
+                if draw > deliverable[u]:
+                    draw = deliverable[u]
+                if draw > deficit:
+                    draw = deficit
+                deliverable[u] -= draw
+                pool += draw
+                deficit -= draw
+                if deficit <= 0.0:
+                    break
+        for k in range(n_classes):
+            ci = class_order[k]
+            load = demand[ci, hh]
+            served = load
+            if served > pool:
+                served = pool
+            pool -= served
+            short = load - served
+            unserved_out[ci] += short
+            cost += short * voll[ci]
+    return cost
+
+
+def oracle_arrays(portfolio, specs):
+    deliverable = np.array([s.deliverable_kwh(k) for s, k in zip(specs, portfolio.kwh)])
+    power_cap = np.array([s.power_cap_kw(k) for s, k in zip(specs, portfolio.kwh)])
+    return deliverable, power_cap
+
+
+@st.composite
+def dispatch_cases(draw):
+    """A random microgrid, storage catalog, portfolios and outage spans."""
+    n_classes = draw(st.integers(1, 3))
+    # a small VoLL menu makes ties between classes common
+    volls = draw(st.lists(st.sampled_from([2.0, 6.0, 18.0, 60.0]), min_size=n_classes, max_size=n_classes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    demand = rng.uniform(0.0, 40.0, (n_classes, H))
+    # PV up to several times the load, so that in some hours PV alone covers it
+    pv = rng.uniform(0.0, 1.0, H) * draw(st.sampled_from([0.0, 20.0, 60.0, 250.0]))
+    facilities = tuple(
+        FacilityClass(name=f"c{i}", count=1, peak_load_kw=40.0, value_of_lost_load=v, profile="flat")
+        for i, v in enumerate(volls)
+    )
+    grid = Microgrid(facilities=facilities, profiles=HourlyProfiles(demand=demand, pv=pv))
+    n_units = draw(st.integers(1, 3))
+    specs = tuple(
+        StorageUnitSpec(
+            name=f"u{i}",
+            round_trip_efficiency=draw(st.floats(0.5, 1.0)),
+            usable_fraction=draw(st.floats(0.3, 1.0)),
+            # 0.02 kW/kWh leaves even 1000 kWh units short of the load: power-limited
+            power_limit=draw(st.sampled_from([0.02, 0.25, 1.0, 6.0])),
+        )
+        for i in range(n_units)
+    )
+    sizes = st.sampled_from([0.0, 10.0, 37.5, 250.0, 1000.0])
+    portfolios = [
+        Portfolio(units=tuple(s.name for s in specs), kwh=tuple(kwh))
+        for kwh in draw(st.lists(st.lists(sizes, min_size=n_units, max_size=n_units), min_size=1, max_size=5))
+    ]
+    # starts near the year end wrap past hour 8759
+    start = st.one_of(st.integers(H - 20, H - 1), st.integers(0, H - 1))
+    starts = draw(st.lists(start, min_size=1, max_size=6))
+    lengths = draw(st.lists(st.integers(0, 30), min_size=len(starts), max_size=len(starts)))
+    return grid, specs, portfolios, starts, lengths
 
 
 class TestSpecs:
@@ -176,6 +265,61 @@ class TestDispatch:
         event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=1.0)
         with pytest.raises(ConfigError, match="unknown storage units"):
             simulate_outage(event, pf, specs, grid, start_hour=0)
+
+
+class TestDispatchParity:
+    @given(case=dispatch_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_oracle_bit_for_bit(self, case):
+        grid, specs, portfolios, starts, lengths = case
+        demand, pv = grid.profiles.demand, grid.profiles.pv
+        order, voll = grid.dispatch_order(), grid.voll()
+        cost, unserved = dispatch_spans(starts, lengths, portfolios, specs, grid)
+        want_cost = np.zeros((len(starts), len(portfolios)))
+        want_unserved = np.zeros((len(voll), len(starts), len(portfolios)))
+        for s, (start, n_hours) in enumerate(zip(starts, lengths)):
+            for p, portfolio in enumerate(portfolios):
+                deliverable, power_cap = oracle_arrays(portfolio, specs)
+                short = np.zeros(len(voll))
+                want_cost[s, p] = dispatch_span_oracle(
+                    start, n_hours, demand, pv, order, voll, deliverable, power_cap, short
+                )
+                want_unserved[:, s, p] = short
+                event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=float(n_hours))
+                report = simulate_outage(event, portfolio, specs, grid, start_hour=start)
+                got_short = np.array([kwh for _, kwh in report.unserved_kwh])
+                assert got_short.tobytes() == short.tobytes()
+                assert np.float64(report.cost).tobytes() == want_cost[s, p].tobytes()
+        assert cost.tobytes() == want_cost.tobytes()
+        assert unserved.tobytes() == want_unserved.tobytes()
+
+    def test_metamodel_matches_scalar_oracle(self):
+        # The replication totals and estimates of the scalar path: each span
+        # dispatched alone from full storage, added to its replication's total
+        # in span order, then the mean and standard error per portfolio.
+        cfg = load_config("tiny")
+        portfolios = cfg.env().reachable_portfolios()
+        specs, grid = cfg.storage_specs(), cfg.microgrid()
+        table = build_metamodel(
+            cfg.outage_model, portfolios, specs, grid, cfg.period_length_years, replications=24, seed=5
+        )
+        seeds = sim._replication_seeds(np.random.Generator(np.random.PCG64(5)), 24)
+        starts, lengths, offsets = sim._outage_spans(cfg.outage_model, cfg.period_length_years, seeds)
+        demand, pv = grid.profiles.demand, grid.profiles.pv
+        unserved_sink = np.zeros(len(grid.facilities))
+        for portfolio in portfolios:
+            deliverable, power_cap = oracle_arrays(portfolio, specs)
+            costs = np.zeros(24)
+            for r in range(24):
+                total = 0.0
+                for m in range(offsets[r], offsets[r + 1]):
+                    total += dispatch_span_oracle(
+                        starts[m], lengths[m], demand, pv, grid.dispatch_order(), grid.voll(),
+                        deliverable.copy(), power_cap, unserved_sink,
+                    )
+                costs[r] = total
+            want = np.array(sim._mean_stderr(costs))
+            assert np.array(table.entries[portfolio.kwh]).tobytes() == want.tobytes()
 
 
 class TestMergeEvents:

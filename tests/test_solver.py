@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from outageplan.config import load_config
 from outageplan.errors import ArtifactMismatchError
 from outageplan.mdp import (
     InstallAction,
@@ -287,6 +288,15 @@ class TestTraining:
         env._cost_of_cap = -np.abs(env._cost_of_cap)  # force positive rewards
         with pytest.raises(RuntimeError, match="Q updates left"):
             train(env, TrainingSchedule(episodes=2000, seed=0))
+
+    def test_nan_cost_is_caught(self):
+        # NaN compares false both ways, so a NaN Q-value passes `q < lower or q > 0`.
+        env = load_config("tiny").env()
+        entries = {tuple(p.kwh): (1000.0, 0.0) for p in env.reachable_portfolios()}
+        entries[(0.0,) * len(env.unit_names)] = (math.nan, 0.0)
+        env.attach_metamodel(CostTable(units=env.unit_names, entries=entries, meta={"replications": 1}))
+        with pytest.raises(RuntimeError, match="Q updates left"):
+            train(env, TrainingSchedule(episodes=100, seed=0))
 
     def test_greedy_action_rejects_terminal(self):
         env = mini_env()
