@@ -15,12 +15,13 @@ whose sorted enumeration doubles as the dense Q-table row index.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from outageplan.errors import ConfigError
+from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.outage import OutageModel
 from outageplan.simulate import CostTable, Portfolio, StorageUnitSpec
 
@@ -212,6 +213,16 @@ class StateCodec:
             raise KeyError(f"state code {code} is not a reachable non-terminal state")
         return i
 
+    def row_base(self) -> np.ndarray:
+        """Row index of (t, p, cap index 0) by period and price combo, -1 where
+        the combo is unreachable at t; state (t, p, c) is row row_base[t, p] + c,
+        because each period's block lists its combos in ascending order with
+        cap_count_at(t) rows each."""
+        base = np.full((self.horizon, self.p_full), -1, dtype=np.int64)
+        for t, combos in enumerate(self.period_combos):
+            base[t, combos] = self.block_starts[t] + np.arange(len(combos)) * self.cap_count_at(t)
+        return base
+
     def census(self) -> Census:
         per_period = []
         for t in range(self.horizon):
@@ -227,6 +238,7 @@ class KernelTables:
     """Dense arrays consumed by the training kernel and the exact solver."""
 
     state_codes: np.ndarray
+    row_base: np.ndarray
     cap_next: np.ndarray
     invest: np.ndarray
     cost_of_cap: np.ndarray
@@ -377,14 +389,21 @@ class PlanningEnv:
 
     def attach_metamodel(self, table: CostTable) -> None:
         """Bind a cost table and pre-resolve the cost of every reachable
-        capacity multiset. Missing portfolios fail here, before any training."""
+        capacity multiset. Missing portfolios and costs that are not finite
+        and non-negative fail here, before any training or solving."""
         if table.units != self.unit_names:
             raise ConfigError(
                 f"cost table units {table.units} do not match catalog {self.unit_names}"
             )
         costs = np.empty(self.codec.c_full)
         for c, cap in enumerate(self.codec.cap_sets):
-            costs[c] = table.lookup(Portfolio(units=self.unit_names, kwh=self._installed_kwh(cap)))
+            kwh = self._installed_kwh(cap)
+            cost = float(table.lookup(Portfolio(units=self.unit_names, kwh=kwh)))
+            if not 0.0 <= cost < math.inf:
+                raise ArtifactMismatchError(
+                    f"cost table entry for {kwh} kWh is {cost!r}; costs must be finite and >= 0"
+                )
+            costs[c] = cost
         self.metamodel = table
         self._cost_of_cap = costs
         self._notional_zero_cost = False
@@ -434,6 +453,7 @@ class PlanningEnv:
         worst = self.horizon * (float(invest.max()) + float(self._cost_of_cap.max()))
         return KernelTables(
             state_codes=self.codec.state_codes,
+            row_base=self.codec.row_base(),
             cap_next=self.codec.cap_next,
             invest=invest,
             cost_of_cap=self._cost_of_cap,

@@ -210,6 +210,26 @@ class TestErrorPaths:
         assert main(argv) == 1
         assert "outageplan-error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["truncated", "trailing"])
+    def test_qtable_length_is_checked(self, pipeline, tmp_path, capsys, edit):
+        data = (pipeline / "qtable.bin").read_bytes()
+        path = tmp_path / "qtable.bin"
+        path.write_bytes(data[:-8] if edit == "truncated" else data + b"\0" * 8)
+        argv = [
+            "evaluate",
+            "--config",
+            "tiny",
+            "--qtable",
+            str(path),
+            "--trajectory",
+            str(TINY_TRAJECTORY),
+            "--out",
+            str(tmp_path),
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "outageplan-error:" in err and "header lists arrays of" in err
+
     def _train_on_edited_metamodel(self, pipeline, tmp_path, capsys, edit):
         lines = (pipeline / "metamodel.csv").read_text().splitlines()
         path = tmp_path / "metamodel.csv"

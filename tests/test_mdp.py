@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from outageplan.errors import ConfigError
+from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.mdp import (
     InstallAction,
     PlanningEnv,
@@ -16,6 +16,7 @@ from outageplan.mdp import (
     UnitCatalogEntry,
 )
 from outageplan.simulate import CostTable, Portfolio, StorageUnitSpec
+from outageplan.solver import value_iteration
 
 
 def make_env(horizon=3, levels=(200.0, 500.0)):
@@ -192,6 +193,17 @@ class TestStateCodec:
         assert codes == list(env.codec.state_codes)
         assert len(terminal) == env.codec.census().per_period[-1]
 
+    @pytest.mark.parametrize("ladders", [[2, 2], [3, 2, 4], [4, 1]])
+    def test_row_base_plus_cap_index_is_the_sorted_row(self, ladders):
+        codec = StateCodec(horizon=3, ladder_sizes=ladders, n_units=len(ladders), n_levels=2)
+        base = codec.row_base()
+        for row, code in enumerate(codec.state_codes):
+            state = codec.state_of(int(code))
+            p = codec.price_combo(state.price_idx)
+            assert base[state.period, p] + codec.cap_index[state.installs] == row
+        reachable = sum(len(combos) for combos in codec.period_combos)
+        assert np.count_nonzero(base >= 0) == reachable
+
     def test_price_combo_digits_round_trip(self):
         codec = StateCodec(horizon=2, ladder_sizes=[3, 2, 4], n_units=3, n_levels=1)
         for combo in range(codec.p_full):
@@ -315,6 +327,18 @@ class TestPlanningEnv:
         del table.entries[(0.0, 200.0)]
         with pytest.raises(KeyError, match="rebuild the metamodel"):
             env.attach_metamodel(table)
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -1.0])
+    def test_attach_metamodel_rejects_non_finite_or_negative_cost(self, cost):
+        # an in-memory table skips CostTable.load's checks; a NaN cost used to
+        # make value_iteration return nan silently
+        env = make_env()
+        table = linear_cost_table(env)
+        table.entries[(0.0, 200.0)] = (cost, 0.0)
+        with pytest.raises(ArtifactMismatchError, match="must be finite and >= 0"):
+            env.attach_metamodel(table)
+        with pytest.raises(RuntimeError, match="attach a metamodel"):
+            value_iteration(env)
 
     def test_attach_zero_cost(self):
         env = make_env()

@@ -1,11 +1,15 @@
 """Training schedules, Q-learning, the exact solver, and their agreement."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from outageplan import _kernels, persist
 from outageplan.config import load_config
 from outageplan.errors import ArtifactMismatchError
 from outageplan.mdp import (
@@ -15,7 +19,7 @@ from outageplan.mdp import (
     PriceChain,
     UnitCatalogEntry,
 )
-from outageplan.simulate import CostTable, StorageUnitSpec
+from outageplan.simulate import CostTable, StorageUnitSpec, build_metamodel
 from outageplan.solver import (
     CONVERGENCE_EPOCH,
     QTable,
@@ -115,6 +119,14 @@ class TestSchedule:
             schedule_at(s, 10)
         with pytest.raises(ValueError, match="outside"):
             schedule_at(s, -1)
+
+    def test_episode_arrays(self):
+        schedule = TrainingSchedule(episodes=7, alpha_start=0.3, alpha_end=0.07, epsilon_end=0.1)
+        alphas, epsilons = schedule_at(schedule, np.arange(7))
+        for i in range(7):
+            assert (alphas[i], epsilons[i]) == schedule_at(schedule, i)
+        with pytest.raises(ValueError, match="episode 7 outside"):
+            schedule_at(schedule, np.arange(3, 8))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="episodes must be >= 1"):
@@ -291,10 +303,11 @@ class TestTraining:
 
     def test_nan_cost_is_caught(self):
         # NaN compares false both ways, so a NaN Q-value passes `q < lower or q > 0`.
+        # attach_metamodel refuses a NaN cost, so it is planted after attaching.
         env = load_config("tiny").env()
         entries = {tuple(p.kwh): (1000.0, 0.0) for p in env.reachable_portfolios()}
-        entries[(0.0,) * len(env.unit_names)] = (math.nan, 0.0)
         env.attach_metamodel(CostTable(units=env.unit_names, entries=entries, meta={"replications": 1}))
+        env._cost_of_cap[0] = math.nan
         with pytest.raises(RuntimeError, match="Q updates left"):
             train(env, TrainingSchedule(episodes=100, seed=0))
 
@@ -303,6 +316,175 @@ class TestTraining:
         res = train(env, TrainingSchedule(episodes=100, seed=0))
         with pytest.raises(ValueError, match="no greedy action at terminal"):
             greedy_action(res.qtable, env, PlanningState(2, (0, 0), ()))
+
+
+def qlearn_chunk_oracle(
+    q,
+    visits,
+    state_codes,
+    cap_next,
+    invest,
+    cost_of_cap,
+    ladder_sizes,
+    price_strides,
+    advance_prob,
+    horizon,
+    p_full,
+    c_full,
+    gamma,
+    uniforms,
+    alphas,
+    epsilons,
+    q_lower,
+):
+    """Scalar reference for one chunk: the step-by-step loop over numpy
+    arrays that `_kernels.qlearn_chunk` must reproduce bit for bit."""
+    n_episodes = uniforms.shape[0]
+    n_units = ladder_sizes.shape[0]
+    n_actions = cap_next.shape[1]
+    digits = np.zeros(n_units, np.int64)
+    max_delta = 0.0
+    total_return = 0.0
+    violations = 0
+    for ep in range(n_episodes):
+        alpha = alphas[ep]
+        eps = epsilons[ep]
+        for u in range(n_units):
+            digits[u] = 0
+        p = 0
+        c = 0
+        ep_return = 0.0
+        for t in range(horizon):
+            code = (t * p_full + p) * c_full + c
+            s = np.searchsorted(state_codes, code)
+            u_explore = uniforms[ep, t, 0]
+            u_action = uniforms[ep, t, 1]
+            if u_explore < eps:
+                a = int(u_action * n_actions)
+                if a >= n_actions:
+                    a = n_actions - 1
+            else:
+                a = 0
+                best = q[s, 0]
+                for j in range(1, n_actions):
+                    if q[s, j] > best:
+                        best = q[s, j]
+                        a = j
+            c2 = cap_next[c, a]
+            r = -invest[p, a] - cost_of_cap[c2]
+            p2 = 0
+            for u in range(n_units):
+                d = digits[u]
+                if d < ladder_sizes[u] - 1 and uniforms[ep, t, 2 + u] < advance_prob[u]:
+                    d += 1
+                digits[u] = d
+                p2 += d * price_strides[u]
+            t2 = t + 1
+            if t2 == horizon:
+                target = r
+            else:
+                code2 = (t2 * p_full + p2) * c_full + c2
+                s2 = np.searchsorted(state_codes, code2)
+                best2 = q[s2, 0]
+                for j in range(1, n_actions):
+                    if q[s2, j] > best2:
+                        best2 = q[s2, j]
+                target = r + gamma * best2
+            delta = target - q[s, a]
+            q_new = q[s, a] + alpha * delta
+            q[s, a] = q_new
+            visits[s, a] += 1
+            step = alpha * delta
+            if step < 0.0:
+                step = -step
+            if step > max_delta:
+                max_delta = step
+            if not (q_lower <= q_new <= 1e-9):
+                violations += 1
+            ep_return += r
+            p = p2
+            c = c2
+        total_return += ep_return
+    return max_delta, total_return, violations
+
+
+def run_chunks(kernel, env, schedule, epoch):
+    """Train's chunk loop with a given chunk kernel and epoch length; the
+    schedule formula is written out as the reference for `schedule_at`."""
+    tables = env.kernel_tables()
+    rng = np.random.Generator(np.random.PCG64(schedule.seed))
+    q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
+    visits = np.zeros_like(q, dtype=np.int64)
+    returned = []
+    done = 0
+    while done < schedule.episodes:
+        m = min(epoch, schedule.episodes - done)
+        idx = np.arange(done, done + m, dtype=np.float64)
+        frac = np.zeros(m) if schedule.episodes == 1 else idx / (schedule.episodes - 1)
+        alphas = schedule.alpha_start + (schedule.alpha_end - schedule.alpha_start) * frac
+        epsilons = schedule.epsilon_start + (schedule.epsilon_end - schedule.epsilon_start) * frac
+        uniforms = rng.random((m, tables.horizon, 2 + len(env.catalog)))
+        if kernel is qlearn_chunk_oracle:
+            out = kernel(
+                q, visits, tables.state_codes, tables.cap_next, tables.invest, tables.cost_of_cap,
+                tables.ladder_sizes, tables.price_strides, tables.advance_prob, tables.horizon,
+                tables.p_full, tables.c_full, schedule.gamma, uniforms, alphas, epsilons, tables.q_lower,
+            )
+        else:
+            out = kernel(q, visits, tables, schedule.gamma, uniforms, alphas, epsilons)
+        returned.append(out)
+        done += m
+    return q, visits, returned
+
+
+@functools.cache
+def metamodel_env(name):
+    cfg = load_config(name)
+    env = cfg.env()
+    table = build_metamodel(
+        cfg.outage_model, env.reachable_portfolios(), cfg.storage_specs(), cfg.microgrid(),
+        cfg.period_length_years, replications=8, seed=3,
+    )
+    env.attach_metamodel(table)
+    return env
+
+
+def exact(returned):
+    return [(float(d).hex(), float(r).hex(), int(v)) for d, r, v in returned]
+
+
+class TestKernelParity:
+    @given(
+        name=st.sampled_from(["tiny", "tiny-superposed"]),
+        seed=st.integers(0, 2**32 - 1),
+        episodes=st.one_of(st.just(1), st.integers(1, 1500)),
+        epoch=st.sampled_from([1, 7, 64, CONVERGENCE_EPOCH]),
+        epsilon=st.sampled_from([None, 0.0, 1.0]),
+        gamma=st.sampled_from([1.0, 0.9, 0.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_oracle_bit_for_bit(self, name, seed, episodes, epoch, epsilon, gamma):
+        env = metamodel_env(name)
+        rates = {} if epsilon is None else {"epsilon_start": epsilon, "epsilon_end": epsilon}
+        schedule = TrainingSchedule(episodes=episodes, gamma=gamma, seed=seed, **rates)
+        want_q, want_visits, want = run_chunks(qlearn_chunk_oracle, env, schedule, epoch)
+        got_q, got_visits, got = run_chunks(_kernels.qlearn_chunk, env, schedule, epoch)
+        assert got_q.tobytes() == want_q.tobytes()
+        assert got_visits.tobytes() == want_visits.tobytes()
+        assert exact(got) == exact(want)
+
+    def test_train_matches_oracle_across_an_epoch_boundary(self):
+        env = metamodel_env("tiny")
+        schedule = TrainingSchedule(episodes=CONVERGENCE_EPOCH + 1500, gamma=0.95, seed=12345)
+        want_q, want_visits, want = run_chunks(qlearn_chunk_oracle, env, schedule, CONVERGENCE_EPOCH)
+        res = train(env, schedule)
+        assert res.qtable.values.tobytes() == want_q.tobytes()
+        assert res.qtable.visits.tobytes() == want_visits.tobytes()
+        assert [p.episode for p in res.convergence] == [CONVERGENCE_EPOCH, CONVERGENCE_EPOCH + 1500]
+        sizes = [CONVERGENCE_EPOCH, 1500]
+        for point, (max_delta, total_return, _), m in zip(res.convergence, want, sizes):
+            assert point.max_q_delta.hex() == float(max_delta).hex()
+            assert point.mean_return.hex() == (float(total_return) / m).hex()
 
 
 class TestQTablePersistence:
@@ -335,6 +517,57 @@ class TestQTablePersistence:
         p.write_bytes(b'{"magic": "OPAC1", "meta": {"format": "other"}, "arrays": []}\n')
         with pytest.raises(ArtifactMismatchError):
             QTable.load(p)
+
+    @pytest.mark.parametrize("edit", ["truncated", "trailing"])
+    def test_payload_length_must_match_header(self, tmp_path, edit):
+        env = mini_env()
+        res = train(env, TrainingSchedule(episodes=100, seed=0))
+        p = tmp_path / "q.bin"
+        res.qtable.save(p)
+        data = p.read_bytes()
+        p.write_bytes(data[:-1] if edit == "truncated" else data + b"\0")
+        with pytest.raises(ValueError, match="header lists arrays of"):
+            QTable.load(p)
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            '"nope"',
+            '[["values", "<f8"]]',
+            '[["values", "no-such-dtype", [1]]]',
+            '[["values", "|O", [1]]]',
+            '[["values", "<f8", [-1]]]',
+            '[["values", "<f8", ["8"]]]',
+        ],
+    )
+    def test_malformed_array_entries(self, tmp_path, arrays):
+        p = tmp_path / "c.bin"
+        p.write_bytes(b'{"magic": "OPAC1", "meta": {}, "arrays": ' + arrays.encode() + b"}\n" + bytes(8))
+        with pytest.raises(ValueError, match="malformed container"):
+            persist.load_container(p)
+
+    def test_container_layout(self, tmp_path):
+        # header line, then each array's little-endian bytes in order
+        arrays = {
+            "grid": np.arange(6.0).reshape(2, 3),
+            "empty": np.zeros((0, 3)),
+            "scalar": np.array(7, dtype=np.int64),
+            "big_endian": np.arange(3, dtype=">i4"),
+            "strided": np.arange(10.0)[::3],
+        }
+        p = tmp_path / "c.bin"
+        persist.save_container(p, {"k": 1}, arrays)
+        little = {name: np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")) for name, a in arrays.items()}
+        manifest = [[name, a.dtype.str, list(a.shape)] for name, a in little.items()]
+        header = persist.canonical_json({"magic": persist.CONTAINER_MAGIC, "meta": {"k": 1}, "arrays": manifest})
+        want = header.encode() + b"\n" + b"".join(a.tobytes() for a in little.values())
+        assert p.read_bytes() == want
+        meta, loaded = persist.load_container(p)
+        assert meta == {"k": 1}
+        assert list(loaded) == list(arrays)
+        for name, a in little.items():
+            assert loaded[name].dtype == a.dtype and loaded[name].shape == a.shape
+            assert loaded[name].tobytes() == a.tobytes()
 
     def test_index_of_unknown_code(self):
         env = mini_env()
