@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 import outageplan
-from outageplan import _kernels, evaluate as ev, solver
+from outageplan import _kernels, evaluate as ev, persist, solver
 from outageplan.config import AppConfig, load_config
 from outageplan.errors import ConfigError, OutagePlanError
 from outageplan.outage import CaidiSeries, SuperposedModel, fit_from_caidi, mean_matched_single, outage_model_to_config, severe_years
@@ -75,7 +75,7 @@ class RunManifest:
                 for e in self.entries
             ],
         }
-        with open(path, "w", newline="\n") as fh:
+        with persist.atomic_write(path, newline="\n") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -140,7 +140,8 @@ def cmd_fit(args) -> int:
     if args.out:
         out_dir = _out_dir(args)
         target = out_dir / "outage_model.yaml"
-        target.write_text(snippet)
+        with persist.atomic_write(target) as fh:
+            fh.write(snippet)
         _update_manifest(out_dir, "outage-model", target, None, None)
         print(f"wrote {target}")
     return 0

@@ -6,11 +6,14 @@ files, excluding only the metamodel_path artifact pointer), and
 ``planning_hash`` drops the outage model and training sections so that two
 configs which differ only in the outage model can be recognized as the
 same planning problem.
+
+Documents load with libyaml's safe loader when PyYAML was built with it,
+and unknown keys are rejected at every level, so a misspelt section fails
+instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -28,6 +31,41 @@ from outageplan.solver import TrainingSchedule
 
 BUNDLED_CONFIGS = ("tiny", "tiny-superposed", "casestudy-single", "casestudy-superposed")
 
+TOP_LEVEL_KEYS = (
+    "horizon",
+    "period_length_years",
+    "levels_kwh",
+    "units",
+    "outage_model",
+    "facilities",
+    "pv",
+    "profiles_dir",
+    "training",
+    "metamodel",
+)
+UNIT_KEYS = (
+    "name",
+    "price_ladder",
+    "advance_prob",
+    "round_trip_efficiency",
+    "usable_fraction",
+    "power_limit_kw_per_kwh",
+)
+FACILITY_KEYS = ("name", "count", "peak_load_kw", "value_of_lost_load", "profile")
+PV_KEYS = ("profile", "peak_kw")
+TRAINING_KEYS = ("episodes", "alpha", "epsilon", "gamma")
+METAMODEL_KEYS = ("replications", "path")
+OUTAGE_MODEL_KEYS = {
+    "single": ("type", "lambda", "kappa", "shift_hours"),
+    "superposed": ("type", "lambda1", "lambda2", "kappa1", "kappa2", "shift_hours"),
+}
+
+# libyaml's loader builds the same document as the pure-Python one, about
+# seven times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_PROFILE_ROW = np.dtype([("hour", np.int64), ("value_kw", np.float64)])
+
 
 def _data_root():
     return resources.files("outageplan") / "data"
@@ -40,11 +78,27 @@ def bundled_config_path(name: str) -> Path:
     return Path(str(path))
 
 
+def _reject_unknown_keys(block: Any, allowed: tuple[str, ...], where: str) -> None:
+    """ConfigError naming every key of a mapping outside `allowed`; other
+    shapes are left to the section's own checks."""
+    if not isinstance(block, dict):
+        return
+    unknown = sorted((k for k in block if k not in allowed), key=str)
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key {', '.join(repr(k) for k in unknown)}; "
+            f"allowed keys: {', '.join(allowed)}"
+        )
+
+
 def outage_model_from_config(block: dict) -> OutageModel:
     """Build a model from the ``outage_model`` config section."""
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigError("outage_model section needs a 'type' key")
     kind = block["type"]
+    if kind not in ("single", "superposed"):
+        raise ConfigError(f"outage_model type must be 'single' or 'superposed', got {kind!r}")
+    _reject_unknown_keys(block, OUTAGE_MODEL_KEYS[kind], f"outage_model ({kind})")
     shift = float(block.get("shift_hours", 1.0))
     try:
         if kind == "single":
@@ -53,49 +107,70 @@ def outage_model_from_config(block: dict) -> OutageModel:
                 duration_rate=float(block["kappa"]),
                 shift=shift,
             )
-        if kind == "superposed":
-            return SuperposedModel(
-                regular_rate=float(block["lambda1"]),
-                severe_rate=float(block["lambda2"]),
-                regular_duration_rate=float(block["kappa1"]),
-                severe_duration_rate=float(block["kappa2"]),
-                shift=shift,
-            )
+        return SuperposedModel(
+            regular_rate=float(block["lambda1"]),
+            severe_rate=float(block["lambda2"]),
+            regular_duration_rate=float(block["kappa1"]),
+            severe_duration_rate=float(block["kappa2"]),
+            shift=shift,
+        )
     except KeyError as exc:
         raise ConfigError(f"outage_model is missing key {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"outage_model is invalid: {exc}") from None
-    raise ConfigError(f"outage_model type must be 'single' or 'superposed', got {kind!r}")
+
+
+def _parse_profile_rows(lines: list[str]) -> tuple[np.ndarray, int | None]:
+    """(hour, value) rows parsed with numpy up to the first line that is not
+    exactly an integer and a float, and that line's index (None if none)."""
+
+    def parse(chunk: list[str]) -> np.ndarray:
+        if not chunk:
+            return np.empty(0, dtype=_PROFILE_ROW)
+        return np.loadtxt(chunk, delimiter=",", comments=None, dtype=_PROFILE_ROW, ndmin=1)
+
+    try:
+        return parse(lines), None
+    except ValueError:
+        pass
+    # Only a malformed file gets here: find its first bad line.
+    for bad, line in enumerate(lines):
+        try:
+            parse([line])
+        except ValueError:
+            return parse(lines[:bad]), bad
+    raise AssertionError("unreachable: every line parses on its own")
 
 
 def read_profile_csv(path) -> np.ndarray:
-    """One year of hourly values from a CSV with header hour,value_kw."""
-    values = np.empty(HOURS_PER_YEAR)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["hour", "value_kw"]:
-            raise ConfigError(f"{path}: expected CSV header 'hour,value_kw'")
-        count = 0
-        for row in reader:
-            if not row:
-                continue
-            if count >= HOURS_PER_YEAR:
-                raise ConfigError(f"{path}: more than {HOURS_PER_YEAR} rows")
-            try:
-                hour = int(row[0])
-                value = float(row[1])
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"{path}: bad row {row!r}") from exc
-            if hour != count:
-                raise ConfigError(f"{path}: hours must run 0..{HOURS_PER_YEAR - 1} in order")
-            if value < 0:
-                raise ConfigError(f"{path}: negative value at hour {hour}")
-            values[count] = value
-            count += 1
-    if count != HOURS_PER_YEAR:
-        raise ConfigError(f"{path}: expected {HOURS_PER_YEAR} rows, found {count}")
-    return values
+    """One year of hourly values from a CSV with header hour,value_kw.
+
+    Empty lines are skipped. The first offending line decides the error,
+    checked in the order: more than a year of rows, a line that is not
+    `hour,value`, an hour out of sequence, a negative value.
+    """
+    with open(path) as fh:
+        header = fh.readline()
+        lines = [line for line in fh.read().split("\n") if line]
+    if header.rstrip("\n") != "hour,value_kw":
+        raise ConfigError(f"{path}: expected CSV header 'hour,value_kw'")
+    rows, bad = _parse_profile_rows(lines[:HOURS_PER_YEAR])
+    hours, values = rows["hour"], rows["value_kw"]
+    out_of_order = np.flatnonzero(hours != np.arange(len(rows)))
+    negative = np.flatnonzero(values < 0)
+    first_out_of_order = out_of_order[0] if out_of_order.size else len(rows)
+    first_negative = negative[0] if negative.size else len(rows)
+    if first_out_of_order < len(rows) and first_out_of_order <= first_negative:
+        raise ConfigError(f"{path}: hours must run 0..{HOURS_PER_YEAR - 1} in order")
+    if first_negative < len(rows):
+        raise ConfigError(f"{path}: negative value at hour {hours[first_negative]}")
+    if bad is not None:
+        raise ConfigError(f"{path}: bad row {lines[bad].split(',')!r}")
+    if len(lines) > HOURS_PER_YEAR:
+        raise ConfigError(f"{path}: more than {HOURS_PER_YEAR} rows")
+    if len(rows) != HOURS_PER_YEAR:
+        raise ConfigError(f"{path}: expected {HOURS_PER_YEAR} rows, found {len(rows)}")
+    return np.ascontiguousarray(values)
 
 
 @dataclass(frozen=True)
@@ -114,6 +189,7 @@ class AppConfig:
     def __init__(self, doc: dict, base_dir: Path, source: str):
         if not isinstance(doc, dict):
             raise ConfigError(f"{source}: config document must be a mapping")
+        _reject_unknown_keys(doc, TOP_LEVEL_KEYS, source)
         self.source = source
         self._base_dir = base_dir
         try:
@@ -138,6 +214,7 @@ class AppConfig:
         self.facilities: tuple[FacilityClass, ...] = tuple(
             self._parse_facility(f, source) for f in facilities_block
         )
+        _reject_unknown_keys(pv_block, PV_KEYS, f"{source}: pv section")
         if not isinstance(pv_block, dict) or "profile" not in pv_block or "peak_kw" not in pv_block:
             raise ConfigError(f"{source}: pv section needs 'profile' and 'peak_kw'")
         self.pv_profile = str(pv_block["profile"])
@@ -152,6 +229,7 @@ class AppConfig:
             self.profiles_dir = (base_dir / profiles_dir).resolve()
 
         training = doc.get("training", {})
+        _reject_unknown_keys(training, TRAINING_KEYS, f"{source}: training section")
         alpha = training.get("alpha", [0.5, 0.01])
         epsilon = training.get("epsilon", [1.0, 0.05])
         self.training = TrainingDefaults(
@@ -163,6 +241,7 @@ class AppConfig:
             gamma=float(training.get("gamma", 1.0)),
         )
         metamodel = doc.get("metamodel", {})
+        _reject_unknown_keys(metamodel, METAMODEL_KEYS, f"{source}: metamodel section")
         self.metamodel_replications = int(metamodel.get("replications", 256))
         raw_path = metamodel.get("path")
         self.metamodel_path = None if raw_path is None else (base_dir / raw_path).resolve()
@@ -177,6 +256,7 @@ class AppConfig:
 
     @staticmethod
     def _parse_unit(block: Any, source: str) -> UnitCatalogEntry:
+        _reject_unknown_keys(block, UNIT_KEYS, f"{source}: unit block")
         try:
             name = str(block["name"])
             ladder = tuple(float(x) for x in block["price_ladder"])
@@ -195,6 +275,7 @@ class AppConfig:
 
     @staticmethod
     def _parse_facility(block: Any, source: str) -> FacilityClass:
+        _reject_unknown_keys(block, FACILITY_KEYS, f"{source}: facility block")
         try:
             return FacilityClass(
                 name=str(block["name"]),
@@ -316,7 +397,7 @@ def load_config(path_or_name: str) -> AppConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path_or_name}")
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return AppConfig(doc=doc, base_dir=path.parent, source=str(path))

@@ -153,7 +153,7 @@ class PolicyTrace:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
+        with persist.atomic_write(path, newline="\n") as fh:
             json.dump(self.to_doc(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -257,7 +257,7 @@ class ComparisonReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
+        with persist.atomic_write(path, newline="\n") as fh:
             json.dump(self.to_doc(), fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -343,7 +343,7 @@ def emit_duration_plot_data(
 
 
 def write_plot_csv(rows: Sequence[tuple[float, float, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with persist.atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["duration_hours", "pmf_single", "pmf_superposed"])
         for duration, pmf_s, pmf_m in rows:

@@ -117,14 +117,24 @@ class Census:
     nonterminal: int
 
 
+def row_index(state_codes: np.ndarray, code: int) -> int:
+    """Row of a state code in an ascending code array (a codec's state_codes
+    or a Q-table's); KeyError when the code is not there."""
+    i = int(np.searchsorted(state_codes, code))
+    if i >= len(state_codes) or state_codes[i] != code:
+        raise KeyError(f"state code {code} not stored: not a reachable non-terminal state")
+    return i
+
+
 class StateCodec:
     """Integer packing and reachable enumeration of planning states.
 
     code = (period * P + price_combo) * C + cap_index, where P is the full
     price-combo count and C counts level multisets of size <= horizon. At
     period t a price index can have advanced at most t rungs and at most t
-    installs exist, which makes the reachable set a simple product; the
-    enumeration below walks it in ascending code order.
+    installs exist, which makes the reachable set a simple product; each
+    period's block of codes is built as one numpy outer sum over its price
+    combos and cap indices, in ascending code order.
     """
 
     def __init__(self, horizon: int, ladder_sizes: Sequence[int], n_units: int, n_levels: int):
@@ -145,6 +155,11 @@ class StateCodec:
             self._cap_prefix.append(len(self.cap_sets))
         self.cap_index = {cap: i for i, cap in enumerate(self.cap_sets)}
         self.c_full = len(self.cap_sets)
+        # One row per multiset, its options ascending, padded with n_options.
+        self.cap_array = np.array(
+            [cap + (self.n_options,) * (horizon - len(cap)) for cap in self.cap_sets],
+            dtype=np.int64,
+        )
 
         self.price_strides = np.ones(n_units, dtype=np.int64)
         for u in range(n_units - 2, -1, -1):
@@ -152,29 +167,46 @@ class StateCodec:
         self.p_full = int(np.prod(self.ladder_sizes))
 
         self.n_actions = 1 + self.n_options
-        self.cap_next = np.full((self.c_full, self.n_actions), -1, dtype=np.int64)
-        for c, cap in enumerate(self.cap_sets):
-            self.cap_next[c, 0] = c
-            if len(cap) < horizon:
-                for j in range(self.n_options):
-                    nxt = tuple(sorted(cap + (j,)))
-                    self.cap_next[c, 1 + j] = self.cap_index[nxt]
+        self.cap_next = self._cap_next_table()
 
-        codes: list[int] = []
-        block_starts: list[int] = []
-        period_combos: list[np.ndarray] = []
-        for t in range(horizon):
-            block_starts.append(len(codes))
-            combos = self._bounded_price_combos(t)
-            period_combos.append(combos)
-            c_count = self.cap_count_at(t)
-            for p in combos:
-                base = (t * self.p_full + int(p)) * self.c_full
-                codes.extend(base + c for c in range(c_count))
-        self.state_codes = np.array(codes, dtype=np.int64)
-        self.block_starts = block_starts
-        self.period_combos = period_combos
-        self.n_states = len(codes)
+        self.period_combos = [self._bounded_price_combos(t) for t in range(horizon)]
+        sizes = [len(combos) * self.cap_count_at(t) for t, combos in enumerate(self.period_combos)]
+        self.block_starts = [sum(sizes[:t]) for t in range(horizon)]
+        self.n_states = sum(sizes)
+        # Filled block by block in place: a concatenation would leave a
+        # block-sized hole in the heap beside this long-lived array.
+        self.state_codes = np.empty(self.n_states, dtype=np.int64)
+        for t, combos in enumerate(self.period_combos):
+            # combos ascend, so each period's block is already in code order
+            block = self.state_codes[self.block_starts[t] : self.block_starts[t] + sizes[t]]
+            np.add(
+                ((t * self.p_full + combos) * self.c_full)[:, None],
+                np.arange(self.cap_count_at(t)),
+                out=block.reshape(len(combos), -1),
+            )
+
+    def _cap_next_table(self) -> np.ndarray:
+        """cap_next[c, 0] = c; cap_next[c, 1 + j] is the index of multiset c
+        plus option j, or -1 when c already holds horizon installs."""
+        c_full, horizon, n_options = self.c_full, self.horizon, self.n_options
+        table = np.full((c_full, self.n_actions), -1, dtype=np.int64)
+        table[:, 0] = np.arange(c_full)
+        grow = np.flatnonzero(self.cap_array[:, -1] == n_options)
+        # The last slot of a growable row is padding: put option j there and
+        # sort, which gives the grown multiset in the same padded layout.
+        grown = np.repeat(self.cap_array[grow][:, None, :], n_options, axis=1)
+        grown[:, :, -1] = np.arange(n_options)
+        grown.sort(axis=2)
+
+        def row_keys(rows: np.ndarray) -> np.ndarray:
+            rows = np.ascontiguousarray(rows).reshape(-1, horizon)
+            return rows.view(np.dtype((np.void, rows.itemsize * horizon))).ravel()
+
+        keys = row_keys(self.cap_array)
+        order = np.argsort(keys)
+        found = order[np.searchsorted(keys[order], row_keys(grown))]
+        table[grow, 1:] = found.reshape(len(grow), n_options)
+        return table
 
     def _bounded_price_combos(self, period: int) -> np.ndarray:
         ranges = [range(min(period, int(n) - 1) + 1) for n in self.ladder_sizes]
@@ -208,10 +240,7 @@ class StateCodec:
         return PlanningState(period=t, price_idx=self.price_digits(p), installs=self.cap_sets[c])
 
     def index_of(self, code: int) -> int:
-        i = int(np.searchsorted(self.state_codes, code))
-        if i >= self.n_states or self.state_codes[i] != code:
-            raise KeyError(f"state code {code} is not a reachable non-terminal state")
-        return i
+        return row_index(self.state_codes, code)
 
     def row_base(self) -> np.ndarray:
         """Row index of (t, p, cap index 0) by period and price combo, -1 where
@@ -296,9 +325,29 @@ class PlanningEnv:
                 for l in range(len(self.levels_kwh))
             ]
         )
+        self.installed_kwh = self._installed_kwh_table()
         self.metamodel: CostTable | None = None
         self._cost_of_cap: np.ndarray | None = None
         self._notional_zero_cost = False
+
+    def _installed_kwh_table(self) -> np.ndarray:
+        """Installed kWh by (capacity multiset, unit): the one capacity sum
+        behind capacity_of, attach_metamodel and reachable_portfolios.
+
+        Added position by position in multiset order from 0.0, so every
+        unit's sum is the same float sequence as adding its installs one by
+        one: the metamodel grid, its lookups and every reward share it.
+        """
+        codec = self.codec
+        n_levels = len(self.levels_kwh)
+        levels = np.array(self.levels_kwh)
+        kwh = np.zeros((codec.c_full, len(self.catalog)))
+        for options in codec.cap_array.T:
+            rows = np.flatnonzero(options < codec.n_options)
+            unit, level = np.divmod(options[rows], n_levels)
+            # each multiset adds at most one install per position
+            kwh[rows, unit] += levels[level]
+        return kwh
 
     # -- state helpers -------------------------------------------------
 
@@ -333,17 +382,9 @@ class PlanningEnv:
         level_txt = f"{level:g}"
         return f"install {name} {level_txt} kWh"
 
-    def _installed_kwh(self, installs: Sequence[int]) -> tuple[float, ...]:
-        # Summed in multiset order: the metamodel grid, its lookups and every
-        # reward must share this exact float arithmetic.
-        kwh = [0.0] * len(self.catalog)
-        for j in installs:
-            u, l = divmod(j, len(self.levels_kwh))
-            kwh[u] += self.levels_kwh[l]
-        return tuple(kwh)
-
     def capacity_of(self, state: PlanningState) -> Portfolio:
-        return Portfolio(units=self.unit_names, kwh=self._installed_kwh(state.installs))
+        kwh = self.installed_kwh[self.codec.cap_index[tuple(state.installs)]]
+        return Portfolio(units=self.unit_names, kwh=tuple(kwh.tolist()))
 
     def display_tuple(self, state: PlanningState) -> tuple:
         """Flat (period, price per unit in $, installed kWh per unit) view."""
@@ -396,14 +437,18 @@ class PlanningEnv:
                 f"cost table units {table.units} do not match catalog {self.unit_names}"
             )
         costs = np.empty(self.codec.c_full)
-        for c, cap in enumerate(self.codec.cap_sets):
-            kwh = self._installed_kwh(cap)
-            cost = float(table.lookup(Portfolio(units=self.unit_names, kwh=kwh)))
-            if not 0.0 <= cost < math.inf:
-                raise ArtifactMismatchError(
-                    f"cost table entry for {kwh} kWh is {cost!r}; costs must be finite and >= 0"
-                )
-            costs[c] = cost
+        keys = [tuple(row) for row in self.installed_kwh.tolist()]
+        for c, key in enumerate(keys):
+            entry = table.entries.get(key)
+            if entry is None:
+                table.lookup(Portfolio(units=self.unit_names, kwh=key))  # raises KeyError
+            costs[c] = entry[0]
+        bad = np.flatnonzero(~((costs >= 0.0) & (costs < math.inf)))
+        if bad.size:
+            raise ArtifactMismatchError(
+                f"cost table entry for {keys[bad[0]]} kWh is {float(costs[bad[0]])!r}; "
+                "costs must be finite and >= 0"
+            )
         self.metamodel = table
         self._cost_of_cap = costs
         self._notional_zero_cost = False
@@ -471,5 +516,5 @@ class PlanningEnv:
         """Distinct capacity vectors over all reachable install multisets,
         derived from the codec so the metamodel grid and reward lookups share
         the exact same float arithmetic."""
-        seen = {self._installed_kwh(cap) for cap in self.codec.cap_sets}
+        seen = set(map(tuple, self.installed_kwh.tolist()))
         return [Portfolio(units=self.unit_names, kwh=key) for key in sorted(seen)]

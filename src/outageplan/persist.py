@@ -3,7 +3,9 @@
 Every artifact written by this package must hash identically across runs
 for a fixed seed, so formats here avoid timestamps, dict-order dependence
 and locale-dependent float text. Binary containers store one canonical
-JSON header line followed by raw little-endian array bytes.
+JSON header line followed by raw little-endian array bytes. Every artifact
+is written through `atomic_write`, so a reader sees either the previous
+file or the complete new one, never a partial write.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ import hashlib
 import json
 import math
 import os
-from typing import Any
+import secrets
+from contextlib import contextmanager, suppress
+from pathlib import Path
+from typing import Any, Iterator, IO
 
 import numpy as np
 
@@ -40,6 +45,25 @@ def sha256_of_file(path) -> str:
     return digest.hexdigest()
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs) -> Iterator[IO]:
+    """Open a new temp file beside `path` for writing ("w" or "wb" mode) and
+    move it over `path` with os.replace when the block ends. If the block
+    raises, the temp file is removed and whatever was at `path` is left
+    untouched. This guards against a crash or a concurrent writer, not a
+    power loss: nothing is fsynced."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _bytes_view(arr: np.ndarray) -> np.ndarray:
     """The raw bytes of a C-contiguous array, without a copy."""
     return arr.reshape(-1).view(np.uint8)
@@ -56,7 +80,7 @@ def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         manifest.append([name, arr.dtype.str, list(arr.shape)])
         buffers.append(arr)
     header = canonical_json({"magic": CONTAINER_MAGIC, "meta": meta, "arrays": manifest})
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
         for arr in buffers:

@@ -328,13 +328,16 @@ def _outage_spans(
     )
 
 
-def _mean_stderr(costs: np.ndarray) -> tuple[float, float]:
-    """Sample mean of per-replication costs and its standard error (0 for
-    a single replication)."""
-    mean = float(np.mean(costs))
-    n = len(costs)
-    stderr = float(np.std(costs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr
+def _mean_stderr(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean of each row of per-replication costs (portfolios x
+    replications, C-contiguous) and its standard error (0 for a single
+    replication). Reduced along the contiguous axis, each row is summed
+    exactly as a 1-D array of its costs would be."""
+    n = costs.shape[1]
+    mean = np.mean(costs, axis=1)
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    return mean, np.std(costs, axis=1, ddof=1) / math.sqrt(n)
 
 
 def _crn_estimates(
@@ -355,7 +358,8 @@ def _crn_estimates(
     for j in range(int(counts.max(initial=0))):
         reps = np.flatnonzero(counts > j)
         totals[reps] += span_cost[offsets[reps] + j]
-    return [_mean_stderr(row) for row in np.ascontiguousarray(totals.T)]
+    mean, stderr = _mean_stderr(np.ascontiguousarray(totals.T))
+    return list(zip(mean.tolist(), stderr.tolist()))
 
 
 def expected_period_cost(
@@ -441,7 +445,7 @@ class CostTable:
             cells.append(persist.format_float(cost))
             cells.append(persist.format_float(stderr))
             lines.append(",".join(cells))
-        with open(path, "w", newline="\n") as fh:
+        with persist.atomic_write(path, newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod

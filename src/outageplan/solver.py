@@ -22,7 +22,7 @@ import numpy as np
 from outageplan import persist
 from outageplan._kernels import qlearn_chunk
 from outageplan.errors import ArtifactMismatchError
-from outageplan.mdp import InstallAction, PlanningEnv, PlanningState
+from outageplan.mdp import InstallAction, PlanningEnv, PlanningState, row_index
 
 CONVERGENCE_EPOCH = 10_000
 
@@ -121,10 +121,7 @@ class QTable:
         return self.values.shape[1]
 
     def index_of(self, code: int) -> int:
-        i = int(np.searchsorted(self.state_codes, code))
-        if i >= self.n_states or self.state_codes[i] != code:
-            raise KeyError(f"state code {code} not stored; is the state reachable and non-terminal?")
-        return i
+        return row_index(self.state_codes, code)
 
     def action_values(self, code: int) -> np.ndarray:
         return self.values[self.index_of(code)]
@@ -244,7 +241,7 @@ def train(
 
 
 def write_convergence_csv(points: Sequence[ConvergencePoint], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with persist.atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["episode", "max_q_delta", "mean_return"])
         for p in points:

@@ -1,10 +1,17 @@
 """YAML config parsing, identity hashes, profiles, and bundled examples."""
 
+import csv
+
+import numpy as np
 import yaml
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from outageplan import persist
 from outageplan.config import (
     BUNDLED_CONFIGS,
+    AppConfig,
     bundled_config_path,
     load_config,
     outage_model_from_config,
@@ -130,7 +137,109 @@ class TestOutageModelBlocks:
             outage_model_from_config({"type": "weibull"})
 
 
+def read_profile_csv_oracle(path):
+    """The row-by-row csv reader the numpy parser replaced, kept as the
+    reference for values and error messages."""
+    values = np.empty(HOURS_PER_YEAR)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["hour", "value_kw"]:
+            raise ConfigError(f"{path}: expected CSV header 'hour,value_kw'")
+        count = 0
+        for row in reader:
+            if not row:
+                continue
+            if count >= HOURS_PER_YEAR:
+                raise ConfigError(f"{path}: more than {HOURS_PER_YEAR} rows")
+            try:
+                hour = int(row[0])
+                value = float(row[1])
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"{path}: bad row {row!r}") from exc
+            if hour != count:
+                raise ConfigError(f"{path}: hours must run 0..{HOURS_PER_YEAR - 1} in order")
+            if value < 0:
+                raise ConfigError(f"{path}: negative value at hour {hour}")
+            values[count] = value
+            count += 1
+    if count != HOURS_PER_YEAR:
+        raise ConfigError(f"{path}: expected {HOURS_PER_YEAR} rows, found {count}")
+    return values
+
+
+def outcome(read, path):
+    try:
+        return read(path).tobytes()
+    except ConfigError as exc:
+        return str(exc)
+
+
+@st.composite
+def profile_files(draw):
+    """A profile's text with up to two defects of the kinds both readers
+    reject, plus empty lines and either line ending."""
+    n = draw(st.sampled_from([HOURS_PER_YEAR, HOURS_PER_YEAR - 1, HOURS_PER_YEAR + 1, HOURS_PER_YEAR + 3, 5]))
+    values = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e7, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    cells = [[str(h), repr(values[h % len(values)])] for h in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=n - 1))
+        defect = draw(st.sampled_from(["hour", "negative", "text", "hash", "blank", "short", "float-hour", "spaces"]))
+        value = repr(values[at % len(values)])
+        if defect == "hour":
+            cells[at] = [str(at + draw(st.sampled_from([-1, 1, 7]))), value]
+        elif defect == "negative":
+            cells[at] = [str(at), repr(-draw(st.floats(min_value=1e-300, max_value=1e6)))]
+        elif defect == "text":
+            cells[at] = [str(at), "abc"]
+        elif defect == "hash":
+            cells[at] = ["# comment"]
+        elif defect == "blank":
+            cells[at] = [" "]
+        elif defect == "short":
+            cells[at] = [str(at)]
+        elif defect == "float-hour":
+            cells[at] = [f"{at}.0", value]
+        else:
+            cells[at] = [f" {at}", f" {value} "]
+    lines = ["hour,value_kw"] + [",".join(row) for row in cells]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
 class TestProfileCsv:
+    def test_bundled_profiles_match_the_csv_reader(self):
+        for path in sorted(load_config("tiny").profiles_dir.glob("*.csv")):
+            assert read_profile_csv(path).tobytes() == read_profile_csv_oracle(path).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=profile_files())
+    def test_matches_the_csv_reader(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("profile") / "p.csv"
+        p.write_bytes(text.encode())
+        assert outcome(read_profile_csv, p) == outcome(read_profile_csv_oracle, p)
+
+    def test_extra_cell_is_a_bad_row(self, tmp_path):
+        # the csv reader took the first two cells of a longer row silently
+        p = tmp_path / "p.csv"
+        p.write_text(profile_text([1.0] * HOURS_PER_YEAR).replace("10,1.0", "10,1.0,9", 1))
+        with pytest.raises(ConfigError, match=r"bad row \['10', '1.0', '9'\]"):
+            read_profile_csv(p)
+
+    def test_header_only(self, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text("hour,value_kw\n")
+        with pytest.raises(ConfigError, match="expected 8760 rows, found 0"):
+            read_profile_csv(p)
+
     def test_reads_all_hours(self, tmp_path):
         p = tmp_path / "p.csv"
         p.write_text(profile_text([0.5] * HOURS_PER_YEAR))
@@ -228,6 +337,64 @@ class TestBundledConfigs:
         assert cfg.unit_names() == ("li-ion", "lead-acid", "vanadium-redox", "flywheel")
         assert isinstance(cfg.outage_model, SingleModel)
         assert isinstance(load_config("casestudy-superposed").outage_model, SuperposedModel)
+
+
+class TestYamlLoader:
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+    @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+    def test_libyaml_and_python_loaders_agree(self, name):
+        path = bundled_config_path(name)
+        text = path.read_text()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert fast == slow
+        assert persist.canonical_json(fast) == persist.canonical_json(slow)
+        a = AppConfig(doc=fast, base_dir=path.parent, source=str(path))
+        b = AppConfig(doc=slow, base_dir=path.parent, source=str(path))
+        assert (a.config_hash, a.planning_hash) == (b.config_hash, b.planning_hash)
+        assert load_config(name).config_hash == a.config_hash
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            pytest.param(lambda d: d.update(trainig={"episodes": 5}), "config.yaml: unknown key 'trainig'", id="top"),
+            pytest.param(lambda d: d["units"][0].update(price=1), "unit block: unknown key 'price'", id="units"),
+            pytest.param(lambda d: d["facilities"][0].update(voll=3), "facility block: unknown key 'voll'", id="facilities"),
+            pytest.param(lambda d: d["pv"].update(peak=4), "pv section: unknown key 'peak'", id="pv"),
+            pytest.param(lambda d: d.update(training={"episode": 5}), "training section: unknown key 'episode'", id="training"),
+            pytest.param(lambda d: d.update(metamodel={"replication": 5}), "metamodel section: unknown key 'replication'", id="metamodel"),
+            pytest.param(lambda d: d["outage_model"].update(lambda1=1.0), "outage_model (single): unknown key 'lambda1'", id="outage_model-single"),
+            pytest.param(
+                lambda d: d.update(
+                    outage_model={"type": "superposed", "lambda1": 1, "lambda2": 1, "kappa1": 1, "kappa2": 1, "kappa": 2}
+                ),
+                "outage_model (superposed): unknown key 'kappa'",
+                id="outage_model-superposed",
+            ),
+        ],
+    )
+    def test_each_level_rejects_and_lists_allowed_keys(self, tmp_path, edit, where):
+        doc = base_doc()
+        edit(doc)
+        with pytest.raises(ConfigError, match="allowed keys: ") as info:
+            load_config(str(write_workspace(tmp_path, doc)))
+        assert where in str(info.value)
+
+    def test_every_unknown_key_is_named(self, tmp_path):
+        doc = base_doc()
+        doc.update(zeta=1, alpha=2)
+        with pytest.raises(ConfigError, match="unknown key 'alpha', 'zeta'; allowed keys: horizon, "):
+            load_config(str(write_workspace(tmp_path, doc)))
+
+    def test_optional_sections_with_every_key_load(self, tmp_path):
+        doc = base_doc()
+        doc["training"] = {"episodes": 5, "alpha": [0.5, 0.1], "epsilon": [1.0, 0.5], "gamma": 0.9}
+        doc["metamodel"] = {"replications": 4, "path": "mm.csv"}
+        doc["outage_model"]["shift_hours"] = 2.0
+        cfg = load_config(str(write_workspace(tmp_path, doc)))
+        assert cfg.training.gamma == 0.9 and cfg.metamodel_replications == 4
 
 
 class TestDocumentValidation:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.mdp import (
@@ -45,6 +47,72 @@ def linear_cost_table(env, dollars_per_kwh=100.0):
     }
     meta = {"replications": 1}
     return CostTable(units=env.unit_names, entries=entries, meta=meta)
+
+
+class CodecOracle:
+    """The codec's tables as the loop-based construction built them, kept
+    as the reference for the numpy construction."""
+
+    def __init__(self, horizon, ladder_sizes, n_units, n_levels):
+        n_options = n_units * n_levels
+        self.cap_sets = []
+        cap_prefix = [0]
+        for k in range(horizon + 1):
+            self.cap_sets.extend(itertools.combinations_with_replacement(range(n_options), k))
+            cap_prefix.append(len(self.cap_sets))
+        cap_index = {cap: i for i, cap in enumerate(self.cap_sets)}
+        c_full = len(self.cap_sets)
+        ladder_sizes = np.array(ladder_sizes, dtype=np.int64)
+        strides = np.ones(n_units, dtype=np.int64)
+        for u in range(n_units - 2, -1, -1):
+            strides[u] = strides[u + 1] * ladder_sizes[u + 1]
+        p_full = int(np.prod(ladder_sizes))
+        self.cap_next = np.full((c_full, 1 + n_options), -1, dtype=np.int64)
+        for c, cap in enumerate(self.cap_sets):
+            self.cap_next[c, 0] = c
+            if len(cap) < horizon:
+                for j in range(n_options):
+                    self.cap_next[c, 1 + j] = cap_index[tuple(sorted(cap + (j,)))]
+        codes = []
+        self.block_starts = []
+        self.period_combos = []
+        for t in range(horizon):
+            self.block_starts.append(len(codes))
+            ranges = [range(min(t, int(n) - 1) + 1) for n in ladder_sizes]
+            combos = np.array(
+                [int(sum(d * s for d, s in zip(digits, strides))) for digits in itertools.product(*ranges)],
+                dtype=np.int64,
+            )
+            self.period_combos.append(combos)
+            for p in combos:
+                base = (t * p_full + int(p)) * c_full
+                codes.extend(base + c for c in range(cap_prefix[min(t, horizon) + 1]))
+        self.state_codes = np.array(codes, dtype=np.int64)
+        self.row_base = np.full((horizon, p_full), -1, dtype=np.int64)
+        for t, combos in enumerate(self.period_combos):
+            c_count = cap_prefix[min(t, horizon) + 1]
+            self.row_base[t, combos] = self.block_starts[t] + np.arange(len(combos)) * c_count
+
+
+def installed_kwh_oracle(installs, n_units, levels_kwh):
+    """Per-unit kWh of one install multiset, added install by install."""
+    kwh = [0.0] * n_units
+    for j in installs:
+        u, l = divmod(j, len(levels_kwh))
+        kwh[u] += levels_kwh[l]
+    return tuple(kwh)
+
+
+def catalog_of(ladder_sizes):
+    return tuple(
+        UnitCatalogEntry(
+            storage=StorageUnitSpec(
+                name=f"u{u}", round_trip_efficiency=0.9, usable_fraction=0.9, power_limit=0.5
+            ),
+            chain=PriceChain(values=tuple(100.0 * (n - i) for i in range(n)), advance_prob=0.5),
+        )
+        for u, n in enumerate(ladder_sizes)
+    )
 
 
 class ScriptedRng:
@@ -203,6 +271,47 @@ class TestStateCodec:
             assert base[state.period, p] + codec.cap_index[state.installs] == row
         reachable = sum(len(combos) for combos in codec.period_combos)
         assert np.count_nonzero(base >= 0) == reachable
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        horizon=st.integers(min_value=1, max_value=4),
+        ladder_sizes=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+        levels_kwh=st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=2000).map(float),
+                st.floats(min_value=0.001, max_value=1e6, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+    )
+    def test_tables_match_the_loop_construction(self, horizon, ladder_sizes, levels_kwh):
+        env = PlanningEnv(horizon=horizon, catalog=catalog_of(ladder_sizes), levels_kwh=levels_kwh)
+        codec = env.codec
+        want = CodecOracle(horizon, ladder_sizes, len(ladder_sizes), len(levels_kwh))
+        assert codec.cap_sets == want.cap_sets
+        assert codec.state_codes.dtype == want.state_codes.dtype
+        assert codec.state_codes.tobytes() == want.state_codes.tobytes()
+        assert codec.n_states == len(want.state_codes)
+        assert codec.block_starts == want.block_starts
+        assert codec.cap_next.tobytes() == want.cap_next.tobytes()
+        assert codec.row_base().tobytes() == want.row_base.tobytes()
+        # non-integer levels make the sum order visible in the last bits
+        for c, cap in enumerate(codec.cap_sets):
+            want_kwh = installed_kwh_oracle(cap, len(ladder_sizes), env.levels_kwh)
+            assert env.installed_kwh[c].tobytes() == np.array(want_kwh).tobytes()
+        assert {p.kwh for p in env.reachable_portfolios()} == {
+            installed_kwh_oracle(cap, len(ladder_sizes), env.levels_kwh) for cap in codec.cap_sets
+        }
+
+    def test_installed_kwh_sums_in_multiset_order(self):
+        # 0.1 + 0.2 + 0.7 differs from 0.7 + 0.2 + 0.1 in the last bit
+        env = make_env(horizon=3, levels=(0.1, 0.2, 0.7))
+        cap = (0, 1, 2)  # alpha at each level, in multiset order
+        state = PlanningState(period=3, price_idx=(0, 0), installs=cap)
+        assert env.capacity_of(state).kwh == ((0.1 + 0.2) + 0.7, 0.0)
+        assert (0.1 + 0.2) + 0.7 != (0.7 + 0.2) + 0.1
 
     def test_price_combo_digits_round_trip(self):
         codec = StateCodec(horizon=2, ladder_sizes=[3, 2, 4], n_units=3, n_levels=1)

@@ -1,0 +1,123 @@
+"""Atomic artifact writes: a failed write leaves the previous file intact."""
+
+import builtins
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import outageplan
+from outageplan import persist
+from outageplan.cli import RunManifest, main
+from outageplan.evaluate import ComparisonReport, PolicyTrace, write_plot_csv
+from outageplan.simulate import CostTable
+from outageplan.solver import ConvergencePoint, write_convergence_csv
+
+
+CAIDI = Path(outageplan.__file__).parent / "data" / "caidi" / "psegli_caidi.csv"
+
+
+class DiskFull(OSError):
+    pass
+
+
+class HalfWriter:
+    """File stand-in that writes half of the first chunk, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: max(len(data) // 2, 1)])
+        self._fh.flush()
+        raise DiskFull("no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+        return False
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.fixture
+def failing_writes(monkeypatch):
+    """Make every file persist opens for writing fail halfway through."""
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return HalfWriter(fh) if "x" in mode else fh
+
+    monkeypatch.setattr(persist, "open", fake_open, raising=False)
+
+
+WRITERS = {
+    "metamodel.csv": lambda p: CostTable(units=("u",), entries={(0.0,): (1.0, 0.5)}, meta={"seed": 1}).save(p),
+    "qtable.bin": lambda p: persist.save_container(p, {"k": 1}, {"a": np.arange(5.0)}),
+    "convergence.csv": lambda p: write_convergence_csv([ConvergencePoint(1, 0.5, -2.0)], p),
+    "trace.json": lambda p: PolicyTrace(
+        rows=(), config_hash="c", planning_hash="p", outage_model={}, trajectory={}, totals={}
+    ).save(p),
+    "comparison.json": lambda p: ComparisonReport(
+        label_a="a", label_b="b", trace_a={}, trace_b={}, deltas={"total_kwh": 0.0}
+    ).save(p),
+    "manifest.json": lambda p: RunManifest().save(p),
+    "duration_pmf.csv": lambda p: write_plot_csv([(1.0, 0.5, 0.25)], p),
+}
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file(self, tmp_path):
+        target = tmp_path / "a.txt"
+        target.write_text("old")
+        with persist.atomic_write(target) as fh:
+            fh.write("new")
+            assert target.read_text() == "old"
+        assert target.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_failure_keeps_the_previous_bytes_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "a.bin"
+        target.write_bytes(b"previous")
+        with pytest.raises(RuntimeError, match="halfway"):
+            with persist.atomic_write(target, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("halfway")
+        assert target.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    def test_failure_without_a_previous_file_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with persist.atomic_write(tmp_path / "a.txt") as fh:
+                fh.write("partial")
+                raise RuntimeError("halfway")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_every_artifact_writer_is_atomic(self, tmp_path, name, request):
+        target = tmp_path / name
+        target.write_bytes(b"previous artifact\n")
+        request.getfixturevalue("failing_writes")
+        with pytest.raises(DiskFull):
+            WRITERS[name](target)
+        assert target.read_bytes() == b"previous artifact\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_every_artifact_writer_completes(self, tmp_path, name):
+        target = tmp_path / name
+        target.write_bytes(b"previous artifact\n")
+        WRITERS[name](target)
+        assert target.read_bytes() != b"previous artifact\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_fit_snippet_write_is_atomic(self, tmp_path, failing_writes, capsys):
+        target = tmp_path / "outage_model.yaml"
+        target.write_text("previous snippet\n")
+        assert main(["fit", "--caidi", str(CAIDI), "--out", str(tmp_path)]) == 1
+        assert "outageplan-error: DiskFull" in capsys.readouterr().err
+        assert target.read_text() == "previous snippet\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["outage_model.yaml"]

@@ -95,6 +95,15 @@ def dispatch_span_oracle(
     return cost
 
 
+def mean_stderr_oracle(costs):
+    """The per-portfolio estimator the vectorised one replaced: mean and
+    standard error of one portfolio's 1-D per-replication costs."""
+    mean = float(np.mean(costs))
+    n = len(costs)
+    stderr = float(np.std(costs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return mean, stderr
+
+
 def oracle_arrays(portfolio, specs):
     deliverable = np.array([s.deliverable_kwh(k) for s, k in zip(specs, portfolio.kwh)])
     power_cap = np.array([s.power_cap_kw(k) for s, k in zip(specs, portfolio.kwh)])
@@ -318,8 +327,27 @@ class TestDispatchParity:
                         deliverable.copy(), power_cap, unserved_sink,
                     )
                 costs[r] = total
-            want = np.array(sim._mean_stderr(costs))
+            want = np.array(mean_stderr_oracle(costs))
             assert np.array(table.entries[portfolio.kwh]).tobytes() == want.tobytes()
+
+
+class TestMeanStderrParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        replications=st.sampled_from([1, 2, 3, 7, 8, 9, 12, 16, 17, 127, 128, 129, 256, 300]),
+        portfolios=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    )
+    def test_rows_match_the_per_row_estimator(self, replications, portfolios, seed, scale):
+        # heavy-tailed costs with exact zeros, like replications without outages
+        rng = np.random.Generator(np.random.PCG64(seed))
+        costs = rng.pareto(1.5, (portfolios, replications)) * scale
+        costs[rng.random(costs.shape) < 0.3] = 0.0
+        mean, stderr = sim._mean_stderr(np.ascontiguousarray(costs))
+        for row, m, s in zip(costs, mean.tolist(), stderr.tolist()):
+            want_m, want_s = mean_stderr_oracle(row.copy())
+            assert (m.hex(), s.hex()) == (want_m.hex(), want_s.hex())
 
 
 class TestMergeEvents:
