@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,13 +32,18 @@ DEFAULT_OUT_DIR = "outageplan-out"
 MANIFEST_NAME = "manifest.json"
 
 
+_MANIFEST_FIELDS = {"tool_version": (str, type(None)), "entries": (list, type(None))}
+_ENTRY_FIELDS = {"kind": (str,), "path": (str,), "config_hash": (str, type(None)), "seed": (int, type(None)),
+                 "created_utc": (str, type(None))}
+
+
 @dataclass
 class ManifestEntry:
     kind: str
     path: str
     config_hash: str | None
     seed: int | None
-    created_utc: str
+    created_utc: str | None
 
 
 @dataclass
@@ -61,41 +66,28 @@ class RunManifest:
                 raise OutagePlanError(f"manifest lists missing artifact: {entry.path}")
 
     def save(self, path: Path) -> None:
-        doc = {
-            "format": "outageplan-manifest",
-            "tool_version": self.tool_version,
-            "entries": [
-                {
-                    "kind": e.kind,
-                    "path": e.path,
-                    "config_hash": e.config_hash,
-                    "seed": e.seed,
-                    "created_utc": e.created_utc,
-                }
-                for e in self.entries
-            ],
-        }
+        entries = [asdict(e) for e in self.entries]
+        doc = {"format": "outageplan-manifest", "tool_version": self.tool_version, "entries": entries}
         with persist.atomic_write(path, newline="\n") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("format") != "outageplan-manifest":
+        """Read a manifest written by `save`; ArtifactMismatchError names the
+        first field whose JSON kind is wrong."""
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            doc = None
+        if not isinstance(doc, dict) or doc.get("format") != "outageplan-manifest":
             raise OutagePlanError(f"{path}: not a run manifest")
+        persist.check_fields(doc, _MANIFEST_FIELDS, str(path))
         manifest = cls(tool_version=doc.get("tool_version", "unknown"))
-        for e in doc.get("entries", []):
-            manifest.entries.append(
-                ManifestEntry(
-                    kind=e["kind"],
-                    path=e["path"],
-                    config_hash=e.get("config_hash"),
-                    seed=e.get("seed"),
-                    created_utc=e.get("created_utc", ""),
-                )
-            )
+        for i, e in enumerate(doc.get("entries") or []):
+            persist.check_fields(e, _ENTRY_FIELDS, f"{path}: entries[{i}]")
+            manifest.entries.append(ManifestEntry(**{name: e.get(name) for name in _ENTRY_FIELDS}))
         return manifest
 
 
@@ -237,7 +229,7 @@ def cmd_evaluate(args) -> int:
     _update_manifest(out_dir, f"trace{'-' + args.label if args.label else ''}", target, cfg.config_hash, qtable.seed)
     for row in trace.rows:
         state = ",".join(str(x) for x in row.state)
-        print(f"period {row.period}: ({state}) -> {row.action_label}")
+        print(f"period {row.period}: ({state}) -> {row.action}")
     totals = trace.totals
     print(f"total installed: {totals['total_kwh']:g} kWh; first investment period: {totals['first_investment_period']}")
     if exact_return is not None:
@@ -349,11 +341,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except OutagePlanError as exc:
-        print(f"outageplan-error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
     except (KeyError, ValueError, OSError, RuntimeError) as exc:
-        print(f"outageplan-error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        message = f"{type(exc).__name__}: {exc}"
+    # one line, even for a message that quotes multi-line parser output
+    print("outageplan-error:", " ".join(message.splitlines()), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ instead of silently falling back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -91,6 +92,24 @@ def _reject_unknown_keys(block: Any, allowed: tuple[str, ...], where: str) -> No
         )
 
 
+def _number(value: Any, where: str, kind: type):
+    """`kind(value)` for a finite YAML number, or ConfigError naming `where`."""
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {what}, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return x
+
+
+def _numbers(value: Any, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return tuple(_number(x, where, float) for x in value)
+
+
 def outage_model_from_config(block: dict) -> OutageModel:
     """Build a model from the ``outage_model`` config section."""
     if not isinstance(block, dict) or "type" not in block:
@@ -99,47 +118,25 @@ def outage_model_from_config(block: dict) -> OutageModel:
     if kind not in ("single", "superposed"):
         raise ConfigError(f"outage_model type must be 'single' or 'superposed', got {kind!r}")
     _reject_unknown_keys(block, OUTAGE_MODEL_KEYS[kind], f"outage_model ({kind})")
-    shift = float(block.get("shift_hours", 1.0))
+    shift = _number(block.get("shift_hours", 1.0), "outage_model shift_hours", float)
+
+    def param(key: str) -> float:
+        return _number(block[key], f"outage_model {key}", float)
+
     try:
         if kind == "single":
-            return SingleModel(
-                rate=float(block["lambda"]),
-                duration_rate=float(block["kappa"]),
-                shift=shift,
-            )
+            return SingleModel(rate=param("lambda"), duration_rate=param("kappa"), shift=shift)
         return SuperposedModel(
-            regular_rate=float(block["lambda1"]),
-            severe_rate=float(block["lambda2"]),
-            regular_duration_rate=float(block["kappa1"]),
-            severe_duration_rate=float(block["kappa2"]),
+            regular_rate=param("lambda1"),
+            severe_rate=param("lambda2"),
+            regular_duration_rate=param("kappa1"),
+            severe_duration_rate=param("kappa2"),
             shift=shift,
         )
     except KeyError as exc:
         raise ConfigError(f"outage_model is missing key {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"outage_model is invalid: {exc}") from None
-
-
-def _parse_profile_rows(lines: list[str]) -> tuple[np.ndarray, int | None]:
-    """(hour, value) rows parsed with numpy up to the first line that is not
-    exactly an integer and a float, and that line's index (None if none)."""
-
-    def parse(chunk: list[str]) -> np.ndarray:
-        if not chunk:
-            return np.empty(0, dtype=_PROFILE_ROW)
-        return np.loadtxt(chunk, delimiter=",", comments=None, dtype=_PROFILE_ROW, ndmin=1)
-
-    try:
-        return parse(lines), None
-    except ValueError:
-        pass
-    # Only a malformed file gets here: find its first bad line.
-    for bad, line in enumerate(lines):
-        try:
-            parse([line])
-        except ValueError:
-            return parse(lines[:bad]), bad
-    raise AssertionError("unreachable: every line parses on its own")
 
 
 def read_profile_csv(path) -> np.ndarray:
@@ -154,7 +151,7 @@ def read_profile_csv(path) -> np.ndarray:
         lines = [line for line in fh.read().split("\n") if line]
     if header.rstrip("\n") != "hour,value_kw":
         raise ConfigError(f"{path}: expected CSV header 'hour,value_kw'")
-    rows, bad = _parse_profile_rows(lines[:HOURS_PER_YEAR])
+    rows, bad = persist.parse_csv_rows(lines[:HOURS_PER_YEAR], _PROFILE_ROW)
     hours, values = rows["hour"], rows["value_kw"]
     out_of_order = np.flatnonzero(hours != np.arange(len(rows)))
     negative = np.flatnonzero(values < 0)
@@ -193,9 +190,10 @@ class AppConfig:
         self.source = source
         self._base_dir = base_dir
         try:
-            self.horizon = int(doc["horizon"])
-            self.period_length_years = float(doc.get("period_length_years", 1.0))
-            self.levels_kwh = tuple(float(x) for x in doc["levels_kwh"])
+            self.horizon = _number(doc["horizon"], f"{source}: horizon", int)
+            self.period_length_years = _number(
+                doc.get("period_length_years", 1.0), f"{source}: period_length_years", float)
+            self.levels_kwh = _numbers(doc["levels_kwh"], f"{source}: levels_kwh")
             units_block = doc["units"]
             outage_block = doc["outage_model"]
             facilities_block = doc["facilities"]
@@ -206,6 +204,9 @@ class AppConfig:
             raise ConfigError(f"{source}: horizon must be >= 1")
         if self.period_length_years <= 0:
             raise ConfigError(f"{source}: period_length_years must be > 0")
+        for name, block in (("units", units_block), ("facilities", facilities_block)):
+            if not isinstance(block, list):
+                raise ConfigError(f"{source}: {name} must be a list, got {block!r}")
 
         self.units: tuple[UnitCatalogEntry, ...] = tuple(
             self._parse_unit(u, source) for u in units_block
@@ -218,7 +219,7 @@ class AppConfig:
         if not isinstance(pv_block, dict) or "profile" not in pv_block or "peak_kw" not in pv_block:
             raise ConfigError(f"{source}: pv section needs 'profile' and 'peak_kw'")
         self.pv_profile = str(pv_block["profile"])
-        self.pv_peak_kw = float(pv_block["peak_kw"])
+        self.pv_peak_kw = _number(pv_block["peak_kw"], f"{source}: pv peak_kw", float)
         if self.pv_peak_kw < 0:
             raise ConfigError(f"{source}: pv peak_kw must be >= 0")
 
@@ -226,25 +227,32 @@ class AppConfig:
         if profiles_dir is None:
             self.profiles_dir = Path(str(_data_root() / "profiles"))
         else:
-            self.profiles_dir = (base_dir / profiles_dir).resolve()
+            self.profiles_dir = (base_dir / str(profiles_dir)).resolve()
 
         training = doc.get("training", {})
+        if not isinstance(training, dict):
+            raise ConfigError(f"{source}: training section must be a mapping, got {training!r}")
         _reject_unknown_keys(training, TRAINING_KEYS, f"{source}: training section")
-        alpha = training.get("alpha", [0.5, 0.01])
-        epsilon = training.get("epsilon", [1.0, 0.05])
+        alpha = _numbers(training.get("alpha", [0.5, 0.01]), f"{source}: training alpha")
+        epsilon = _numbers(training.get("epsilon", [1.0, 0.05]), f"{source}: training epsilon")
+        if len(alpha) != 2 or len(epsilon) != 2:
+            raise ConfigError(f"{source}: training alpha and epsilon must be [start, end] pairs")
         self.training = TrainingDefaults(
-            episodes=int(training.get("episodes", 1_000_000)),
-            alpha_start=float(alpha[0]),
-            alpha_end=float(alpha[1]),
-            epsilon_start=float(epsilon[0]),
-            epsilon_end=float(epsilon[1]),
-            gamma=float(training.get("gamma", 1.0)),
+            episodes=_number(training.get("episodes", 1_000_000), f"{source}: training episodes", int),
+            alpha_start=alpha[0],
+            alpha_end=alpha[1],
+            epsilon_start=epsilon[0],
+            epsilon_end=epsilon[1],
+            gamma=_number(training.get("gamma", 1.0), f"{source}: training gamma", float),
         )
         metamodel = doc.get("metamodel", {})
+        if not isinstance(metamodel, dict):
+            raise ConfigError(f"{source}: metamodel section must be a mapping, got {metamodel!r}")
         _reject_unknown_keys(metamodel, METAMODEL_KEYS, f"{source}: metamodel section")
-        self.metamodel_replications = int(metamodel.get("replications", 256))
+        self.metamodel_replications = _number(
+            metamodel.get("replications", 256), f"{source}: metamodel replications", int)
         raw_path = metamodel.get("path")
-        self.metamodel_path = None if raw_path is None else (base_dir / raw_path).resolve()
+        self.metamodel_path = None if raw_path is None else (base_dir / str(raw_path)).resolve()
 
         self._profile_cache: dict[str, np.ndarray] = {}
         self._semantic = self._semantic_doc()
@@ -257,15 +265,18 @@ class AppConfig:
     @staticmethod
     def _parse_unit(block: Any, source: str) -> UnitCatalogEntry:
         _reject_unknown_keys(block, UNIT_KEYS, f"{source}: unit block")
+        where = f"{source}: bad unit block:"
         try:
             name = str(block["name"])
-            ladder = tuple(float(x) for x in block["price_ladder"])
-            chain = PriceChain(values=ladder, advance_prob=float(block["advance_prob"]))
+            ladder = _numbers(block["price_ladder"], f"{where} price_ladder")
+            advance_prob = _number(block["advance_prob"], f"{where} advance_prob", float)
+            chain = PriceChain(values=ladder, advance_prob=advance_prob)
             storage = StorageUnitSpec(
                 name=name,
-                round_trip_efficiency=float(block["round_trip_efficiency"]),
-                usable_fraction=float(block["usable_fraction"]),
-                power_limit=float(block["power_limit_kw_per_kwh"]),
+                round_trip_efficiency=_number(
+                    block["round_trip_efficiency"], f"{where} round_trip_efficiency", float),
+                usable_fraction=_number(block["usable_fraction"], f"{where} usable_fraction", float),
+                power_limit=_number(block["power_limit_kw_per_kwh"], f"{where} power_limit_kw_per_kwh", float),
             )
         except KeyError as exc:
             raise ConfigError(f"{source}: unit block missing key {exc}") from None
@@ -277,11 +288,12 @@ class AppConfig:
     def _parse_facility(block: Any, source: str) -> FacilityClass:
         _reject_unknown_keys(block, FACILITY_KEYS, f"{source}: facility block")
         try:
+            where = f"{source}: bad facility block:"
             return FacilityClass(
                 name=str(block["name"]),
-                count=int(block["count"]),
-                peak_load_kw=float(block["peak_load_kw"]),
-                value_of_lost_load=float(block["value_of_lost_load"]),
+                count=_number(block["count"], f"{where} count", int),
+                peak_load_kw=_number(block["peak_load_kw"], f"{where} peak_load_kw", float),
+                value_of_lost_load=_number(block["value_of_lost_load"], f"{where} value_of_lost_load", float),
                 profile=str(block["profile"]),
             )
         except KeyError as exc:

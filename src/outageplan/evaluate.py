@@ -21,6 +21,15 @@ from outageplan.solver import QTable, greedy_action
 
 TRACE_FORMAT = "outageplan-trace"
 
+# JSON kinds of a trace document's fields, by the types json.load gives; their
+# names are those of the PolicyTrace fields other than rows and of TraceRow
+_NUMBER, _NONE = (int, float), type(None)
+_TRACE_FIELDS = {"config_hash": (str,), "planning_hash": (str,), "outage_model": (dict,), "trajectory": (dict,),
+                 "totals": (dict,), "exact_expected_return": _NUMBER + (_NONE,)}
+_TOTALS_FIELDS = {"total_kwh": _NUMBER, "first_investment_period": (int, _NONE), "mix_kwh": (dict,)}
+_ROW_FIELDS = {"period": (int,), "state": (list,), "action": (str,), "action_unit": (str, _NONE),
+               "action_level_kwh": _NUMBER + (_NONE,)}
+
 
 @dataclass(frozen=True)
 class PriceTrajectory:
@@ -28,13 +37,6 @@ class PriceTrajectory:
 
     units: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if len(self.units) != len(self.values):
-            raise ValueError("one price row per unit required")
-        lengths = {len(v) for v in self.values}
-        if len(lengths) != 1:
-            raise ValueError("all trajectory rows must cover the same number of periods")
 
     @property
     def periods(self) -> int:
@@ -55,6 +57,9 @@ class PriceTrajectory:
             for row in reader:
                 if not row:
                     continue
+                if len(row) != len(header):
+                    raise ConfigError(f"{path}: price row {row!r} has {len(row) - 1} prices, "
+                                      f"the header has {len(header) - 1} periods")
                 units.append(row[0])
                 try:
                     rows.append(tuple(float(x) for x in row[1:]))
@@ -113,7 +118,7 @@ class PriceTrajectory:
 class TraceRow:
     period: int
     state: tuple
-    action_label: str
+    action: str
     action_unit: Optional[str]
     action_level_kwh: Optional[float]
 
@@ -134,22 +139,8 @@ class PolicyTrace:
         return {
             "format": TRACE_FORMAT,
             "version": 1,
-            "config_hash": self.config_hash,
-            "planning_hash": self.planning_hash,
-            "outage_model": self.outage_model,
-            "trajectory": self.trajectory,
-            "totals": self.totals,
-            "exact_expected_return": self.exact_expected_return,
-            "rows": [
-                {
-                    "period": r.period,
-                    "state": list(r.state),
-                    "action": r.action_label,
-                    "action_unit": r.action_unit,
-                    "action_level_kwh": r.action_level_kwh,
-                }
-                for r in self.rows
-            ],
+            **{name: getattr(self, name) for name in _TRACE_FIELDS},
+            "rows": [{**{name: getattr(r, name) for name in _ROW_FIELDS}, "state": list(r.state)} for r in self.rows],
         }
 
     def save(self, path) -> None:
@@ -159,29 +150,24 @@ class PolicyTrace:
 
     @classmethod
     def load(cls, path) -> "PolicyTrace":
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("format") != TRACE_FORMAT:
+        """Read a trace written by `save`; ArtifactMismatchError names the
+        first field whose JSON kind is wrong."""
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            doc = None
+        if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
             raise ArtifactMismatchError(f"{path}: not a policy trace file")
-        rows = tuple(
-            TraceRow(
-                period=r["period"],
-                state=tuple(r["state"]),
-                action_label=r["action"],
-                action_unit=r.get("action_unit"),
-                action_level_kwh=r.get("action_level_kwh"),
-            )
-            for r in doc["rows"]
-        )
-        return cls(
-            rows=rows,
-            config_hash=doc["config_hash"],
-            planning_hash=doc["planning_hash"],
-            outage_model=doc["outage_model"],
-            trajectory=doc["trajectory"],
-            totals=doc["totals"],
-            exact_expected_return=doc.get("exact_expected_return"),
-        )
+        persist.check_fields(doc, {**_TRACE_FIELDS, "rows": (list,)}, str(path))
+        totals = persist.check_fields(doc["totals"], _TOTALS_FIELDS, f"{path}: totals")
+        mix = totals["mix_kwh"]
+        persist.check_fields(mix, dict.fromkeys(mix, _NUMBER), f"{path}: totals.mix_kwh")
+        rows = []
+        for i, r in enumerate(doc["rows"]):
+            persist.check_fields(r, _ROW_FIELDS, f"{path}: rows[{i}]")
+            rows.append(TraceRow(**{**{name: r.get(name) for name in _ROW_FIELDS}, "state": tuple(r["state"])}))
+        return cls(rows=tuple(rows), **{name: doc.get(name) for name in _TRACE_FIELDS})
 
 
 def rollout(
@@ -212,17 +198,17 @@ def rollout(
             TraceRow(
                 period=t + 1,
                 state=env.display_tuple(state),
-                action_label=env.action_label(action),
+                action=env.action_label(action),
                 action_unit=row_unit,
                 action_level_kwh=row_level,
             )
         )
     final = PlanningState(period=env.horizon, price_idx=indices[-1], installs=installs)
-    mix = env.capacity_of(final).as_mapping()
+    mix = env.capacity_of(final)
     totals = {
         "total_kwh": float(sum(mix.values())),
         "first_investment_period": first_invest,
-        "mix_kwh": {k: float(v) for k, v in mix.items()},
+        "mix_kwh": mix,
     }
     model = env.outage_model
     return PolicyTrace(

@@ -10,6 +10,11 @@ post-action portfolio, so capacity bought in a period already protects it.
 States are keyed by integer tuples, never by floating-point prices. The
 codec packs (period, price combo, capacity multiset) into one integer code
 whose sorted enumeration doubles as the dense Q-table row index.
+
+A capacity multiset's portfolio is its row of `PlanningEnv.installed_kwh`
+(installed kWh per unit, catalog order). `attach_metamodel` joins those rows
+to the CostTable's rows once, so a reward reads its outage cost by multiset
+index.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.outage import OutageModel
-from outageplan.simulate import CostTable, Portfolio, StorageUnitSpec
+from outageplan.simulate import CostTable, StorageUnitSpec, row_lookup
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,7 @@ class StateCodec:
     def _cap_next_table(self) -> np.ndarray:
         """cap_next[c, 0] = c; cap_next[c, 1 + j] is the index of multiset c
         plus option j, or -1 when c already holds horizon installs."""
-        c_full, horizon, n_options = self.c_full, self.horizon, self.n_options
+        c_full, n_options = self.c_full, self.n_options
         table = np.full((c_full, self.n_actions), -1, dtype=np.int64)
         table[:, 0] = np.arange(c_full)
         grow = np.flatnonzero(self.cap_array[:, -1] == n_options)
@@ -197,15 +202,7 @@ class StateCodec:
         grown = np.repeat(self.cap_array[grow][:, None, :], n_options, axis=1)
         grown[:, :, -1] = np.arange(n_options)
         grown.sort(axis=2)
-
-        def row_keys(rows: np.ndarray) -> np.ndarray:
-            rows = np.ascontiguousarray(rows).reshape(-1, horizon)
-            return rows.view(np.dtype((np.void, rows.itemsize * horizon))).ravel()
-
-        keys = row_keys(self.cap_array)
-        order = np.argsort(keys)
-        found = order[np.searchsorted(keys[order], row_keys(grown))]
-        table[grow, 1:] = found.reshape(len(grow), n_options)
+        table[grow, 1:] = row_lookup(self.cap_array, grown).reshape(len(grow), n_options)
         return table
 
     def _bounded_price_combos(self, period: int) -> np.ndarray:
@@ -326,9 +323,7 @@ class PlanningEnv:
             ]
         )
         self.installed_kwh = self._installed_kwh_table()
-        self.metamodel: CostTable | None = None
         self._cost_of_cap: np.ndarray | None = None
-        self._notional_zero_cost = False
 
     def _installed_kwh_table(self) -> np.ndarray:
         """Installed kWh by (capacity multiset, unit): the one capacity sum
@@ -382,15 +377,15 @@ class PlanningEnv:
         level_txt = f"{level:g}"
         return f"install {name} {level_txt} kWh"
 
-    def capacity_of(self, state: PlanningState) -> Portfolio:
+    def capacity_of(self, state: PlanningState) -> dict[str, float]:
+        """Installed kWh per unit name, in catalog order."""
         kwh = self.installed_kwh[self.codec.cap_index[tuple(state.installs)]]
-        return Portfolio(units=self.unit_names, kwh=tuple(kwh.tolist()))
+        return dict(zip(self.unit_names, kwh.tolist()))
 
     def display_tuple(self, state: PlanningState) -> tuple:
         """Flat (period, price per unit in $, installed kWh per unit) view."""
         prices = [e.chain.values[i] for e, i in zip(self.catalog, state.price_idx)]
-        caps = self.capacity_of(state).kwh
-        cells = [state.period] + prices + list(caps)
+        cells = [state.period] + prices + list(self.capacity_of(state).values())
         return tuple(int(x) if float(x).is_integer() else float(x) for x in cells)
 
     def _check_state(self, state: PlanningState) -> None:
@@ -436,28 +431,22 @@ class PlanningEnv:
             raise ConfigError(
                 f"cost table units {table.units} do not match catalog {self.unit_names}"
             )
-        costs = np.empty(self.codec.c_full)
-        keys = [tuple(row) for row in self.installed_kwh.tolist()]
-        for c, key in enumerate(keys):
-            entry = table.entries.get(key)
-            if entry is None:
-                table.lookup(Portfolio(units=self.unit_names, kwh=key))  # raises KeyError
-            costs[c] = entry[0]
+        rows = row_lookup(table.kwh, self.installed_kwh)
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            key = tuple(self.installed_kwh[missing[0]].tolist())
+            raise KeyError(f"portfolio {key} not present in cost table; rebuild the metamodel")
+        costs = table.cost[rows]
         bad = np.flatnonzero(~((costs >= 0.0) & (costs < math.inf)))
         if bad.size:
+            key = tuple(self.installed_kwh[bad[0]].tolist())
             raise ArtifactMismatchError(
-                f"cost table entry for {keys[bad[0]]} kWh is {float(costs[bad[0]])!r}; "
-                "costs must be finite and >= 0"
-            )
-        self.metamodel = table
+                f"cost table entry for {key} kWh is {float(costs[bad[0]])!r}; costs must be finite and >= 0")
         self._cost_of_cap = costs
-        self._notional_zero_cost = False
 
     def attach_zero_cost(self) -> None:
         """Bind an all-zero outage cost (useful for structural tests)."""
-        self.metamodel = None
         self._cost_of_cap = np.zeros(self.codec.c_full)
-        self._notional_zero_cost = True
 
     def reward(self, state: PlanningState, action: InstallAction, next_state: PlanningState) -> float:
         """-(investment at the pre-transition price) - metamodel cost of the
@@ -468,10 +457,7 @@ class PlanningEnv:
         if action.is_install:
             price = self.catalog[action.unit].chain.values[state.price_idx[action.unit]]
             invest = self.levels_kwh[action.level] * price
-        if self.metamodel is not None:
-            outage_cost = self.metamodel.lookup(self.capacity_of(next_state))
-        else:
-            outage_cost = 0.0
+        outage_cost = float(self._cost_of_cap[self.codec.cap_index[tuple(next_state.installs)]])
         return -(invest + outage_cost)
 
     # -- dense tables ---------------------------------------------------
@@ -512,9 +498,8 @@ class PlanningEnv:
             q_lower=-(worst * (1.0 + 1e-9) + 1e-6),
         )
 
-    def reachable_portfolios(self) -> list[Portfolio]:
-        """Distinct capacity vectors over all reachable install multisets,
-        derived from the codec so the metamodel grid and reward lookups share
+    def reachable_portfolios(self) -> np.ndarray:
+        """Distinct rows of `installed_kwh`, lexsorted: the metamodel grid.
+        Derived from the codec, so the grid and every reward lookup share
         the exact same float arithmetic."""
-        seen = set(map(tuple, self.installed_kwh.tolist()))
-        return [Portfolio(units=self.unit_names, kwh=key) for key in sorted(seen)]
+        return np.unique(self.installed_kwh, axis=0)

@@ -199,24 +199,30 @@ class CaidiSeries:
         if not self.years:
             raise ValueError("CAIDI series must contain at least one year")
         for label, caidi in self.years:
-            if caidi <= 0:
-                raise ValueError(f"CAIDI for {label} must be > 0, got {caidi}")
+            if not (caidi > 0 and math.isfinite(caidi)):
+                raise ValueError(f"CAIDI for {label} must be > 0 and finite, got {caidi}")
 
     @classmethod
     def from_csv(cls, path) -> "CaidiSeries":
         rows = []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(reader.fieldnames) != {"year", "caidi_hours"}:
+            if reader.fieldnames is None or sorted(reader.fieldnames) != ["caidi_hours", "year"]:
                 raise ConfigError(f"{path}: expected CSV header 'year,caidi_hours'")
             for row in reader:
+                # DictReader keys extra cells by None and fills missing ones with None
+                if None in row or None in row.values():
+                    raise ConfigError(f"{path}:{reader.line_num}: a CAIDI row needs exactly 2 cells")
                 try:
                     rows.append((row["year"].strip(), float(row["caidi_hours"])))
-                except (TypeError, ValueError) as exc:
+                except ValueError as exc:
                     raise ConfigError(f"{path}: bad CAIDI row {row!r}") from exc
         if not rows:
             raise FitError(f"{path}: CAIDI file has no data rows")
-        return cls(years=tuple(rows))
+        try:
+            return cls(years=tuple(rows))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def poisson_quantile(u: float, mean: float) -> int:

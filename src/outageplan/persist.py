@@ -21,7 +21,13 @@ from typing import Any, Iterator, IO
 
 import numpy as np
 
+from outageplan.errors import ArtifactMismatchError
+
 CONTAINER_MAGIC = "OPAC1"
+
+# JSON kinds by the Python type json.load gives them, bool before int
+_JSON_KIND = {dict: "an object", list: "a list", str: "a string", bool: "a boolean", int: "an integer",
+              float: "a number", type(None): "null"}
 
 
 def canonical_json(obj: Any) -> str:
@@ -31,10 +37,6 @@ def canonical_json(obj: Any) -> str:
 
 def sha256_of_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def sha256_of_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_of_file(path) -> str:
@@ -91,39 +93,81 @@ def _array_specs(path, header: dict) -> list[tuple[str, np.dtype, tuple[int, ...
     try:
         specs = [(name, np.dtype(dtype_str), tuple(shape)) for name, dtype_str, shape in header["arrays"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed container header") from exc
+        raise ArtifactMismatchError(f"{path}: malformed container header") from exc
     for name, dtype, shape in specs:
         if dtype.hasobject or not all(type(n) is int and n >= 0 for n in shape):
-            raise ValueError(f"{path}: malformed container entry for array {name!r}")
+            raise ArtifactMismatchError(f"{path}: malformed container entry for array {name!r}")
     return specs
 
 
 def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container written by `save_container`. The payload must hold
-    exactly the arrays the header lists: a truncated file or trailing bytes
-    raise ValueError."""
+    exactly the arrays the header lists: a truncated file, trailing bytes or
+    a malformed header raise ArtifactMismatchError."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: not an outageplan container") from exc
+            raise ArtifactMismatchError(f"{path}: not an outageplan container") from exc
         if not isinstance(header, dict) or header.get("magic") != CONTAINER_MAGIC:
-            raise ValueError(f"{path}: not an outageplan container")
+            raise ArtifactMismatchError(f"{path}: not an outageplan container")
+        if not isinstance(header.get("meta"), dict):
+            raise ArtifactMismatchError(f"{path}: malformed container header")
         specs = _array_specs(path, header)
         expected = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape in specs)
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != expected:
-            raise ValueError(
+            raise ArtifactMismatchError(
                 f"{path}: payload is {payload} bytes, header lists arrays of {expected} bytes"
             )
         arrays: dict[str, np.ndarray] = {}
         for name, dtype, shape in specs:
             arr = np.empty(shape, dtype=dtype)
             if fh.readinto(_bytes_view(arr)) != arr.nbytes:
-                raise ValueError(f"{path}: payload ends inside array {name!r}")
+                raise ArtifactMismatchError(f"{path}: payload ends inside array {name!r}")
             arrays[name] = arr
     return header["meta"], arrays
+
+
+def check_fields(doc: Any, fields: dict[str, tuple[type, ...]], where: str) -> dict:
+    """`doc` if it is a JSON object whose listed fields have one of their
+    listed types (a missing field reads as null); otherwise
+    ArtifactMismatchError naming the first field that does not."""
+
+    def kind(value: Any) -> str:
+        return next(text for t, text in _JSON_KIND.items() if isinstance(value, t))
+
+    if not isinstance(doc, dict):
+        raise ArtifactMismatchError(f"{where}: expected an object, got {kind(doc)}")
+    for name, kinds in fields.items():
+        if not isinstance(doc.get(name), kinds):
+            want, got = " or ".join(_JSON_KIND[k] for k in kinds), kind(doc[name]) if name in doc else "nothing"
+            raise ArtifactMismatchError(f"{where}: field {name!r} must be {want}, got {got}")
+    return doc
+
+
+def parse_csv_rows(lines: list[str], dtype: np.dtype) -> tuple[np.ndarray, int | None]:
+    """Comma-separated rows, one cell per field of the structured `dtype`,
+    parsed with numpy up to the first line that does not parse, and that
+    line's index (None if every line does)."""
+
+    def parse(chunk: list[str]) -> np.ndarray:
+        if not chunk:
+            return np.empty(0, dtype=dtype)
+        return np.loadtxt(chunk, delimiter=",", comments=None, dtype=dtype, ndmin=1)
+
+    try:
+        return parse(lines), None
+    except ValueError:
+        pass
+    # Only a malformed file gets here: find its first bad line.
+    for bad, line in enumerate(lines):
+        try:
+            parse([line])
+        except ValueError:
+            return parse(lines[:bad]), bad
+    raise AssertionError("unreachable: every line parses on its own")
 
 
 def format_float(x: float) -> str:

@@ -6,17 +6,21 @@ per decision period is estimated by replicated simulation with common random
 numbers: every portfolio replays the same sampled outage spans, so the
 replications' merged spans and the portfolios form one (span x portfolio)
 grid that `dispatch_spans` dispatches in a single numpy pass, hour by hour.
-The estimates are cached per storage portfolio in a CostTable so the planner
-never simulates inside its training loop. Lookups are exact: a portfolio
-missing from the table is a hard error, never an extrapolation.
+
+A storage portfolio is one row of a float64 (portfolios, units) array of
+installed kWh, its columns in catalog order (the order of
+`AppConfig.storage_specs()`). The estimates are cached per portfolio in a
+CostTable, so the planner never simulates inside its training loop. Lookups
+are exact row matches (`row_lookup`): a portfolio missing from the table is
+a hard error, never an extrapolation.
 """
 
 from __future__ import annotations
 
-import itertools
+import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -120,37 +124,6 @@ class Microgrid:
 
 
 @dataclass(frozen=True)
-class Portfolio:
-    """Installed kWh per storage unit, in catalog order."""
-
-    units: tuple[str, ...]
-    kwh: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.units) != len(self.kwh):
-            raise ValueError("units and kwh must have equal length")
-        if any(x < 0 for x in self.kwh):
-            raise ValueError("installed kWh must be >= 0")
-
-    @classmethod
-    def from_mapping(cls, units: Sequence[str], installed: Mapping[str, float]) -> "Portfolio":
-        unknown = set(installed) - set(units)
-        if unknown:
-            raise ConfigError(f"unknown storage units in portfolio: {sorted(unknown)}")
-        return cls(units=tuple(units), kwh=tuple(float(installed.get(u, 0.0)) for u in units))
-
-    def as_mapping(self) -> dict[str, float]:
-        return dict(zip(self.units, self.kwh))
-
-    def vector(self) -> np.ndarray:
-        return np.array(self.kwh, dtype=np.float64)
-
-    @property
-    def total_kwh(self) -> float:
-        return float(sum(self.kwh))
-
-
-@dataclass(frozen=True)
 class UnservedReport:
     """Outcome of dispatching one outage."""
 
@@ -176,26 +149,10 @@ class CostEstimate:
     replications: int
 
 
-def _dispatch_arrays(
-    portfolio: Portfolio, specs: Sequence[StorageUnitSpec]
-) -> tuple[np.ndarray, np.ndarray]:
-    by_name = {s.name: s for s in specs}
-    missing = [u for u in portfolio.units if u not in by_name]
-    if missing:
-        raise ConfigError(f"portfolio references unknown storage units: {missing}")
-    deliverable = np.array(
-        [by_name[u].deliverable_kwh(k) for u, k in zip(portfolio.units, portfolio.kwh)]
-    )
-    power_cap = np.array(
-        [by_name[u].power_cap_kw(k) for u, k in zip(portfolio.units, portfolio.kwh)]
-    )
-    return deliverable, power_cap
-
-
 def dispatch_spans(
     start_hours: np.ndarray,
     n_hours: np.ndarray,
-    portfolios: Sequence[Portfolio],
+    portfolios: np.ndarray,
     specs: Sequence[StorageUnitSpec],
     grid: Microgrid,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -203,17 +160,24 @@ def dispatch_spans(
     onset of each span.
 
     Span s covers n_hours[s] whole hours from hour-of-year start_hours[s],
-    wrapping across the year boundary. Each hour PV serves first, storage
-    covers the residual unit by unit up to its power and remaining-energy
-    limits, and the pool goes to classes in descending value-of-lost-load
-    order. Returns (cost, unserved): cost[s, p] in $ and unserved[c, s, p]
-    in kWh for facility class c.
+    wrapping across the year boundary. Portfolio p is row p of a
+    (portfolios, units) kWh array whose columns follow `specs`. Each hour PV
+    serves first, storage covers the residual unit by unit up to its power
+    and remaining-energy limits, and the pool goes to classes in descending
+    value-of-lost-load order. Returns (cost, unserved): cost[s, p] in $ and
+    unserved[c, s, p] in kWh for facility class c.
     """
     start_hours = np.asarray(start_hours, dtype=np.int64)
     n_hours = np.asarray(n_hours, dtype=np.int64)
-    arrays = [_dispatch_arrays(p, specs) for p in portfolios]
-    deliverable0 = np.array([d for d, _ in arrays]).T
-    power_cap = np.array([c for _, c in arrays]).T
+    kwh = np.asarray(portfolios, dtype=np.float64)
+    if kwh.ndim != 2 or kwh.shape[1] != len(specs) or not np.all(kwh >= 0.0):
+        raise ConfigError(
+            f"portfolio array of shape {kwh.shape} needs one column per storage unit ({len(specs)}) "
+            "and installed kWh >= 0"
+        )
+    # StorageUnitSpec's arithmetic, one column per unit
+    deliverable0 = (kwh * [s.usable_fraction for s in specs] * [s.round_trip_efficiency for s in specs]).T
+    power_cap = (kwh * [s.power_limit for s in specs]).T
     demand = grid.profiles.demand
     pv = grid.profiles.pv
     n_classes = demand.shape[0]
@@ -223,7 +187,7 @@ def dispatch_spans(
     starts = start_hours[order]
     lengths = n_hours[order]
     deliverable = np.repeat(deliverable0[:, None, :], len(order), axis=1)
-    cost = np.zeros((len(order), len(portfolios)))
+    cost = np.zeros((len(order), len(kwh)))
     unserved = np.zeros((n_classes,) + cost.shape)
     voll = grid.voll()
     class_order = grid.dispatch_order()
@@ -233,8 +197,8 @@ def dispatch_spans(
         total_load = 0.0
         for ci in range(n_classes):
             total_load = total_load + demand[ci, hh]
-        pool = np.repeat(pv[hh][:, None], len(portfolios), axis=1)
-        deficit = np.repeat((total_load - pv[hh])[:, None], len(portfolios), axis=1)
+        pool = np.repeat(pv[hh][:, None], len(kwh), axis=1)
+        deficit = np.repeat((total_load - pv[hh])[:, None], len(kwh), axis=1)
         for u in range(len(deliverable)):
             draw = np.minimum(power_cap[u], deliverable[u, :n])
             np.minimum(draw, deficit, out=draw)
@@ -262,12 +226,13 @@ def dispatch_spans(
 
 def simulate_outage(
     event: OutageEvent,
-    portfolio: Portfolio,
+    kwh: Sequence[float],
     specs: Sequence[StorageUnitSpec],
     grid: Microgrid,
     start_hour: int,
 ) -> UnservedReport:
-    """Dispatch one outage hour by hour, storage full at onset.
+    """Dispatch one outage hour by hour, storage full at onset, for the
+    portfolio with installed kWh `kwh` per unit of `specs`.
 
     The outage occupies ceil(duration) whole hours starting at the given
     hour-of-year, wrapping across the year boundary.
@@ -275,7 +240,7 @@ def simulate_outage(
     if not 0 <= start_hour < HOURS_PER_YEAR:
         raise ValueError(f"start_hour must be in [0, {HOURS_PER_YEAR}), got {start_hour}")
     n_hours = int(math.ceil(event.duration))
-    cost, unserved = dispatch_spans([start_hour], [n_hours], [portfolio], specs, grid)
+    cost, unserved = dispatch_spans([start_hour], [n_hours], [kwh], specs, grid)
     pairs = tuple((f.name, float(u)) for f, u in zip(grid.facilities, unserved[:, 0, 0]))
     return UnservedReport(unserved_kwh=pairs, outage_hours=n_hours, cost=float(cost[0, 0]))
 
@@ -342,36 +307,37 @@ def _mean_stderr(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _crn_estimates(
     model: OutageModel,
-    portfolios: Sequence[Portfolio],
+    portfolios: np.ndarray,
     specs: Sequence[StorageUnitSpec],
     grid: Microgrid,
     period_length_years: float,
     seeds: np.ndarray,
-) -> list[tuple[float, float]]:
-    """(mean, stderr) of the period cost of every portfolio, all portfolios
-    dispatched against the same replications' outage spans."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the period cost of every row of a
+    (portfolios, units) kWh array, all portfolios dispatched against the same
+    replications' outage spans."""
     starts, lengths, offsets = _outage_spans(model, period_length_years, seeds)
     span_cost, _ = dispatch_spans(starts, lengths, portfolios, specs, grid)
     # Each replication's total adds its spans' costs in span order from 0.0.
     counts = np.diff(offsets)
-    totals = np.zeros((len(counts), len(portfolios)))
+    totals = np.zeros((len(counts), span_cost.shape[1]))
     for j in range(int(counts.max(initial=0))):
         reps = np.flatnonzero(counts > j)
         totals[reps] += span_cost[offsets[reps] + j]
-    mean, stderr = _mean_stderr(np.ascontiguousarray(totals.T))
-    return list(zip(mean.tolist(), stderr.tolist()))
+    return _mean_stderr(np.ascontiguousarray(totals.T))
 
 
 def expected_period_cost(
     model: OutageModel,
-    portfolio: Portfolio,
+    kwh: Sequence[float],
     specs: Sequence[StorageUnitSpec],
     grid: Microgrid,
     period_length_years: float,
     replications: int,
     rng: np.random.Generator,
 ) -> CostEstimate:
-    """Mean outage cost over one decision period, with its standard error.
+    """Mean outage cost over one decision period of the portfolio with
+    installed kWh `kwh` per unit of `specs`, with its standard error.
 
     Events are drawn per replication with a uniformly placed calendar offset;
     overlapping outages merge into one islanding episode before dispatch.
@@ -379,118 +345,120 @@ def expected_period_cost(
     if period_length_years < 0:
         raise ValueError("period length must be >= 0")
     seeds = _replication_seeds(rng, replications)
-    [(mean, stderr)] = _crn_estimates(model, [portfolio], specs, grid, period_length_years, seeds)
-    return CostEstimate(mean=mean, stderr=stderr, replications=replications)
+    mean, stderr = _crn_estimates(model, [kwh], specs, grid, period_length_years, seeds)
+    return CostEstimate(mean=float(mean[0]), stderr=float(stderr[0]), replications=replications)
 
 
-def reachable_portfolios(
-    units: Sequence[str], levels_kwh: Sequence[float], max_installs: int
-) -> list[Portfolio]:
-    """Every distinct portfolio obtainable with at most max_installs catalog
-    picks (one pick = one level on one unit), sorted by capacity vector."""
-    if max_installs < 0:
-        raise ValueError("max_installs must be >= 0")
-    options = [(u, float(lv)) for u in range(len(units)) for lv in levels_kwh]
-    seen: set[tuple[float, ...]] = set()
-    for k in range(max_installs + 1):
-        for combo in itertools.combinations_with_replacement(range(len(options)), k):
-            kwh = [0.0] * len(units)
-            for j in combo:
-                u, lv = options[j]
-                kwh[u] += lv
-            seen.add(tuple(kwh))
-    return [
-        Portfolio(units=tuple(units), kwh=key) for key in sorted(seen)
-    ]
+def row_lookup(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each row of `rows` among the rows of the 2-D array `table`
+    (the first one, where a row repeats), or -1 where it is absent.
+
+    Rows match when their bytes are equal: both arrays need the same dtype
+    and width, and -0.0 does not match 0.0.
+    """
+
+    def keys(a: np.ndarray) -> np.ndarray:
+        a = np.ascontiguousarray(a).reshape(-1, table.shape[1])
+        return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+
+    have, want = keys(table), keys(rows)
+    if not len(have):
+        return np.full(len(want), -1, dtype=np.int64)
+    order = np.argsort(have, kind="stable")
+    pos = np.minimum(np.searchsorted(have[order], want), len(have) - 1)
+    return np.where(have[order[pos]] == want, order[pos], -1)
 
 
 class CostTable:
-    """Exact-lookup metamodel: portfolio capacity vector -> (cost, stderr)."""
+    """Exact-lookup metamodel: the Monte Carlo period cost of each storage
+    portfolio and its standard error.
 
-    def __init__(self, units: Sequence[str], entries: dict[tuple[float, ...], tuple[float, float]], meta: dict):
+    Row i of `kwh` is a portfolio, installed kWh per unit in `units` order
+    (the catalog order); `cost[i]` and `stderr[i]` are its estimate. Rows are
+    stored lexsorted and unique, with -0.0 kWh stored as 0.0.
+    """
+
+    def __init__(self, units: Sequence[str], kwh, cost, stderr, meta: dict):
         self.units = tuple(units)
-        self.entries = dict(entries)
+        kwh = np.asarray(kwh, dtype=np.float64) + 0.0
+        cost, stderr = np.asarray(cost, dtype=np.float64), np.asarray(stderr, dtype=np.float64)
+        if kwh.ndim != 2 or kwh.shape[1] != len(self.units) or not cost.shape == stderr.shape == (len(kwh),):
+            raise ValueError(f"cost table needs a (portfolios, {len(self.units)}) kWh array and one cost "
+                             f"and stderr per portfolio, got shapes {kwh.shape}, {cost.shape}, {stderr.shape}")
+        # a row whose first match is an earlier row repeats it
+        dup = np.flatnonzero(row_lookup(kwh, kwh) != np.arange(len(kwh)))
+        if dup.size:
+            raise ValueError(f"duplicate portfolio {tuple(kwh[dup[0]].tolist())}")
+        order = np.lexsort(kwh.T[::-1])
+        self.kwh, self.cost, self.stderr = kwh[order], cost[order], stderr[order]
         self.meta = dict(meta)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def _key(self, portfolio: Portfolio) -> tuple[float, ...]:
-        if portfolio.units != self.units:
-            raise ConfigError(
-                f"portfolio units {portfolio.units} do not match table units {self.units}"
-            )
-        return tuple(portfolio.kwh)
-
-    def lookup(self, portfolio: Portfolio) -> float:
-        key = self._key(portfolio)
-        if key not in self.entries:
-            raise KeyError(f"portfolio {key} not present in cost table; rebuild the metamodel")
-        return self.entries[key][0]
-
-    def estimate(self, portfolio: Portfolio) -> CostEstimate:
-        key = self._key(portfolio)
-        if key not in self.entries:
-            raise KeyError(f"portfolio {key} not present in cost table; rebuild the metamodel")
-        cost, stderr = self.entries[key]
-        return CostEstimate(mean=cost, stderr=stderr, replications=int(self.meta.get("replications", 0)))
+        return len(self.kwh)
 
     def save(self, path) -> None:
-        header = persist.canonical_json(self.meta)
-        lines = [METAMODEL_MAGIC + header]
+        lines = [METAMODEL_MAGIC + persist.canonical_json(self.meta)]
         lines.append(",".join([f"cap_{u}" for u in self.units] + ["cost", "stderr"]))
-        for key in sorted(self.entries):
-            cost, stderr = self.entries[key]
-            cells = [persist.format_float(x) for x in key]
-            cells.append(persist.format_float(cost))
-            cells.append(persist.format_float(stderr))
-            lines.append(",".join(cells))
+        # repr of a Python float is persist.format_float
+        for row, cost, stderr in zip(self.kwh.tolist(), self.cost.tolist(), self.stderr.tolist()):
+            lines.append(",".join(map(repr, row + [cost, stderr])))
         with persist.atomic_write(path, newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path, expect_config_hash: str | None = None) -> "CostTable":
+        """Read a table written by `save`. Blank lines are skipped; the first
+        offending line decides the error, checked in the order: cell count,
+        numbers, kWh finite and >= 0, cost and stderr finite and >= 0, a
+        portfolio seen on an earlier line."""
         with open(path) as fh:
             first = fh.readline().rstrip("\n")
-            if not first.startswith(METAMODEL_MAGIC):
-                raise ArtifactMismatchError(f"{path}: not a cost table file")
-            import json
-
-            meta = json.loads(first[len(METAMODEL_MAGIC):])
             columns = fh.readline().rstrip("\n").split(",")
-            if columns[-2:] != ["cost", "stderr"] or not all(c.startswith("cap_") for c in columns[:-2]):
-                raise ArtifactMismatchError(f"{path}: unexpected cost table columns {columns}")
-            units = tuple(c[len("cap_"):] for c in columns[:-2])
-            entries: dict[tuple[float, ...], tuple[float, float]] = {}
-            for lineno, line in enumerate(fh, start=3):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                if len(cells) != len(columns):
-                    raise ArtifactMismatchError(
-                        f"{path}:{lineno}: row has {len(cells)} cells, expected {len(columns)}"
-                    )
-                key = tuple(float(x) for x in cells[: len(units)])
-                cost, stderr = float(cells[-2]), float(cells[-1])
-                if not (math.isfinite(cost) and math.isfinite(stderr) and cost >= 0 and stderr >= 0):
-                    raise ArtifactMismatchError(
-                        f"{path}:{lineno}: cost and stderr must be finite and >= 0, got {cost}, {stderr}"
-                    )
-                if key in entries:
-                    raise ArtifactMismatchError(f"{path}:{lineno}: duplicate portfolio {key}")
-                entries[key] = (cost, stderr)
+            body = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=3) if line.strip()]
+        if not first.startswith(METAMODEL_MAGIC):
+            raise ArtifactMismatchError(f"{path}: not a cost table file")
+        try:
+            meta = json.loads(first[len(METAMODEL_MAGIC):])
+        except json.JSONDecodeError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ArtifactMismatchError(f"{path}: cost table header is not a JSON object")
+        if len(columns) < 3 or columns[-2:] != ["cost", "stderr"] or any(c[:4] != "cap_" for c in columns[:-2]):
+            raise ArtifactMismatchError(f"{path}: unexpected cost table columns {columns}")
+        units = tuple(c[len("cap_"):] for c in columns[:-2])
+        lines = [line for _, line in body]
+        rows, bad = persist.parse_csv_rows(lines, np.dtype([("", np.float64)] * len(columns)))
+        values = rows.view(np.float64).reshape(len(rows), len(columns))
+        kwh, cost, stderr = values[:, :-2] + 0.0, values[:, -2], values[:, -1]
+        bad_kwh = ~((kwh >= 0.0) & (kwh < math.inf)).all(axis=1)
+        bad_cost = ~((cost >= 0.0) & (cost < math.inf) & (stderr >= 0.0) & (stderr < math.inf))
+        hits = np.flatnonzero(bad_kwh | bad_cost | (row_lookup(kwh, kwh) != np.arange(len(kwh))))
+        if hits.size:
+            row = hits[0]
+            where, key = f"{path}:{body[row][0]}", tuple(kwh[row].tolist())
+            if bad_kwh[row]:
+                raise ArtifactMismatchError(f"{where}: installed kWh must be finite and >= 0, got {key}")
+            if bad_cost[row]:
+                raise ArtifactMismatchError(f"{where}: cost and stderr must be finite and >= 0, "
+                                            f"got {cost[row].item()}, {stderr[row].item()}")
+            raise ArtifactMismatchError(f"{where}: duplicate portfolio {key}")
+        if bad is not None:
+            cells = lines[bad].split(",")
+            where = f"{path}:{body[bad][0]}"
+            if len(cells) != len(columns):
+                raise ArtifactMismatchError(f"{where}: row has {len(cells)} cells, expected {len(columns)}")
+            raise ArtifactMismatchError(f"{where}: cells must be numbers, got {cells!r}")
         if expect_config_hash is not None and meta.get("config_hash") != expect_config_hash:
             raise ArtifactMismatchError(
                 f"{path}: cost table was built for config {meta.get('config_hash')!r}, "
                 f"active config is {expect_config_hash!r}"
             )
-        return cls(units=units, entries=entries, meta=meta)
+        return cls(units=units, kwh=kwh, cost=cost, stderr=stderr, meta=meta)
 
 
 def build_metamodel(
     model: OutageModel,
-    capacity_grid: Sequence[Portfolio],
+    capacity_grid: np.ndarray,
     specs: Sequence[StorageUnitSpec],
     grid: Microgrid,
     period_length_years: float,
@@ -498,22 +466,19 @@ def build_metamodel(
     seed: int,
     config_hash: str | None = None,
 ) -> CostTable:
-    """Estimate expected period cost for every portfolio on the grid.
+    """Estimate expected period cost for every portfolio on the grid, a
+    (portfolios, units) kWh array whose columns follow `specs`.
 
     All portfolios share one set of replication event draws (events do not
     depend on capacity), so estimates are common-random-number comparable and
     deterministic for a fixed seed.
     """
-    if not capacity_grid:
+    if not len(capacity_grid):
         raise ValueError("capacity grid is empty")
-    units = capacity_grid[0].units
-    for p in capacity_grid:
-        if p.units != units:
-            raise ConfigError("all portfolios in a grid must share the same unit order")
+    units = tuple(s.name for s in specs)
     rng = np.random.Generator(np.random.PCG64(seed))
     seeds = _replication_seeds(rng, replications)
-    estimates = _crn_estimates(model, capacity_grid, specs, grid, period_length_years, seeds)
-    entries = {tuple(p.kwh): est for p, est in zip(capacity_grid, estimates)}
+    mean, stderr = _crn_estimates(model, capacity_grid, specs, grid, period_length_years, seeds)
     meta = {
         "format": "outageplan-metamodel",
         "version": 1,
@@ -524,4 +489,4 @@ def build_metamodel(
         "seed": seed,
         "units": list(units),
     }
-    return CostTable(units=units, entries=entries, meta=meta)
+    return CostTable(units=units, kwh=capacity_grid, cost=mean, stderr=stderr, meta=meta)

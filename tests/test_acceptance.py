@@ -32,7 +32,7 @@ from outageplan.outage import (
     sample_trace,
     severe_years,
 )
-from outageplan.simulate import Portfolio, build_metamodel, expected_period_cost
+from outageplan.simulate import build_metamodel, expected_period_cost
 from outageplan.solver import policy_value, train, value_iteration
 
 DATA = Path(outageplan.__file__).parent / "data"
@@ -215,7 +215,8 @@ def test_criterion_6_zero_outage_rate_trains_to_inaction():
             replications=8,
             seed=1,
         )
-        assert all(cost == 0.0 for cost, _ in table.entries.values())
+        assert len(table) == len(env.reachable_portfolios())
+        assert not table.cost.any()
         env.attach_metamodel(table)
         result = train(env, cfg.schedule(seed=3, episodes=20_000), config_hash=cfg.config_hash)
         assert np.all(result.qtable.greedy_policy() == 0)
@@ -231,13 +232,9 @@ def test_criterion_7_metamodel_is_monotone_under_common_random_numbers():
         cfg = load_config("tiny")
         grid = cfg.microgrid()
         specs = cfg.storage_specs()
-        units = cfg.unit_names()
-
-        def portfolio(alpha_kwh, beta_kwh):
-            return Portfolio(units=units, kwh=(float(alpha_kwh), float(beta_kwh)))
-
-        # larger portfolios can never cost more when every draw is shared
-        chain = [portfolio(0, 0), portfolio(200, 0), portfolio(500, 0), portfolio(500, 200), portfolio(1000, 500)]
+        # larger portfolios can never cost more when every draw is shared;
+        # the chain is lexsorted, so it is also the table's row order
+        chain = np.array([[0.0, 0.0], [200.0, 0.0], [500.0, 0.0], [500.0, 200.0], [1000.0, 500.0]])
         table = build_metamodel(
             model=SingleModel(rate=3.0, duration_rate=6.0),
             capacity_grid=chain,
@@ -247,14 +244,15 @@ def test_criterion_7_metamodel_is_monotone_under_common_random_numbers():
             replications=64,
             seed=5,
         )
-        capacity_costs = [table.lookup(p) for p in chain]
+        assert table.kwh.tobytes() == chain.tobytes()
+        capacity_costs = table.cost.tolist()
         assert capacity_costs[0] > 0.0
         assert all(a >= b for a, b in zip(capacity_costs, capacity_costs[1:]))
 
         def cost_for(model):
             rng = np.random.Generator(np.random.PCG64(9))
             return expected_period_cost(
-                model, portfolio(200, 0), specs, grid, 1.0, replications=64, rng=rng
+                model, [200.0, 0.0], specs, grid, 1.0, replications=64, rng=rng
             ).mean
 
         rate_costs = [cost_for(SingleModel(rate=r, duration_rate=6.0)) for r in (0.5, 1.5, 3.0)]

@@ -1,6 +1,7 @@
 """End-to-end command line pipeline against the bundled tiny configs."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,43 @@ class TestErrorPaths:
         assert rc == 1
         assert "outageplan-error:" in err and "duplicate portfolio" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"format": "outageplan-trace", "rows": 5}, "field 'config_hash' must be a string"),
+            ([1, 2], "not a policy trace file"),
+            ("row without state", r"rows\[0\]: field 'state' must be a list, got nothing"),
+        ],
+    )
+    def test_compare_reports_a_malformed_trace(self, pipeline, tmp_path, capsys, doc, message):
+        good = pipeline / "trace-single.json"
+        if doc == "row without state":
+            doc = json.loads(good.read_text())
+            del doc["rows"][0]["state"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["compare", "--trace-a", str(good), "--trace-b", str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("outageplan-error: ") and "Traceback" not in err
+        assert re.search(message, err)
+
+    @pytest.mark.parametrize("row", ["2016,nan", "2016,2,9"])
+    def test_fit_rejects_a_malformed_caidi_row(self, tmp_path, capsys, row):
+        bad = tmp_path / "caidi.csv"
+        bad.write_text(CAIDI.read_text().rstrip("\n") + f"\n{row}\n")
+        assert main(["fit", "--caidi", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("outageplan-error: ")
+
+    def test_multi_line_error_prints_as_one_line(self, tmp_path, capsys):
+        # libyaml's messages span several lines
+        bad = tmp_path / "c.yaml"
+        bad.write_text("horizon: [1\nunits: 2\n")
+        assert main(["metamodel", "--config", str(bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("outageplan-error: ") and "invalid YAML" in err
+        assert err.count("\n") == 1
+
     def test_unknown_config_name(self, capsys):
         rc = main(["metamodel", "--config", "nonesuch"])
         assert rc == 1
@@ -353,3 +391,22 @@ class TestManifest:
         path.write_text(json.dumps({"format": "other"}))
         with pytest.raises(OutagePlanError, match="not a run manifest"):
             RunManifest.load(path)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"format": "outageplan-manifest", "entries": [1]}, r"entries\[0\]: expected an object, got an integer"),
+            ({"format": "outageplan-manifest", "entries": [{"kind": "x"}]}, r"entries\[0\]: field 'path' must be a string"),
+            ({"format": "outageplan-manifest", "entries": {"kind": "x"}}, "field 'entries' must be a list or null"),
+            ([1, 2], "not a run manifest"),
+        ],
+    )
+    def test_load_names_the_malformed_field(self, tmp_path, capsys, doc, message):
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(json.dumps(doc))
+        with pytest.raises(OutagePlanError, match=message):
+            RunManifest.load(path)
+        # the next command writing into the directory reports it in one line
+        assert main(["fit", "--caidi", str(CAIDI), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("outageplan-error: ") and "Traceback" not in err

@@ -439,6 +439,28 @@ class TestDocumentValidation:
         with pytest.raises(ConfigError, match="bad unit block"):
             load_config(str(p))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(horizon=None), "horizon must be an integer, got None"),
+            (lambda d: d.update(levels_kwh=5), "levels_kwh must be a list of numbers"),
+            (lambda d: d.update(units=None), "units must be a list"),
+            (lambda d: d.update(training=[1]), "training section must be a mapping"),
+            (lambda d: d["training"].update(alpha=[0.5]), r"alpha and epsilon must be \[start, end\] pairs"),
+            (lambda d: d["outage_model"].update({"lambda": float("nan")}), "outage_model lambda must be finite"),
+            (lambda d: d["pv"].update(peak_kw=[60]), "pv peak_kw must be a number"),
+            (lambda d: d["metamodel"].update(replications="many"), "metamodel replications must be an integer"),
+        ],
+    )
+    def test_values_of_the_wrong_kind(self, tmp_path, edit, message):
+        doc = base_doc()
+        doc.setdefault("training", {})
+        doc.setdefault("metamodel", {})
+        edit(doc)
+        p = write_workspace(tmp_path, doc)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(p))
+
     def test_facility_block_missing_key(self, tmp_path):
         doc = base_doc()
         del doc["facilities"][0]["count"]

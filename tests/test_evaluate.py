@@ -87,6 +87,12 @@ class TestPriceTrajectory:
         with pytest.raises(ConfigError, match="header"):
             PriceTrajectory.from_csv(p)
 
+    @pytest.mark.parametrize("row", ["li-ion,1", "li-ion,1,2,3"])
+    def test_row_width_must_match_header(self, tmp_path, row):
+        p = write_trajectory(tmp_path, f"unit,p1,p2\n{row}\n")
+        with pytest.raises(ConfigError, match=f"price row .*'li-ion'.* the header has 2 periods"):
+            PriceTrajectory.from_csv(p)
+
     def test_unit_set_must_match(self, tmp_path):
         env = make_env()
         p = write_trajectory(tmp_path, "unit,p1,p2,p3\nalpha,400,290,290\ngamma,150,95,95\n")
@@ -141,7 +147,7 @@ class TestRollout:
             PlanningState(1, (1, 1), (2,)): 2,  # install alpha 500
         }
         trace = rollout(scripted_qtable(env, wanted), env, traj, config_hash="c", planning_hash="p")
-        assert [r.action_label for r in trace.rows] == [
+        assert [r.action for r in trace.rows] == [
             "install beta 200 kWh",
             "install alpha 500 kWh",
             "do-nothing",
@@ -185,8 +191,8 @@ class TestRollout:
         }
         trace = rollout(scripted_qtable(env, wanted), env, traj, config_hash="c", planning_hash="p")
         final = env.capacity_of(PlanningState(3, (0,), (0, 1, 2)))
-        assert trace.totals["mix_kwh"] == {"u": final.kwh[0]}
-        assert trace.totals["total_kwh"] == final.kwh[0] == 1.0
+        assert trace.totals["mix_kwh"] == final
+        assert trace.totals["total_kwh"] == final["u"] == 1.0
 
     def test_never_investing(self, tmp_path):
         env = make_env()
@@ -194,7 +200,7 @@ class TestRollout:
         trace = rollout(scripted_qtable(env, {}), env, traj, config_hash="c", planning_hash="p")
         assert trace.totals["total_kwh"] == 0.0
         assert trace.totals["first_investment_period"] is None
-        assert all(r.action_label == "do-nothing" for r in trace.rows)
+        assert all(r.action == "do-nothing" for r in trace.rows)
 
     def test_save_load_round_trip(self, tmp_path):
         env = make_env()
@@ -220,6 +226,29 @@ class TestRollout:
         p = tmp_path / "x.json"
         p.write_text(json.dumps({"format": "other"}))
         with pytest.raises(ArtifactMismatchError, match="not a policy trace"):
+            PolicyTrace.load(p)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [1, 2], "not a policy trace file"),
+            (lambda doc: {"format": "outageplan-trace", "rows": 5}, "field 'config_hash' must be a string, got nothing"),
+            (lambda doc: {**doc, "rows": 5}, "field 'rows' must be a list, got an integer"),
+            (lambda doc: {**doc, "rows": [{k: v for k, v in doc["rows"][0].items() if k != "state"}]},
+             r"rows\[0\]: field 'state' must be a list, got nothing"),
+            (lambda doc: {**doc, "totals": {**doc["totals"], "total_kwh": "700"}},
+             "totals: field 'total_kwh' must be an integer or a number, got a string"),
+            (lambda doc: {**doc, "totals": {**doc["totals"], "mix_kwh": {"alpha": None}}},
+             "totals.mix_kwh: field 'alpha' must be an integer or a number, got null"),
+        ],
+    )
+    def test_load_names_the_malformed_field(self, tmp_path, edit, message):
+        env = make_env()
+        traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))
+        trace = rollout(scripted_qtable(env, {}), env, traj, config_hash="c", planning_hash="p")
+        p = tmp_path / "trace.json"
+        p.write_text(json.dumps(edit(trace.to_doc())))
+        with pytest.raises(ArtifactMismatchError, match=message):
             PolicyTrace.load(p)
 
 

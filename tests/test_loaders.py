@@ -1,0 +1,184 @@
+"""Fuzzing of every loader that reads a user-supplied file.
+
+Each loader gets well-formed files with random damage: characters inserted,
+deleted, replaced or cut off, and, for the JSON and YAML documents, one field
+replaced by a value of another kind or removed. A loader either returns or
+raises an OutagePlanError; anything else is a bug. When it raises, the CLI
+command that reads the same file must print one `outageplan-error:` line and
+exit 1.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from outageplan import persist
+from outageplan.cli import main
+from outageplan.config import bundled_config_path, load_config
+from outageplan.errors import OutagePlanError
+from outageplan.evaluate import PolicyTrace, PriceTrajectory
+from outageplan.outage import CaidiSeries
+from outageplan.simulate import CostTable
+
+from conftest import cost_table
+
+FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+DAMAGE = ",\n\r\t -+.0123456789eEnaNifI{}[]\":#_x"
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(DAMAGE, max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("abxy", max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def damaged(draw, text):
+    """`text` with one to four random edits."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "cut"]))
+        if edit == "cut":
+            text = text[:i]
+        elif edit == "insert":
+            text = text[:i] + draw(st.text(DAMAGE, min_size=1, max_size=3)) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 3)):]
+        else:
+            text = text[:i] + draw(st.sampled_from(DAMAGE)) + text[i + 1:]
+    return text
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def damaged_doc(draw, doc):
+    """A deep copy of the JSON-like `doc` with one value replaced by a random
+    one, or one mapping key removed."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def check(loader, path, argv):
+    """`loader(path)` returns or raises an OutagePlanError; when it raises,
+    the CLI run `argv` reports one error line and exits 1."""
+    try:
+        loader(path)
+    except OutagePlanError:
+        rc, err = run_cli(argv)
+        assert rc == 1
+        assert err.startswith("outageplan-error: ") and err.count("\n") == 1, err
+
+
+def write(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """A working directory holding one good artifact of each kind."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = load_config("tiny")
+    env = cfg.env()
+    table = cost_table(env, lambda kwh: 100.0 * kwh.sum(axis=1), meta={"config_hash": cfg.config_hash})
+    table.save(root / "metamodel.csv")
+    assert run_cli(["train", "--config", "tiny", "--episodes", "50", "--out", str(root)])[0] == 0
+    trajectory = root / "trajectory.csv"
+    trajectory.write_text("unit,p1,p2,p3\nalpha,400,290,290\nbeta,150,95,95\n")
+    argv = ["evaluate", "--config", "tiny", "--qtable", str(root / "qtable.bin"),
+            "--trajectory", str(trajectory), "--out", str(root)]
+    assert run_cli(argv)[0] == 0
+    return root
+
+
+class TestLoaderFuzz:
+    @FUZZ
+    @given(data=st.data())
+    def test_cost_table(self, work, data):
+        text = data.draw(damaged((work / "metamodel.csv").read_text()))
+        path = write(work / "fuzz-metamodel.csv", text)
+        cfg_hash = load_config("tiny").config_hash
+        check(
+            lambda p: CostTable.load(p, expect_config_hash=cfg_hash),
+            path,
+            ["train", "--config", "tiny", "--episodes", "1", "--metamodel", str(path), "--out", str(work / "cli")],
+        )
+
+    @FUZZ
+    @given(data=st.data())
+    def test_container(self, work, data):
+        good = (work / "qtable.bin").read_bytes()
+        header, _, payload = good.partition(b"\n")
+        text = data.draw(damaged(header.decode()))
+        path = work / "fuzz-qtable.bin"
+        path.write_bytes(text.encode() + b"\n" + payload[: data.draw(st.sampled_from([len(payload), 7, 0]))])
+        argv = ["evaluate", "--config", "tiny", "--qtable", str(path),
+                "--trajectory", str(work / "trajectory.csv"), "--out", str(work / "cli")]
+        check(persist.load_container, path, argv)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_config(self, work, data):
+        good = bundled_config_path("tiny").read_text()
+        if data.draw(st.booleans()):
+            text = data.draw(damaged(good))
+        else:
+            text = yaml.safe_dump(data.draw(damaged_doc(yaml.safe_load(good))))
+        path = write(work / "fuzz-config.yaml", text)
+        check(load_config, path, ["metamodel", "--config", str(path), "--out", str(work / "cli")])
+
+    @FUZZ
+    @given(data=st.data())
+    def test_policy_trace(self, work, data):
+        good = (work / "trace.json").read_text()
+        if data.draw(st.booleans()):
+            text = data.draw(damaged(good))
+        else:
+            text = json.dumps(data.draw(damaged_doc(json.loads(good))))
+        path = write(work / "fuzz-trace.json", text)
+        argv = ["compare", "--trace-a", str(work / "trace.json"), "--trace-b", str(path), "--out", str(work / "cli")]
+        check(PolicyTrace.load, path, argv)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_price_trajectory(self, work, data):
+        text = data.draw(damaged((work / "trajectory.csv").read_text()))
+        path = write(work / "fuzz-trajectory.csv", text)
+        argv = ["evaluate", "--config", "tiny", "--qtable", str(work / "qtable.bin"),
+                "--trajectory", str(path), "--out", str(work / "cli")]
+        check(PriceTrajectory.from_csv, path, argv)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_caidi_series(self, work, data):
+        text = data.draw(damaged("year,caidi_hours\n2012,22.55\n2013,1.65\n2014,2.1\n"))
+        path = write(work / "fuzz-caidi.csv", text)
+        check(CaidiSeries.from_csv, path, ["fit", "--caidi", str(path)])

@@ -17,8 +17,10 @@ from outageplan.mdp import (
     StateCodec,
     UnitCatalogEntry,
 )
-from outageplan.simulate import CostTable, Portfolio, StorageUnitSpec
+from outageplan.simulate import CostTable, StorageUnitSpec
 from outageplan.solver import value_iteration
+
+from conftest import cost_table
 
 
 def make_env(horizon=3, levels=(200.0, 500.0)):
@@ -42,11 +44,23 @@ def make_env(horizon=3, levels=(200.0, 500.0)):
 def linear_cost_table(env, dollars_per_kwh=100.0):
     """Synthetic metamodel whose cost is proportional to total installed
     kWh, so reward arithmetic is hand-checkable."""
-    entries = {
-        tuple(p.kwh): (dollars_per_kwh * p.total_kwh, 0.0) for p in env.reachable_portfolios()
-    }
-    meta = {"replications": 1}
-    return CostTable(units=env.unit_names, entries=entries, meta=meta)
+    return cost_table(env, lambda kwh: dollars_per_kwh * kwh.sum(axis=1))
+
+
+def reachable_portfolios_oracle(units, levels_kwh, max_installs):
+    """Every distinct portfolio obtainable with at most max_installs catalog
+    picks (one pick = one level on one unit), enumerated independently of the
+    codec: a sorted list of kWh tuples."""
+    options = [(u, float(lv)) for u in range(len(units)) for lv in levels_kwh]
+    seen = set()
+    for k in range(max_installs + 1):
+        for combo in itertools.combinations_with_replacement(range(len(options)), k):
+            kwh = [0.0] * len(units)
+            for j in combo:
+                u, lv = options[j]
+                kwh[u] += lv
+            seen.add(tuple(kwh))
+    return sorted(seen)
 
 
 class CodecOracle:
@@ -217,8 +231,8 @@ class TestStateCodec:
         one_big = (1,)  # one alpha-500 install
         assert codec.cap_index[double_small] != codec.cap_index[one_big]
         assert (
-            env.capacity_of(PlanningState(2, (0, 0), double_small)).kwh
-            == env.capacity_of(PlanningState(1, (0, 0), one_big)).kwh
+            env.capacity_of(PlanningState(2, (0, 0), double_small))
+            == env.capacity_of(PlanningState(1, (0, 0), one_big))
         )
 
     def test_tiny_census(self):
@@ -301,7 +315,7 @@ class TestStateCodec:
         for c, cap in enumerate(codec.cap_sets):
             want_kwh = installed_kwh_oracle(cap, len(ladder_sizes), env.levels_kwh)
             assert env.installed_kwh[c].tobytes() == np.array(want_kwh).tobytes()
-        assert {p.kwh for p in env.reachable_portfolios()} == {
+        assert set(map(tuple, env.reachable_portfolios().tolist())) == {
             installed_kwh_oracle(cap, len(ladder_sizes), env.levels_kwh) for cap in codec.cap_sets
         }
 
@@ -310,7 +324,7 @@ class TestStateCodec:
         env = make_env(horizon=3, levels=(0.1, 0.2, 0.7))
         cap = (0, 1, 2)  # alpha at each level, in multiset order
         state = PlanningState(period=3, price_idx=(0, 0), installs=cap)
-        assert env.capacity_of(state).kwh == ((0.1 + 0.2) + 0.7, 0.0)
+        assert env.capacity_of(state) == {"alpha": (0.1 + 0.2) + 0.7, "beta": 0.0}
         assert (0.1 + 0.2) + 0.7 != (0.7 + 0.2) + 0.1
 
     def test_price_combo_digits_round_trip(self):
@@ -374,7 +388,7 @@ class TestPlanningEnv:
         assert s2.period == 1
         assert s2.price_idx == (1, 0)
         assert s2.installs == (2,)  # option index = unit 1 * 2 levels + level 0
-        assert env.capacity_of(s2).as_mapping() == {"alpha": 0.0, "beta": 200.0}
+        assert env.capacity_of(s2) == {"alpha": 0.0, "beta": 200.0}
 
     def test_transition_consumes_uniform_at_absorbing_floor(self):
         env = make_env()
@@ -426,15 +440,16 @@ class TestPlanningEnv:
 
     def test_attach_metamodel_rejects_unit_mismatch(self):
         env = make_env()
-        table = CostTable(units=("x",), entries={(0.0,): (0.0, 0.0)}, meta={})
+        table = CostTable(units=("x",), kwh=[[0.0]], cost=[0.0], stderr=[0.0], meta={})
         with pytest.raises(ConfigError, match="do not match catalog"):
             env.attach_metamodel(table)
 
     def test_attach_metamodel_rejects_missing_portfolio(self):
         env = make_env()
         table = linear_cost_table(env)
-        del table.entries[(0.0, 200.0)]
-        with pytest.raises(KeyError, match="rebuild the metamodel"):
+        keep = ~np.all(table.kwh == (0.0, 200.0), axis=1)
+        table = CostTable(table.units, table.kwh[keep], table.cost[keep], table.stderr[keep], table.meta)
+        with pytest.raises(KeyError, match=r"portfolio \(0.0, 200.0\) .* rebuild the metamodel"):
             env.attach_metamodel(table)
 
     @pytest.mark.parametrize("cost", [math.nan, math.inf, -1.0])
@@ -443,8 +458,8 @@ class TestPlanningEnv:
         # make value_iteration return nan silently
         env = make_env()
         table = linear_cost_table(env)
-        table.entries[(0.0, 200.0)] = (cost, 0.0)
-        with pytest.raises(ArtifactMismatchError, match="must be finite and >= 0"):
+        table.cost[np.all(table.kwh == (0.0, 200.0), axis=1)] = cost
+        with pytest.raises(ArtifactMismatchError, match=r"entry for \(0.0, 200.0\) kWh .* must be finite and >= 0"):
             env.attach_metamodel(table)
         with pytest.raises(RuntimeError, match="attach a metamodel"):
             value_iteration(env)
@@ -487,10 +502,9 @@ class TestPlanningEnv:
             env.kernel_tables()
 
     def test_reachable_portfolios_match_independent_enumeration(self):
-        from outageplan.simulate import reachable_portfolios
-
         env = make_env()
-        by_env = {p.kwh for p in env.reachable_portfolios()}
-        by_sim = {p.kwh for p in reachable_portfolios(env.unit_names, env.levels_kwh, env.horizon)}
-        assert by_env == by_sim
+        by_env = env.reachable_portfolios()
+        want = reachable_portfolios_oracle(env.unit_names, env.levels_kwh, env.horizon)
+        assert by_env.dtype == np.float64
+        assert by_env.tolist() == [list(key) for key in want]
         assert len(by_env) == 35

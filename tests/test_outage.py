@@ -359,3 +359,17 @@ class TestCaidiFit:
     def test_series_rejects_nonpositive_caidi(self):
         with pytest.raises(ValueError, match="must be > 0"):
             CaidiSeries(years=(("2012", 0.0),))
+
+    @pytest.mark.parametrize("caidi", ["nan", "inf", "-1.0"])
+    def test_csv_rejects_nan_infinite_and_negative_caidi(self, tmp_path, caidi):
+        p = tmp_path / "caidi.csv"
+        p.write_text(f"year,caidi_hours\n2012,22.55\n2013,{caidi}\n")
+        with pytest.raises(ConfigError, match="CAIDI for 2013 must be"):
+            CaidiSeries.from_csv(p)
+
+    @pytest.mark.parametrize("row", ["2010,2,9", "2010"])
+    def test_csv_rejects_rows_without_two_cells(self, tmp_path, row):
+        p = tmp_path / "caidi.csv"
+        p.write_text(f"year,caidi_hours\n2012,22.55\n{row}\n")
+        with pytest.raises(ConfigError, match=":3: a CAIDI row needs exactly 2 cells"):
+            CaidiSeries.from_csv(p)

@@ -55,7 +55,7 @@ def failing_writes(monkeypatch):
 
 
 WRITERS = {
-    "metamodel.csv": lambda p: CostTable(units=("u",), entries={(0.0,): (1.0, 0.5)}, meta={"seed": 1}).save(p),
+    "metamodel.csv": lambda p: CostTable(units=("u",), kwh=[[0.0]], cost=[1.0], stderr=[0.5], meta={"seed": 1}).save(p),
     "qtable.bin": lambda p: persist.save_container(p, {"k": 1}, {"a": np.arange(5.0)}),
     "convergence.csv": lambda p: write_convergence_csv([ConvergencePoint(1, 0.5, -2.0)], p),
     "trace.json": lambda p: PolicyTrace(

@@ -1,5 +1,7 @@
 """Islanding dispatch, Monte Carlo period costs, and the cost-table metamodel."""
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -8,21 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import outageplan.simulate as sim
+from outageplan import persist
 from outageplan.config import load_config
 from outageplan.errors import ArtifactMismatchError, ConfigError
+from outageplan.mdp import PlanningEnv, PriceChain, UnitCatalogEntry
 from outageplan.outage import OutageEvent, OutageKind, SingleModel, SuperposedModel
 from outageplan.simulate import (
     CostTable,
     FacilityClass,
     HourlyProfiles,
     Microgrid,
-    Portfolio,
     StorageUnitSpec,
     build_metamodel,
     dispatch_spans,
     expected_period_cost,
     merge_events,
-    reachable_portfolios,
     simulate_outage,
 )
 
@@ -41,7 +43,8 @@ def flat_grid(loads_and_voll, pv_kw=0.0):
 
 
 def one_unit(deliverable_kwh, power_cap_kw):
-    """A spec/portfolio pair whose deliverable energy and power cap are exact."""
+    """A one-unit spec and kWh vector whose deliverable energy and power cap
+    are exact."""
     # usable_fraction=1, rte=1 makes installed == deliverable; power_limit
     # converts installed kWh into the requested power cap.
     spec = StorageUnitSpec(
@@ -50,8 +53,7 @@ def one_unit(deliverable_kwh, power_cap_kw):
         usable_fraction=1.0,
         power_limit=power_cap_kw / deliverable_kwh if deliverable_kwh else 1.0,
     )
-    portfolio = Portfolio(units=("u",), kwh=(deliverable_kwh,))
-    return (spec,), portfolio
+    return (spec,), [deliverable_kwh]
 
 
 def dispatch_span_oracle(
@@ -104,9 +106,9 @@ def mean_stderr_oracle(costs):
     return mean, stderr
 
 
-def oracle_arrays(portfolio, specs):
-    deliverable = np.array([s.deliverable_kwh(k) for s, k in zip(specs, portfolio.kwh)])
-    power_cap = np.array([s.power_cap_kw(k) for s, k in zip(specs, portfolio.kwh)])
+def oracle_arrays(kwh, specs):
+    deliverable = np.array([s.deliverable_kwh(k) for s, k in zip(specs, kwh)])
+    power_cap = np.array([s.power_cap_kw(k) for s, k in zip(specs, kwh)])
     return deliverable, power_cap
 
 
@@ -137,10 +139,9 @@ def dispatch_cases(draw):
         for i in range(n_units)
     )
     sizes = st.sampled_from([0.0, 10.0, 37.5, 250.0, 1000.0])
-    portfolios = [
-        Portfolio(units=tuple(s.name for s in specs), kwh=tuple(kwh))
-        for kwh in draw(st.lists(st.lists(sizes, min_size=n_units, max_size=n_units), min_size=1, max_size=5))
-    ]
+    portfolios = np.array(
+        draw(st.lists(st.lists(sizes, min_size=n_units, max_size=n_units), min_size=1, max_size=5))
+    )
     # starts near the year end wrap past hour 8759
     start = st.one_of(st.integers(H - 20, H - 1), st.integers(0, H - 1))
     starts = draw(st.lists(start, min_size=1, max_size=6))
@@ -165,16 +166,6 @@ class TestSpecs:
     def test_facility_validation(self):
         with pytest.raises(ValueError, match="count must be > 0"):
             FacilityClass(name="f", count=0, peak_load_kw=1.0, value_of_lost_load=1.0, profile="flat")
-
-    def test_portfolio_mapping_round_trip(self):
-        p = Portfolio.from_mapping(("a", "b"), {"b": 500.0})
-        assert p.kwh == (0.0, 500.0)
-        assert p.as_mapping() == {"a": 0.0, "b": 500.0}
-        assert p.total_kwh == 500.0
-
-    def test_portfolio_rejects_unknown_unit(self):
-        with pytest.raises(ConfigError, match="unknown storage units"):
-            Portfolio.from_mapping(("a",), {"zz": 1.0})
 
     def test_dispatch_order_sorts_by_voll_then_declaration(self):
         grid = flat_grid([(1.0, 5.0), (1.0, 9.0), (1.0, 5.0)])
@@ -267,13 +258,17 @@ class TestDispatch:
         with pytest.raises(ValueError, match="start_hour must be in"):
             simulate_outage(event, pf, specs, grid, start_hour=H)
 
-    def test_unknown_unit_in_portfolio(self):
+    def test_portfolio_width_must_match_specs(self):
         grid = flat_grid([(1.0, 1.0)])
         specs = (StorageUnitSpec(name="u", round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=1.0),)
-        pf = Portfolio(units=("other",), kwh=(1.0,))
         event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=1.0)
-        with pytest.raises(ConfigError, match="unknown storage units"):
-            simulate_outage(event, pf, specs, grid, start_hour=0)
+        with pytest.raises(ConfigError, match="one column per storage unit"):
+            simulate_outage(event, [1.0, 2.0], specs, grid, start_hour=0)
+        with pytest.raises(ConfigError, match="one column per storage unit"):
+            dispatch_spans([0], [1], np.ones((3, 2)), specs, grid)
+        for kwh in (-1.0, math.nan):
+            with pytest.raises(ConfigError, match="installed kWh >= 0"):
+                simulate_outage(event, [kwh], specs, grid, start_hour=0)
 
 
 class TestDispatchParity:
@@ -316,7 +311,8 @@ class TestDispatchParity:
         starts, lengths, offsets = sim._outage_spans(cfg.outage_model, cfg.period_length_years, seeds)
         demand, pv = grid.profiles.demand, grid.profiles.pv
         unserved_sink = np.zeros(len(grid.facilities))
-        for portfolio in portfolios:
+        assert table.kwh.tobytes() == portfolios.tobytes()
+        for i, portfolio in enumerate(portfolios):
             deliverable, power_cap = oracle_arrays(portfolio, specs)
             costs = np.zeros(24)
             for r in range(24):
@@ -328,7 +324,7 @@ class TestDispatchParity:
                     )
                 costs[r] = total
             want = np.array(mean_stderr_oracle(costs))
-            assert np.array(table.entries[portfolio.kwh]).tobytes() == want.tobytes()
+            assert np.array([table.cost[i], table.stderr[i]]).tobytes() == want.tobytes()
 
 
 class TestMeanStderrParity:
@@ -467,14 +463,24 @@ class TestExpectedPeriodCost:
             )
 
 
+def env_of(units, levels_kwh, horizon):
+    """A planning environment over `units` with one-rung price ladders."""
+    catalog = tuple(
+        UnitCatalogEntry(
+            storage=StorageUnitSpec(name=u, round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=1.0),
+            chain=PriceChain(values=(1.0,), advance_prob=0.0),
+        )
+        for u in units
+    )
+    return PlanningEnv(horizon=horizon, catalog=catalog, levels_kwh=levels_kwh)
+
+
 class TestReachablePortfolios:
     def test_small_census_by_brute_force(self):
-        got = reachable_portfolios(["a", "b"], [200.0, 500.0], max_installs=3)
+        got = env_of(["a", "b"], [200.0, 500.0], horizon=3).reachable_portfolios()
         # independent enumeration over install sequences
         options = [(0, 200.0), (0, 500.0), (1, 200.0), (1, 500.0)]
         seen = set()
-        import itertools
-
         for k in range(4):
             for combo in itertools.product(range(4), repeat=k):
                 kwh = [0.0, 0.0]
@@ -482,35 +488,135 @@ class TestReachablePortfolios:
                     u, lv = options[j]
                     kwh[u] += lv
                 seen.add(tuple(kwh))
-        assert {p.kwh for p in got} == seen
-        assert len(got) == 35
+        assert set(map(tuple, got.tolist())) == seen
+        assert got.shape == (35, 2)
 
     def test_casestudy_census(self):
-        got = reachable_portfolios(
-            ["li-ion", "lead-acid", "vanadium-redox", "flywheel"],
-            [250.0, 500.0, 1000.0],
-            max_installs=4,
-        )
-        assert len(got) == 1120
+        got = load_config("casestudy-single").env().reachable_portfolios()
+        assert got.shape == (1120, 4)
         # multiset count before capacity aliasing: sum_k C(11+k, k)
         assert sum(math.comb(11 + k, k) for k in range(5)) == 1820
 
     def test_sorted_and_distinct(self):
-        got = reachable_portfolios(["a"], [1.0, 2.0], max_installs=2)
-        keys = [p.kwh for p in got]
-        assert keys == sorted(set(keys))
-        assert (0.0,) == keys[0]
+        got = list(map(tuple, env_of(["a", "b"], [1.0, 2.0], horizon=2).reachable_portfolios().tolist()))
+        assert got == sorted(set(got))
+        assert got[0] == (0.0, 0.0)
 
     def test_zero_installs(self):
-        got = reachable_portfolios(["a"], [1.0], max_installs=0)
-        assert [p.kwh for p in got] == [(0.0,)]
+        got = env_of(["a"], [1.0], horizon=1).reachable_portfolios()
+        assert got.tolist() == [[0.0], [1.0]]
+
+
+def load_oracle(path, expect_config_hash=None):
+    """The dict loop that `CostTable.load` replaced, kept as its reference:
+    (units, {kWh tuple: (cost, stderr)}, meta). Beyond the original loop it
+    normalises -0.0 kWh to 0.0, and rejects a non-object header, fewer than
+    three columns, cells that are not numbers and kWh that is not finite and
+    >= 0, with the messages the array loader uses."""
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+        if not first.startswith(sim.METAMODEL_MAGIC):
+            raise ArtifactMismatchError(f"{path}: not a cost table file")
+        try:
+            meta = json.loads(first[len(sim.METAMODEL_MAGIC):])
+        except json.JSONDecodeError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ArtifactMismatchError(f"{path}: cost table header is not a JSON object")
+        columns = fh.readline().rstrip("\n").split(",")
+        if len(columns) < 3 or columns[-2:] != ["cost", "stderr"] or not all(c.startswith("cap_") for c in columns[:-2]):
+            raise ArtifactMismatchError(f"{path}: unexpected cost table columns {columns}")
+        units = tuple(c[len("cap_"):] for c in columns[:-2])
+        entries = {}
+        for lineno, line in enumerate(fh, start=3):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != len(columns):
+                raise ArtifactMismatchError(
+                    f"{path}:{lineno}: row has {len(cells)} cells, expected {len(columns)}"
+                )
+            try:
+                numbers = [float(x) for x in cells]
+            except ValueError:
+                raise ArtifactMismatchError(f"{path}:{lineno}: cells must be numbers, got {cells!r}") from None
+            key = tuple(x + 0.0 for x in numbers[: len(units)])
+            if not all(0.0 <= x < math.inf for x in key):
+                raise ArtifactMismatchError(f"{path}:{lineno}: installed kWh must be finite and >= 0, got {key}")
+            cost, stderr = numbers[-2], numbers[-1]
+            if not (math.isfinite(cost) and math.isfinite(stderr) and cost >= 0 and stderr >= 0):
+                raise ArtifactMismatchError(
+                    f"{path}:{lineno}: cost and stderr must be finite and >= 0, got {cost}, {stderr}"
+                )
+            if key in entries:
+                raise ArtifactMismatchError(f"{path}:{lineno}: duplicate portfolio {key}")
+            entries[key] = (cost, stderr)
+    if expect_config_hash is not None and meta.get("config_hash") != expect_config_hash:
+        raise ArtifactMismatchError(
+            f"{path}: cost table was built for config {meta.get('config_hash')!r}, "
+            f"active config is {expect_config_hash!r}"
+        )
+    return units, entries, meta
+
+
+def save_oracle(units, entries, meta):
+    """The text the dict-based `CostTable.save` wrote."""
+    lines = [sim.METAMODEL_MAGIC + persist.canonical_json(meta)]
+    lines.append(",".join([f"cap_{u}" for u in units] + ["cost", "stderr"]))
+    for key in sorted(entries):
+        cost, stderr = entries[key]
+        lines.append(",".join(persist.format_float(x) for x in key + (cost, stderr)))
+    return "\n".join(lines) + "\n"
+
+
+KWH_CELLS = ["0.0", "-0.0", "250.0", "500.0", " 1000.0", "1e3", "0.1"]
+COST_CELLS = ["0.0", "-0.0", "12.5", "1e-300", "7", "3.0e2 "]
+BAD_KWH = ["nan", "-1.0", "inf"]
+BAD_COST = ["nan", "-3.0", "inf", "-inf"]
+BAD_CELLS = ["abc", "", "0x10", "1.0.0", "--1"]
+
+
+@st.composite
+def cost_table_files(draw):
+    """Text of a metamodel file: mostly well formed, with each defect the
+    loader checks drawn now and then, blank lines, CRLF line ends and a
+    missing final newline."""
+    n_units = draw(st.integers(1, 3))
+    header = sim.METAMODEL_MAGIC + draw(
+        st.sampled_from(['{"config_hash":"h","seed":1}', '{"config_hash":"other"}', "{}"])
+    )
+    header = draw(st.sampled_from([header] * 8 + ["# something else {}", sim.METAMODEL_MAGIC + "[1]", sim.METAMODEL_MAGIC + "{"]))
+    names = [f"cap_u{i}" for i in range(n_units)] + ["cost", "stderr"]
+    columns = ",".join(draw(st.sampled_from([names] * 8 + [names[:-1], ["u0"] + names[1:]])))
+    lines = [header, columns]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   "])))
+            continue
+        cells = [draw(st.sampled_from(KWH_CELLS)) for _ in range(n_units)]
+        cells += [draw(st.sampled_from(COST_CELLS)) for _ in range(2)]
+        defect = draw(st.integers(0, 30))
+        if defect == 0:
+            cells.append("1.0")
+        elif defect == 1:
+            cells.pop()
+        elif defect == 2:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(BAD_CELLS))
+        elif defect == 3:
+            cells[draw(st.integers(0, n_units - 1))] = draw(st.sampled_from(BAD_KWH))
+        elif defect == 4:
+            cells[draw(st.sampled_from([-2, -1]))] = draw(st.sampled_from(BAD_COST))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
 class TestCostTable:
     def _table(self, tmp_path, config_hash="deadbeef"):
         grid = flat_grid([(10.0, 5.0)], pv_kw=2.0)
         specs = (StorageUnitSpec(name="u", round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=1.0),)
-        portfolios = reachable_portfolios(["u"], [5.0, 9.0], max_installs=2)
+        portfolios = env_of(["u"], [5.0, 9.0], horizon=2).reachable_portfolios()
         return build_metamodel(
             SingleModel(rate=2.0, duration_rate=2.0),
             portfolios,
@@ -522,21 +628,24 @@ class TestCostTable:
             config_hash=config_hash,
         )
 
-    def test_lookup_and_estimate(self, tmp_path):
-        table = self._table(tmp_path)
-        pf = Portfolio(units=("u",), kwh=(5.0,))
-        assert table.lookup(pf) == table.estimate(pf).mean
-        assert table.estimate(pf).replications == 32
-
     def test_missing_portfolio_is_hard_error(self, tmp_path):
         table = self._table(tmp_path)
-        with pytest.raises(KeyError, match="rebuild the metamodel"):
-            table.lookup(Portfolio(units=("u",), kwh=(3.33,)))
+        with pytest.raises(KeyError, match=r"\(3.33,\) not present .* rebuild the metamodel"):
+            env_of(["u"], [3.33, 5.0, 9.0], horizon=2).attach_metamodel(table)
 
-    def test_unit_mismatch(self, tmp_path):
-        table = self._table(tmp_path)
-        with pytest.raises(ConfigError, match="do not match table units"):
-            table.lookup(Portfolio(units=("w",), kwh=(5.0,)))
+    def test_rows_are_stored_lexsorted_and_unique(self):
+        table = sim.CostTable(
+            units=("a", "b"), kwh=[[5.0, 0.0], [-0.0, 9.0], [0.0, 5.0]], cost=[1.0, 2.0, 3.0],
+            stderr=[0.1, 0.2, 0.3], meta={},
+        )
+        assert table.kwh.tolist() == [[0.0, 5.0], [0.0, 9.0], [5.0, 0.0]]
+        assert not np.signbit(table.kwh).any()
+        assert table.cost.tolist() == [3.0, 2.0, 1.0]
+        assert table.stderr.tolist() == [0.3, 0.2, 0.1]
+        with pytest.raises(ValueError, match=r"duplicate portfolio \(0.0, 9.0\)"):
+            sim.CostTable(("a", "b"), [[0.0, 9.0], [-0.0, 9.0]], [1.0, 1.0], [0.0, 0.0], {})
+        with pytest.raises(ValueError, match="one cost and stderr per portfolio"):
+            sim.CostTable(("a",), [[0.0, 9.0]], [1.0], [0.0], {})
 
     def test_round_trip_and_byte_determinism(self, tmp_path):
         table = self._table(tmp_path)
@@ -547,7 +656,8 @@ class TestCostTable:
         assert p1.read_bytes() == p2.read_bytes()
         loaded = CostTable.load(p1, expect_config_hash="deadbeef")
         assert loaded.units == table.units
-        assert loaded.entries == table.entries
+        for name in ("kwh", "cost", "stderr"):
+            assert getattr(loaded, name).tobytes() == getattr(table, name).tobytes()
         assert loaded.meta == table.meta
 
     def test_config_hash_mismatch(self, tmp_path):
@@ -563,11 +673,57 @@ class TestCostTable:
         with pytest.raises(ArtifactMismatchError, match="not a cost table"):
             CostTable.load(p)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan,1.0,0.0", r":4: installed kWh must be finite and >= 0, got \(nan,\)"),
+            ("-5.0,1.0,0.0", r":4: installed kWh must be finite and >= 0, got \(-5.0,\)"),
+            ("5.0,abc,0.0", r":4: cells must be numbers, got \['5.0', 'abc', '0.0'\]"),
+            ("-0.0,1.0,0.0", r":4: duplicate portfolio \(0.0,\)"),
+        ],
+    )
+    def test_load_rejects_bad_rows(self, tmp_path, row, message):
+        p = tmp_path / "t.csv"
+        p.write_text(f"{sim.METAMODEL_MAGIC}{{}}\ncap_u,cost,stderr\n0.0,2.0,0.0\n{row}\n")
+        with pytest.raises(ArtifactMismatchError, match=message):
+            CostTable.load(p)
+
+    @pytest.mark.parametrize("header", ["[1]", "{", '"text"'])
+    def test_load_rejects_a_header_that_is_not_an_object(self, tmp_path, header):
+        p = tmp_path / "t.csv"
+        p.write_text(f"{sim.METAMODEL_MAGIC}{header}\ncap_u,cost,stderr\n")
+        with pytest.raises(ArtifactMismatchError, match="header is not a JSON object"):
+            CostTable.load(p, expect_config_hash="h")
+
+    @given(text=cost_table_files(), expect=st.sampled_from([None, "h"]))
+    @settings(max_examples=300, deadline=None)
+    def test_load_matches_the_dict_loop(self, tmp_path_factory, text, expect):
+        path = tmp_path_factory.getbasetemp() / "parity-metamodel.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            units, entries, meta = load_oracle(path, expect)
+        except ArtifactMismatchError as exc:
+            with pytest.raises(ArtifactMismatchError) as got:
+                CostTable.load(path, expect_config_hash=expect)
+            assert str(got.value) == str(exc)
+            return
+        table = CostTable.load(path, expect_config_hash=expect)
+        assert (table.units, table.meta) == (units, meta)
+        keys = sorted(entries)
+        assert table.kwh.tolist() == [list(k) for k in keys]
+        assert not np.signbit(table.kwh).any()
+        want = np.array([entries[k] for k in keys]).reshape(-1, 2)
+        assert np.stack([table.cost, table.stderr], axis=1).tobytes() == want.tobytes()
+        saved = tmp_path_factory.getbasetemp() / "parity-saved.csv"
+        table.save(saved)
+        assert saved.read_bytes() == save_oracle(units, entries, meta).encode()
+
     def test_more_storage_never_costs_more(self, tmp_path):
         # one shared event set across the whole grid: dispatch with a superset
         # of deliverable energy can never serve less load
         table = self._table(tmp_path)
-        costs = [table.entries[k][0] for k in sorted(table.entries)]
+        costs = table.cost.tolist()
         assert all(a >= b - 1e-9 for a, b in zip(costs, costs[1:]))
 
     def test_empty_grid_rejected(self):
@@ -583,14 +739,13 @@ class TestCostTable:
                 seed=0,
             )
 
-    def test_mixed_unit_order_rejected(self):
+    def test_grid_width_must_match_specs(self):
         grid = flat_grid([(1.0, 1.0)])
         specs = (
             StorageUnitSpec(name="a", round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=1.0),
             StorageUnitSpec(name="b", round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=1.0),
         )
-        pfs = [Portfolio(units=("a", "b"), kwh=(0.0, 0.0)), Portfolio(units=("b", "a"), kwh=(0.0, 0.0))]
-        with pytest.raises(ConfigError, match="same unit order"):
+        with pytest.raises(ConfigError, match="one column per storage unit"):
             build_metamodel(
-                SingleModel(rate=1.0, duration_rate=1.0), pfs, specs, grid, 1.0, replications=2, seed=0
+                SingleModel(rate=1.0, duration_rate=1.0), np.zeros((2, 1)), specs, grid, 1.0, replications=2, seed=0
             )

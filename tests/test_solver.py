@@ -19,7 +19,7 @@ from outageplan.mdp import (
     PriceChain,
     UnitCatalogEntry,
 )
-from outageplan.simulate import CostTable, StorageUnitSpec, build_metamodel
+from outageplan.simulate import StorageUnitSpec, build_metamodel
 from outageplan.solver import (
     CONVERGENCE_EPOCH,
     QTable,
@@ -31,6 +31,8 @@ from outageplan.solver import (
     value_iteration,
     write_convergence_csv,
 )
+
+from conftest import cost_table
 
 
 def unit(name, ladder, advance_prob):
@@ -49,11 +51,7 @@ def mini_env(horizon=2):
         levels_kwh=(200.0, 500.0),
     )
     # concave synthetic outage cost: storing more helps, with diminishing value
-    entries = {
-        tuple(p.kwh): (120_000.0 / (1.0 + p.total_kwh / 300.0), 0.0)
-        for p in env.reachable_portfolios()
-    }
-    env.attach_metamodel(CostTable(units=env.unit_names, entries=entries, meta={"replications": 1}))
+    env.attach_metamodel(cost_table(env, lambda kwh: 120_000.0 / (1.0 + kwh.sum(axis=1) / 300.0)))
     return env
 
 
@@ -173,8 +171,7 @@ class TestExactSolver:
         env = PlanningEnv(
             horizon=1, catalog=(unit("a", (100.0,), 0.5),), levels_kwh=(50.0,)
         )
-        entries = {(0.0,): (77.0, 0.0), (50.0,): (13.0, 0.0)}
-        env.attach_metamodel(CostTable(units=("a",), entries=entries, meta={}))
+        env.attach_metamodel(cost_table(env, lambda kwh: np.where(kwh[:, 0] == 0.0, 77.0, 13.0)))
         sol = value_iteration(env)
         q = sol.q_values(env.initial_state())
         assert q[0] == pytest.approx(-77.0)
@@ -217,7 +214,7 @@ class TestExactSolver:
         env = mini_env(horizon=2)
         policy = np.zeros(env.codec.n_states, dtype=np.int64)
         # never installing: pay the zero-storage outage cost every period
-        zero_cost = env.metamodel.lookup(env.reachable_portfolios()[0])
+        zero_cost = 120_000.0  # mini_env's outage cost with nothing installed
         assert policy_value(env, policy) == pytest.approx(-2 * zero_cost)
 
     def test_policy_value_rejects_wrong_shape(self):
@@ -240,8 +237,7 @@ class TestTraining:
         env = PlanningEnv(
             horizon=1, catalog=(unit("a", (100.0,), 0.5),), levels_kwh=(50.0,)
         )
-        entries = {(0.0,): (77.0, 0.0), (50.0,): (13.0, 0.0)}
-        env.attach_metamodel(CostTable(units=("a",), entries=entries, meta={}))
+        env.attach_metamodel(cost_table(env, lambda kwh: np.where(kwh[:, 0] == 0.0, 77.0, 13.0)))
         res = train(env, TrainingSchedule(episodes=5000, seed=0))
         q = res.qtable.action_values(env.codec.code_of(env.initial_state()))
         assert q[0] == pytest.approx(-77.0, rel=1e-3)
@@ -305,8 +301,7 @@ class TestTraining:
         # NaN compares false both ways, so a NaN Q-value passes `q < lower or q > 0`.
         # attach_metamodel refuses a NaN cost, so it is planted after attaching.
         env = load_config("tiny").env()
-        entries = {tuple(p.kwh): (1000.0, 0.0) for p in env.reachable_portfolios()}
-        env.attach_metamodel(CostTable(units=env.unit_names, entries=entries, meta={"replications": 1}))
+        env.attach_metamodel(cost_table(env, lambda kwh: np.full(len(kwh), 1000.0)))
         env._cost_of_cap[0] = math.nan
         with pytest.raises(RuntimeError, match="Q updates left"):
             train(env, TrainingSchedule(episodes=100, seed=0))
@@ -526,7 +521,7 @@ class TestQTablePersistence:
         res.qtable.save(p)
         data = p.read_bytes()
         p.write_bytes(data[:-1] if edit == "truncated" else data + b"\0")
-        with pytest.raises(ValueError, match="header lists arrays of"):
+        with pytest.raises(ArtifactMismatchError, match="header lists arrays of"):
             QTable.load(p)
 
     @pytest.mark.parametrize(
@@ -543,7 +538,7 @@ class TestQTablePersistence:
     def test_malformed_array_entries(self, tmp_path, arrays):
         p = tmp_path / "c.bin"
         p.write_bytes(b'{"magic": "OPAC1", "meta": {}, "arrays": ' + arrays.encode() + b"}\n" + bytes(8))
-        with pytest.raises(ValueError, match="malformed container"):
+        with pytest.raises(ArtifactMismatchError, match="malformed container"):
             persist.load_container(p)
 
     def test_container_layout(self, tmp_path):
