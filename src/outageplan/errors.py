@@ -15,3 +15,7 @@ class FitError(OutagePlanError):
 
 class ArtifactMismatchError(OutagePlanError):
     """A persisted artifact does not belong to the active configuration."""
+
+
+class BuildError(OutagePlanError):
+    """The compiled Q-learning loop cannot be built, cached or loaded."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from outageplan import persist
@@ -134,6 +134,8 @@ class PolicyTrace:
     trajectory: dict
     totals: dict
     exact_expected_return: Optional[float] = None
+    # the file `load` read it from; not part of the document
+    path: Optional[str] = field(default=None, compare=False, repr=False)
 
     def to_doc(self) -> dict:
         return {
@@ -167,7 +169,7 @@ class PolicyTrace:
         for i, r in enumerate(doc["rows"]):
             persist.check_fields(r, _ROW_FIELDS, f"{path}: rows[{i}]")
             rows.append(TraceRow(**{**{name: r.get(name) for name in _ROW_FIELDS}, "state": tuple(r["state"])}))
-        return cls(rows=tuple(rows), **{name: doc.get(name) for name in _TRACE_FIELDS})
+        return cls(rows=tuple(rows), **{name: doc.get(name) for name in _TRACE_FIELDS}, path=str(path))
 
 
 def rollout(
@@ -280,6 +282,14 @@ def compare(trace_a: PolicyTrace, trace_b: PolicyTrace, label_a: str = "model-a"
     if trace_a.trajectory != trace_b.trajectory:
         raise ArtifactMismatchError("traces follow different price trajectories")
     ta, tb = trace_a.totals, trace_b.totals
+    only = sorted(set(ta["mix_kwh"]) ^ set(tb["mix_kwh"]))
+    if only:
+        unit, has, lacks = only[0], trace_a.path or label_a, trace_b.path or label_b
+        if unit not in ta["mix_kwh"]:
+            has, lacks = lacks, has
+        raise ArtifactMismatchError(
+            f"trace {lacks} has no unit {unit!r} in totals.mix_kwh, which trace {has} lists"
+        )
     fa, fb = ta["first_investment_period"], tb["first_investment_period"]
     if fa is None or fb is None:
         first_delta = None

@@ -131,6 +131,18 @@ def row_index(state_codes: np.ndarray, code: int) -> int:
     return i
 
 
+def unique_rows(a: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-D array, lexsorted with the first column most
+    significant: the bytes of `np.unique(a, axis=0)` from one lexsort and an
+    adjacent-row compare. Rows that differ only in the sign of a zero merge
+    and the first in input order stays; `np.unique` keeps the one its
+    quicksort leaves first, which is the same row for up to 16 rows."""
+    s = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return s[keep]
+
+
 class StateCodec:
     """Integer packing and reachable enumeration of planning states.
 
@@ -502,4 +514,4 @@ class PlanningEnv:
         """Distinct rows of `installed_kwh`, lexsorted: the metamodel grid.
         Derived from the codec, so the grid and every reward lookup share
         the exact same float arithmetic."""
-        return np.unique(self.installed_kwh, axis=0)
+        return unique_rows(self.installed_kwh)

@@ -2,10 +2,10 @@
 
 Training runs in chunks of up to 10^4 episodes: the uniform stream for a
 chunk is drawn up front from one PCG64 generator and handed to the episode
-kernel, so a fixed seed reproduces training bit-for-bit. The kernel keeps
-the Q rows a chunk touches as Python lists and writes them back when the
-chunk ends, so its extra memory is bounded by the chunk, not by the run;
-the case study's 4,000,000 episodes per config train in about a minute on
+kernel, so a fixed seed reproduces training bit-for-bit. The kernel's
+episode loop is compiled C that updates the Q-table in place; its extra
+memory is the chunk's precomputed arrays, bounded by the chunk, not by the
+run. The case study's 4,000,000 episodes per config train in 3.0-3.2 s on
 a 2-vCPU VM.
 The exact solver does backward induction with the factorized price-chain
 expectation and serves as the oracle the learned policy is judged against.

@@ -286,6 +286,30 @@ class TestErrorPaths:
         assert err.startswith("outageplan-error: ") and "Traceback" not in err
         assert re.search(message, err)
 
+    def test_train_without_a_c_compiler(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        monkeypatch.setattr(_kernels, "_loop", None)
+        argv = ["train", "--config", "tiny", "--episodes", "10", "--metamodel", str(pipeline / "metamodel.csv"),
+                "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("outageplan-error: cannot run the C compiler 'cc' (") and err.count("\n") == 1
+        assert str(tmp_path / "cache" / "outageplan") in err
+
+    def test_compare_names_a_unit_missing_from_one_mix(self, pipeline, tmp_path, capsys):
+        good = pipeline / "trace-single.json"
+        doc = json.loads(good.read_text())
+        unit = sorted(doc["totals"]["mix_kwh"])[-1]
+        del doc["totals"]["mix_kwh"][unit]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["compare", "--trace-a", str(good), "--trace-b", str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == (f"outageplan-error: trace {bad} has no unit {unit!r} in totals.mix_kwh, "
+                       f"which trace {good} lists\n")
+
     @pytest.mark.parametrize("row", ["2016,nan", "2016,2,9"])
     def test_fit_rejects_a_malformed_caidi_row(self, tmp_path, capsys, row):
         bad = tmp_path / "caidi.csv"

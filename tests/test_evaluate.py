@@ -322,6 +322,15 @@ class TestCompare:
         with pytest.raises(ArtifactMismatchError, match="different price trajectories"):
             compare(a, b2)
 
+    def test_mix_units_must_match(self, tmp_path):
+        a, b = self._trace_pair(tmp_path)
+        mix = {k: v for k, v in b.totals["mix_kwh"].items() if k != "beta"}
+        b = PolicyTrace(**{**vars(b), "totals": dict(b.totals, mix_kwh=mix)})
+        with pytest.raises(ArtifactMismatchError, match="trace y has no unit 'beta' in totals.mix_kwh, which trace x lists"):
+            compare(a, b, label_a="x", label_b="y")
+        with pytest.raises(ArtifactMismatchError, match="trace x has no unit 'beta' in totals.mix_kwh, which trace y lists"):
+            compare(b, a, label_a="x", label_b="y")
+
     def test_labels_must_differ(self, tmp_path):
         a, b = self._trace_pair(tmp_path)
         with pytest.raises(ValueError, match="labels must differ"):

@@ -16,6 +16,7 @@ from outageplan.mdp import (
     PriceChain,
     StateCodec,
     UnitCatalogEntry,
+    unique_rows,
 )
 from outageplan.simulate import CostTable, StorageUnitSpec
 from outageplan.solver import value_iteration
@@ -508,3 +509,37 @@ class TestPlanningEnv:
         assert by_env.dtype == np.float64
         assert by_env.tolist() == [list(key) for key in want]
         assert len(by_env) == 35
+
+
+class TestUniqueRows:
+    # A small pool makes repeated rows and +-0.0 ties common; NaN is left
+    # out, as no installed-kWh table holds one.
+    @given(
+        dtype=st.sampled_from([np.float64, np.float32, np.int64]),
+        shape=st.tuples(st.integers(0, 60), st.integers(1, 4)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_unique(self, dtype, shape, data):
+        pool = [0.0, -0.0, 1.0, 2.5, -3.0, 250.0] if dtype != np.int64 else [0, 1, -3, 250]
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        a = np.array(cells, dtype=dtype).reshape(shape)
+        got, want = unique_rows(a), np.unique(a, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)  # same rows in the same order
+        # np.unique's quicksort picks an arbitrary member of a group of rows
+        # equal up to the sign of zero once there are more than 16 rows
+        assert (got + 0).tobytes() == (want + 0).tobytes()
+        if len(a) <= 16 or not np.signbit(a[a == 0]).any():
+            assert got.tobytes() == want.tobytes()
+
+    def test_keeps_the_first_signed_zero(self):
+        rows = np.array([[1.0, 0.0], [-0.0, 2.0], [0.0, 2.0], [1.0, -0.0]])
+        got = unique_rows(rows)
+        assert got.tolist() == [[0.0, 2.0], [1.0, 0.0]]
+        assert np.signbit(got).tolist() == [[True, False], [False, False]]
+
+    def test_reachable_portfolios_equal_np_unique_bytes(self):
+        for env in (make_env(), PlanningEnv(horizon=4, catalog=make_env().catalog, levels_kwh=(250.0, 500.0, 1000.0))):
+            assert env.reachable_portfolios().tobytes() == np.unique(env.installed_kwh, axis=0).tobytes()

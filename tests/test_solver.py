@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import re
+import subprocess
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from outageplan import _kernels, persist
 from outageplan.config import load_config
-from outageplan.errors import ArtifactMismatchError
+from outageplan.errors import ArtifactMismatchError, OutagePlanError
 from outageplan.mdp import (
     InstallAction,
     PlanningEnv,
@@ -333,7 +335,8 @@ def qlearn_chunk_oracle(
     q_lower,
 ):
     """Scalar reference for one chunk: the step-by-step loop over numpy
-    arrays that `_kernels.qlearn_chunk` must reproduce bit for bit."""
+    arrays that `_kernels.qlearn_chunk` and its compiled episode loop must
+    reproduce bit for bit."""
     n_episodes = uniforms.shape[0]
     n_units = ladder_sizes.shape[0]
     n_actions = cap_next.shape[1]
@@ -480,6 +483,94 @@ class TestKernelParity:
         for point, (max_delta, total_return, _), m in zip(res.convergence, want, sizes):
             assert point.max_q_delta.hex() == float(max_delta).hex()
             assert point.mean_return.hex() == (float(total_return) / m).hex()
+
+
+def strict_scan(row):
+    """Index of the first maximum under a strict `>` scan, as the C loop
+    and the oracle pick it."""
+    best = 0
+    for j in range(1, len(row)):
+        if row[j] > row[best]:
+            best = j
+    return best
+
+
+class TestTies:
+    def test_strict_scan_agrees_with_python_max(self):
+        rows = [list(r) for r in itertools.product([0.0, -0.0, -1.0], repeat=3)]
+        for row in rows:
+            a = row.index(max(row))
+            assert a == strict_scan(row)
+            assert math.copysign(1.0, max(row)) == math.copysign(1.0, row[a])
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    def test_matches_oracle_on_tied_and_signed_zero_rows(self, gamma, epsilon):
+        # Zero outage cost makes every do-nothing reward -0.0, so the sign of
+        # a tied zero maximum reaches the Q-values.
+        env = mini_env(horizon=3)
+        env.attach_metamodel(cost_table(env, lambda kwh: np.zeros(len(kwh))))
+        tables = env.kernel_tables()
+        rng = np.random.default_rng(5)
+        start = rng.choice([0.0, -0.0, -1.0], size=(tables.state_codes.shape[0], tables.n_actions))
+        assert np.signbit(start[start == 0.0]).any() and (~np.signbit(start[start == 0.0])).any()
+        uniforms = rng.random((400, tables.horizon, 2 + len(env.catalog)))
+        alphas, epsilons = np.full(400, 0.25), np.full(400, epsilon)
+        want_q, want_visits = start.copy(), np.zeros(start.shape, dtype=np.int64)
+        want = qlearn_chunk_oracle(
+            want_q, want_visits, tables.state_codes, tables.cap_next, tables.invest, tables.cost_of_cap,
+            tables.ladder_sizes, tables.price_strides, tables.advance_prob, tables.horizon,
+            tables.p_full, tables.c_full, gamma, uniforms, alphas, epsilons, tables.q_lower,
+        )
+        got_q, got_visits = start.copy(), np.zeros(start.shape, dtype=np.int64)
+        got = _kernels.qlearn_chunk(got_q, got_visits, tables, gamma, uniforms, alphas, epsilons)
+        assert got_q.tobytes() == want_q.tobytes()
+        assert got_visits.tobytes() == want_visits.tobytes()
+        assert exact([got]) == exact([want])
+        assert np.signbit(got_q[got_q == 0.0]).any()
+
+
+class TestBuild:
+    def test_builds_into_an_empty_cache_then_reuses_it(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_kernels, "_loop", None)
+        env, schedule = mini_env(), TrainingSchedule(episodes=300, seed=1)
+        first = train(env, schedule)
+        built = list((tmp_path / "outageplan").iterdir())
+        assert [p.suffix for p in built] == [".so"] and not built[0].name.startswith(".")
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError(f"the compiler ran again: {args}")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        monkeypatch.setattr(_kernels, "_loop", None)
+        again = train(env, schedule)
+        assert list((tmp_path / "outageplan").iterdir()) == built
+        assert again.qtable.values.tobytes() == first.qtable.values.tobytes()
+
+    def test_missing_compiler(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        monkeypatch.setattr(_kernels, "_loop", None)
+        with pytest.raises(OutagePlanError, match=f"cannot run the C compiler 'cc' .* into {re.escape(str(tmp_path / 'outageplan'))}"):
+            train(mini_env(), TrainingSchedule(episodes=10))
+        assert list((tmp_path / "outageplan").iterdir()) == []
+
+    def test_failed_build_names_the_compiler_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_kernels, "CFLAGS", _kernels.CFLAGS + ("-fno-such-flag",))
+        monkeypatch.setattr(_kernels, "_loop", None)
+        with pytest.raises(OutagePlanError, match=f"the C compiler 'cc' failed .* into {re.escape(str(tmp_path / 'outageplan'))}: .*no-such-flag"):
+            train(mini_env(), TrainingSchedule(episodes=10))
+        assert list((tmp_path / "outageplan").iterdir()) == []
+
+    def test_unwritable_cache(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        monkeypatch.setattr(_kernels, "_loop", None)
+        with pytest.raises(OutagePlanError, match=f"cannot write the compiled-kernel cache {re.escape(str(blocker / 'outageplan'))} .*XDG_CACHE_HOME"):
+            train(mini_env(), TrainingSchedule(episodes=10))
 
 
 class TestQTablePersistence:
