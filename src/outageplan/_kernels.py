@@ -115,8 +115,10 @@ def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
     """
     n_episodes, horizon = uniforms.shape[:2]
     n_actions = tables.n_actions
-    if q.dtype != np.float64 or visits.dtype != np.int64 or not (q.flags.c_contiguous and visits.flags.c_contiguous):
-        raise ValueError("q and visits must be C-contiguous float64 and int64 arrays")
+    # carray: C-contiguous, aligned and writable, as the C loop needs (a
+    # loaded Q-table is a read-only, possibly unaligned view of its file)
+    if q.dtype != np.float64 or visits.dtype != np.int64 or not (q.flags.carray and visits.flags.carray):
+        raise ValueError("q and visits must be C-contiguous, aligned, writable float64 and int64 arrays")
     rows = (tables.state_codes.shape[0], n_actions)
     if q.shape != rows or visits.shape != rows:
         raise ValueError(f"q and visits must have shape {rows}")

@@ -22,7 +22,7 @@ import yaml
 import outageplan
 from outageplan import _kernels, evaluate as ev, persist, solver
 from outageplan.config import AppConfig, load_config
-from outageplan.errors import ConfigError, OutagePlanError
+from outageplan.errors import ArtifactMismatchError, ConfigError, OutagePlanError
 from outageplan.outage import CaidiSeries, SuperposedModel, fit_from_caidi, mean_matched_single, outage_model_to_config, severe_years
 from outageplan.simulate import CostTable, build_metamodel
 from outageplan.solver import QTable, TrainResult, policy_value, train, value_iteration, write_convergence_csv
@@ -209,6 +209,10 @@ def cmd_evaluate(args) -> int:
     qtable = QTable.load(args.qtable, expect_config_hash=cfg.config_hash)
     trajectory = ev.PriceTrajectory.from_csv(args.trajectory)
     env = cfg.env()
+    if not np.array_equal(qtable.state_codes, env.codec.state_codes):
+        raise ArtifactMismatchError(f"{args.qtable}: Q-table rows do not match the states of the active config")
+    if qtable.action_labels != tuple(env.action_label(a) for a in env.actions):
+        raise ArtifactMismatchError(f"{args.qtable}: Q-table columns do not match the actions of the active config")
     have_metamodel = bool(args.metamodel or cfg.metamodel_path or (out_dir / "metamodel.csv").exists())
     exact_return = None
     if have_metamodel:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import secrets
 from contextlib import contextmanager, suppress
@@ -66,11 +67,6 @@ def atomic_write(path, mode: str = "w", **open_kwargs) -> Iterator[IO]:
         raise
 
 
-def _bytes_view(arr: np.ndarray) -> np.ndarray:
-    """The raw bytes of a C-contiguous array, without a copy."""
-    return arr.reshape(-1).view(np.uint8)
-
-
 def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write named arrays plus a metadata dict as one self-describing file."""
     manifest = []
@@ -86,7 +82,7 @@ def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
         for arr in buffers:
-            fh.write(_bytes_view(arr))
+            fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def _array_specs(path, header: dict) -> list[tuple[str, np.dtype, tuple[int, ...]]]:
@@ -94,8 +90,10 @@ def _array_specs(path, header: dict) -> list[tuple[str, np.dtype, tuple[int, ...
         specs = [(name, np.dtype(dtype_str), tuple(shape)) for name, dtype_str, shape in header["arrays"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactMismatchError(f"{path}: malformed container header") from exc
+    names = [name for name, _, _ in specs]
     for name, dtype, shape in specs:
-        if dtype.hasobject or not all(type(n) is int and n >= 0 for n in shape):
+        if (type(name) is not str or names.count(name) > 1 or dtype.hasobject or dtype.itemsize == 0
+                or not all(type(n) is int and n >= 0 for n in shape)):
             raise ArtifactMismatchError(f"{path}: malformed container entry for array {name!r}")
     return specs
 
@@ -103,7 +101,16 @@ def _array_specs(path, header: dict) -> list[tuple[str, np.dtype, tuple[int, ...
 def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container written by `save_container`. The payload must hold
     exactly the arrays the header lists: a truncated file, trailing bytes or
-    a malformed header raise ArtifactMismatchError."""
+    a malformed header raise ArtifactMismatchError.
+
+    The file is memory-mapped read-only and each array is a view of the map
+    at its offset, so loading copies nothing and a page is read only when it
+    is touched. The arrays are read-only: any write raises ValueError. They
+    may be unaligned, because the header line has arbitrary length; numpy
+    computes on unaligned arrays, and no loaded array reaches the compiled
+    Q-learning loop, which needs aligned writable memory. The map keeps the
+    file it opened, so it stays valid after `atomic_write` replaces the path.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
@@ -115,18 +122,19 @@ def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if not isinstance(header.get("meta"), dict):
             raise ArtifactMismatchError(f"{path}: malformed container header")
         specs = _array_specs(path, header)
-        expected = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape in specs)
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload != expected:
-            raise ArtifactMismatchError(
-                f"{path}: payload is {payload} bytes, header lists arrays of {expected} bytes"
-            )
-        arrays: dict[str, np.ndarray] = {}
-        for name, dtype, shape in specs:
-            arr = np.empty(shape, dtype=dtype)
-            if fh.readinto(_bytes_view(arr)) != arr.nbytes:
-                raise ArtifactMismatchError(f"{path}: payload ends inside array {name!r}")
-            arrays[name] = arr
+        # the header is a JSON object, so the file is not empty and maps
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    offset = len(header_line)
+    expected = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape in specs)
+    if len(mapped) - offset != expected:
+        raise ArtifactMismatchError(
+            f"{path}: payload is {len(mapped) - offset} bytes, header lists arrays of {expected} bytes"
+        )
+    arrays: dict[str, np.ndarray] = {}
+    for name, dtype, shape in specs:
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(mapped, dtype=dtype, count=count, offset=offset).reshape(shape)
+        offset += dtype.itemsize * count
     return header["meta"], arrays
 
 

@@ -5,7 +5,8 @@ installed storage, highest value-of-lost-load first. Expected outage cost
 per decision period is estimated by replicated simulation with common random
 numbers: every portfolio replays the same sampled outage spans, so the
 replications' merged spans and the portfolios form one (span x portfolio)
-grid that `dispatch_spans` dispatches in a single numpy pass, hour by hour.
+grid that `dispatch_spans` dispatches with numpy, hour by hour, in blocks of
+spans whose working set stays under `DISPATCH_BLOCK_PAIRS`.
 
 A storage portfolio is one row of a float64 (portfolios, units) array of
 installed kWh, its columns in catalog order (the order of
@@ -29,6 +30,12 @@ from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.outage import HOURS_PER_YEAR, OutageEvent, OutageModel, outage_model_to_config, sample_trace
 
 METAMODEL_MAGIC = "# outageplan-metamodel "
+
+# Working-set budget of one `dispatch_spans` call in `_crn_estimates`, in
+# (span, portfolio) pairs. A pair holds about units + classes + 6 float64 values
+# while it is dispatched, so at the case study's 4 units and 3 classes the
+# budget is about 7 MB; the 1120 case-study portfolios get 58-span blocks.
+DISPATCH_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,16 @@ class CostEstimate:
     replications: int
 
 
+def _portfolio_kwh(portfolios, specs: Sequence[StorageUnitSpec]) -> np.ndarray:
+    kwh = np.asarray(portfolios, dtype=np.float64)
+    if kwh.ndim != 2 or kwh.shape[1] != len(specs) or not np.all(kwh >= 0.0):
+        raise ConfigError(
+            f"portfolio array of shape {kwh.shape} needs one column per storage unit ({len(specs)}) "
+            "and installed kWh >= 0"
+        )
+    return kwh
+
+
 def dispatch_spans(
     start_hours: np.ndarray,
     n_hours: np.ndarray,
@@ -169,12 +186,7 @@ def dispatch_spans(
     """
     start_hours = np.asarray(start_hours, dtype=np.int64)
     n_hours = np.asarray(n_hours, dtype=np.int64)
-    kwh = np.asarray(portfolios, dtype=np.float64)
-    if kwh.ndim != 2 or kwh.shape[1] != len(specs) or not np.all(kwh >= 0.0):
-        raise ConfigError(
-            f"portfolio array of shape {kwh.shape} needs one column per storage unit ({len(specs)}) "
-            "and installed kWh >= 0"
-        )
+    kwh = _portfolio_kwh(portfolios, specs)
     # StorageUnitSpec's arithmetic, one column per unit
     deliverable0 = (kwh * [s.usable_fraction for s in specs] * [s.round_trip_efficiency for s in specs]).T
     power_cap = (kwh * [s.power_limit for s in specs]).T
@@ -315,9 +327,24 @@ def _crn_estimates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of the period cost of every row of a
     (portfolios, units) kWh array, all portfolios dispatched against the same
-    replications' outage spans."""
+    replications' outage spans.
+
+    The spans are dispatched longest first, in blocks of at most
+    `DISPATCH_BLOCK_PAIRS` (span, portfolio) pairs (at least one span), so
+    the working set is bounded by that budget, not by the replication count;
+    only the (spans, portfolios) cost array spans every block. Each pair's
+    arithmetic is independent of every other pair, so the costs are the
+    bytes one call over all spans would give.
+    """
+    kwh = _portfolio_kwh(portfolios, specs)
     starts, lengths, offsets = _outage_spans(model, period_length_years, seeds)
-    span_cost, _ = dispatch_spans(starts, lengths, portfolios, specs, grid)
+    # longest first, so each block's hour loop runs only as long as its own longest span
+    order = np.argsort(-lengths, kind="stable")
+    block = max(1, DISPATCH_BLOCK_PAIRS // max(len(kwh), 1))
+    span_cost = np.empty((len(order), len(kwh)))
+    for first in range(0, len(order), block):
+        rows = order[first : first + block]
+        span_cost[rows], _ = dispatch_spans(starts[rows], lengths[rows], kwh, specs, grid)
     # Each replication's total adds its spans' costs in span order from 0.0.
     counts = np.diff(offsets)
     totals = np.zeros((len(counts), span_cost.shape[1]))

@@ -28,6 +28,16 @@ CONVERGENCE_EPOCH = 10_000
 
 QTABLE_FORMAT = "outageplan-qtable"
 
+_QTABLE_FIELDS = {
+    "config_hash": (str, type(None)),
+    "schedule": (dict,),
+    "seed": (int,),
+    "codec": (dict,),
+    "action_labels": (list,),
+}
+# dtype string and rank of each stored array
+_QTABLE_ARRAYS = {"state_codes": ("<i8", 1), "values": ("<f8", 2), "visits": ("<i8", 2)}
+
 
 @dataclass(frozen=True)
 class TrainingSchedule:
@@ -151,23 +161,47 @@ class QTable:
 
     @classmethod
     def load(cls, path, expect_config_hash: str | None = None) -> "QTable":
+        """Read a table written by `save`. The arrays are read-only views of
+        the mapped file (`persist.load_container`). A meta field of the wrong
+        kind, an array missing or of another dtype, rank or shape, or a label
+        count that differs from the column count raises ArtifactMismatchError."""
         meta, arrays = persist.load_container(path)
         if meta.get("format") != QTABLE_FORMAT:
             raise ArtifactMismatchError(f"{path}: not a Q-table file")
+        persist.check_fields(meta, _QTABLE_FIELDS, str(path))
         if expect_config_hash is not None and meta.get("config_hash") != expect_config_hash:
             raise ArtifactMismatchError(
                 f"{path}: Q-table was trained for config {meta.get('config_hash')!r}, "
                 f"active config is {expect_config_hash!r}"
             )
+        if arrays.keys() != _QTABLE_ARRAYS.keys():
+            raise ArtifactMismatchError(
+                f"{path}: Q-table holds arrays {sorted(arrays)}, expected {sorted(_QTABLE_ARRAYS)}"
+            )
+        for name, (dtype, ndim) in _QTABLE_ARRAYS.items():
+            if arrays[name].dtype.str != dtype or arrays[name].ndim != ndim:
+                raise ArtifactMismatchError(
+                    f"{path}: Q-table array {name!r} must be {ndim}-D {dtype}, "
+                    f"got {arrays[name].ndim}-D {arrays[name].dtype.str}"
+                )
+        codes, values, visits = arrays["state_codes"], arrays["values"], arrays["visits"]
+        labels = meta["action_labels"]
+        if visits.shape != values.shape or len(codes) != len(values) or len(labels) != values.shape[1]:
+            raise ArtifactMismatchError(
+                f"{path}: Q-table shapes do not align: {len(codes)} state codes, values {values.shape}, "
+                f"visits {visits.shape}, {len(labels)} action labels"
+            )
+        if not all(isinstance(label, str) for label in labels):
+            raise ArtifactMismatchError(f"{path}: field 'action_labels' must hold strings")
         return cls(
-            state_codes=arrays["state_codes"],
-            values=arrays["values"],
-            visits=arrays["visits"],
-            action_labels=meta["action_labels"],
+            state_codes=codes,
+            values=values,
+            visits=visits,
+            action_labels=labels,
             config_hash=meta.get("config_hash"),
-            schedule=meta.get("schedule", {}),
-            seed=meta.get("seed", 0),
-            codec_meta=meta.get("codec", {}),
+            schedule=meta["schedule"],
+            seed=meta["seed"],
+            codec_meta=meta["codec"],
         )
 
 

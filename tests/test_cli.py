@@ -4,11 +4,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import outageplan
-from outageplan import _kernels
+from outageplan import _kernels, persist
 from outageplan.cli import MANIFEST_NAME, OUT_DIR_ENV, RunManifest, main
 from outageplan.config import outage_model_from_config
 from outageplan.errors import OutagePlanError
@@ -230,6 +231,35 @@ class TestErrorPaths:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "outageplan-error:" in err and "header lists arrays of" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m, a: m.update(schedule=[]), "field 'schedule' must be an object, got a list"),
+            (lambda m, a: m.update(action_labels=3), "field 'action_labels' must be a list, got an integer"),
+            (lambda m, a: m.pop("seed"), "field 'seed' must be an integer, got nothing"),
+            (lambda m, a: m.update(action_labels=m["action_labels"][:-1]), "Q-table shapes do not align"),
+            (lambda m, a: m["action_labels"].__setitem__(0, 0), "field 'action_labels' must hold strings"),
+            (lambda m, a: a.update(values=a["values"].ravel()), "array 'values' must be 2-D <f8, got 1-D <f8"),
+            (lambda m, a: a.update(values=a["values"].astype(np.int64)), "array 'values' must be 2-D <f8, got 2-D <i8"),
+            (lambda m, a: a.update(visits=a["visits"][:-1]), "Q-table shapes do not align"),
+            (lambda m, a: a.pop("visits"), "Q-table holds arrays ['state_codes', 'values'], expected"),
+            (lambda m, a: a.update(state_codes=a["state_codes"] + 1), "Q-table rows do not match the states"),
+            (lambda m, a: m["action_labels"].reverse(), "Q-table columns do not match the actions"),
+        ],
+    )
+    def test_evaluate_rejects_a_malformed_qtable(self, pipeline, tmp_path, capsys, edit, message):
+        meta, arrays = persist.load_container(pipeline / "qtable.bin")
+        arrays = dict(arrays)
+        edit(meta, arrays)
+        path = tmp_path / "qtable.bin"
+        persist.save_container(path, meta, arrays)
+        argv = ["evaluate", "--config", "tiny", "--qtable", str(path), "--trajectory", str(TINY_TRAJECTORY),
+                "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"outageplan-error: {path}: ") and err.count("\n") == 1, err
+        assert message in err
 
     def _train_on_edited_metamodel(self, pipeline, tmp_path, capsys, edit):
         lines = (pipeline / "metamodel.csv").read_text().splitlines()

@@ -24,6 +24,7 @@ from outageplan.errors import OutagePlanError
 from outageplan.evaluate import PolicyTrace, PriceTrajectory
 from outageplan.outage import CaidiSeries
 from outageplan.simulate import CostTable
+from outageplan.solver import QTable
 
 from conftest import cost_table
 
@@ -143,6 +144,21 @@ class TestLoaderFuzz:
         argv = ["evaluate", "--config", "tiny", "--qtable", str(path),
                 "--trajectory", str(work / "trajectory.csv"), "--out", str(work / "cli")]
         check(persist.load_container, path, argv)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_qtable(self, work, data):
+        header, _, payload = (work / "qtable.bin").read_bytes().partition(b"\n")
+        if data.draw(st.booleans()):
+            text = data.draw(damaged(header.decode()))
+        else:
+            text = json.dumps(data.draw(damaged_doc(json.loads(header))))
+        path = work / "fuzz-qtable.bin"
+        path.write_bytes(text.encode() + b"\n" + payload)
+        cfg_hash = load_config("tiny").config_hash
+        argv = ["evaluate", "--config", "tiny", "--qtable", str(path),
+                "--trajectory", str(work / "trajectory.csv"), "--out", str(work / "cli")]
+        check(lambda p: QTable.load(p, expect_config_hash=cfg_hash), path, argv)
 
     @FUZZ
     @given(data=st.data())

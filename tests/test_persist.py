@@ -1,4 +1,5 @@
-"""Atomic artifact writes: a failed write leaves the previous file intact."""
+"""Atomic artifact writes, which leave the previous file intact on failure,
+and memory-mapped container loads."""
 
 import builtins
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 import outageplan
 from outageplan import persist
 from outageplan.cli import RunManifest, main
+from outageplan.errors import ArtifactMismatchError
 from outageplan.evaluate import ComparisonReport, PolicyTrace, write_plot_csv
 from outageplan.simulate import CostTable
-from outageplan.solver import ConvergencePoint, write_convergence_csv
+from outageplan.solver import ConvergencePoint, QTable, write_convergence_csv
 
 
 CAIDI = Path(outageplan.__file__).parent / "data" / "caidi" / "psegli_caidi.csv"
@@ -121,3 +123,62 @@ class TestAtomicWrite:
         assert "outageplan-error: DiskFull" in capsys.readouterr().err
         assert target.read_text() == "previous snippet\n"
         assert [p.name for p in tmp_path.iterdir()] == ["outage_model.yaml"]
+
+
+def small_qtable(fill):
+    values = np.full((3, 2), fill)
+    return QTable(
+        state_codes=np.array([2, 5, 9]),
+        values=values,
+        visits=np.ones_like(values, dtype=np.int64),
+        action_labels=["none", "a"],
+        config_hash="h",
+        schedule={},
+        seed=0,
+        codec_meta={},
+    )
+
+
+class TestMappedLoad:
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        target = tmp_path / "c.bin"
+        persist.save_container(target, {}, {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(3)})
+        _, arrays = persist.load_container(target)
+        for arr in arrays.values():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_a_loaded_qtable_survives_a_save_over_its_path(self, tmp_path):
+        target = tmp_path / "qtable.bin"
+        small_qtable(-1.5).save(target)
+        loaded = QTable.load(target)
+        small_qtable(-7.0).save(target)
+        assert loaded.values.tolist() == [[-1.5, -1.5]] * 3
+        assert QTable.load(target).values.tolist() == [[-7.0, -7.0]] * 3
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [{}, {"empty": np.zeros((0, 3))}, {"a": np.arange(3.0), "empty": np.zeros(0, dtype=np.int64), "b": np.ones(2)}],
+        ids=["no-arrays", "zero-size", "zero-size-between"],
+    )
+    def test_round_trip(self, tmp_path, arrays):
+        target = tmp_path / "c.bin"
+        persist.save_container(target, {"k": [1]}, arrays)
+        meta, loaded = persist.load_container(target)
+        assert meta == {"k": [1]}
+        assert list(loaded) == list(arrays)
+        for name, arr in arrays.items():
+            assert (loaded[name].dtype, loaded[name].shape) == (arr.dtype, arr.shape)
+            assert loaded[name].tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("edit, payload", [("truncated", 47), ("extended", 49)])
+    def test_payload_length_must_match_the_header(self, tmp_path, edit, payload):
+        target = tmp_path / "c.bin"
+        persist.save_container(target, {}, {"a": np.arange(4.0), "b": np.arange(2)})
+        data = target.read_bytes()
+        target.write_bytes(data[:-1] if edit == "truncated" else data + b"\0")
+        message = f"{target}: payload is {payload} bytes, header lists arrays of 48 bytes"
+        with pytest.raises(ArtifactMismatchError) as info:
+            persist.load_container(target)
+        assert str(info.value) == message

@@ -327,6 +327,53 @@ class TestDispatchParity:
             assert np.array([table.cost[i], table.stderr[i]]).tobytes() == want.tobytes()
 
 
+def crn_estimates_oracle(starts, lengths, offsets, portfolios, specs, grid):
+    """The unblocked estimator: every span in one `dispatch_spans` call,
+    each replication's total added in span order from 0.0."""
+    span_cost, _ = dispatch_spans(starts, lengths, portfolios, specs, grid)
+    counts = np.diff(offsets)
+    totals = np.zeros((len(counts), span_cost.shape[1]))
+    for j in range(int(counts.max(initial=0))):
+        reps = np.flatnonzero(counts > j)
+        totals[reps] += span_cost[offsets[reps] + j]
+    return sim._mean_stderr(np.ascontiguousarray(totals.T))
+
+
+class TestBlockedDispatchParity:
+    @given(case=dispatch_cases(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_unblocked_call(self, case, data):
+        grid, specs, portfolios, _, _ = case
+        block = data.draw(st.integers(1, 4), label="block")
+        n_spans = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 2]), label="spans")
+        starts = np.array(data.draw(st.lists(st.integers(0, H - 1), min_size=n_spans, max_size=n_spans)), dtype=np.int64)
+        lengths = np.array(data.draw(st.lists(st.integers(0, 30), min_size=n_spans, max_size=n_spans)), dtype=np.int64)
+        # replications own consecutive spans; some own none
+        cuts = sorted(data.draw(st.lists(st.integers(0, n_spans), min_size=0, max_size=4)))
+        offsets = np.array([0, *cuts, n_spans], dtype=np.int64)
+        want = crn_estimates_oracle(starts, lengths, offsets, portfolios, specs, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "DISPATCH_BLOCK_PAIRS", block * len(portfolios))
+            mp.setattr(sim, "_outage_spans", lambda *args: (starts, lengths, offsets))
+            got = sim._crn_estimates(None, portfolios, specs, grid, 1.0, np.zeros(len(offsets) - 1))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_a_block_holds_the_budget_in_pairs(self, monkeypatch):
+        # 10 portfolios and a 25-pair budget: blocks of 2 spans, so 5 spans
+        # take three dispatch calls
+        grid = flat_grid([(5.0, 10.0)])
+        specs, kwh = one_unit(8.0, 3.0)
+        portfolios = np.array([kwh] * 10) * np.arange(10)[:, None]
+        calls = []
+        real = sim.dispatch_spans
+        monkeypatch.setattr(sim, "DISPATCH_BLOCK_PAIRS", 25)
+        monkeypatch.setattr(sim, "dispatch_spans", lambda s, n, *rest: calls.append(list(n)) or real(s, n, *rest))
+        spans = (np.arange(5, dtype=np.int64), np.array([1, 4, 2, 5, 3]), np.array([0, 2, 5]))
+        monkeypatch.setattr(sim, "_outage_spans", lambda *args: spans)
+        sim._crn_estimates(None, portfolios, specs, grid, 1.0, np.zeros(2))
+        assert calls == [[5, 4], [3, 2], [1]]
+
+
 class TestMeanStderrParity:
     @settings(max_examples=60, deadline=None)
     @given(

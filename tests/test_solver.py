@@ -624,6 +624,10 @@ class TestQTablePersistence:
             '[["values", "|O", [1]]]',
             '[["values", "<f8", [-1]]]',
             '[["values", "<f8", ["8"]]]',
+            '[[["values"], "<f8", [1]]]',
+            '[[null, "<f8", [1]]]',
+            '[["values", "<f4", [1]], ["values", "<f4", [1]]]',
+            '[["values", "|S0", [1]]]',
         ],
     )
     def test_malformed_array_entries(self, tmp_path, arrays):
@@ -654,6 +658,15 @@ class TestQTablePersistence:
         for name, a in little.items():
             assert loaded[name].dtype == a.dtype and loaded[name].shape == a.shape
             assert loaded[name].tobytes() == a.tobytes()
+
+    def test_a_loaded_table_cannot_reach_the_c_loop(self, tmp_path):
+        env = mini_env()
+        train(env, TrainingSchedule(episodes=100, seed=0)).qtable.save(tmp_path / "q.bin")
+        loaded = QTable.load(tmp_path / "q.bin")
+        tables = env.kernel_tables()
+        uniforms = np.zeros((1, tables.horizon, 2 + len(env.catalog)))
+        with pytest.raises(ValueError, match="aligned, writable"):
+            _kernels.qlearn_chunk(loaded.values, loaded.visits, tables, 1.0, uniforms, np.ones(1), np.ones(1))
 
     def test_index_of_unknown_code(self):
         env = mini_env()
