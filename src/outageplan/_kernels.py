@@ -1,17 +1,16 @@
 """The Q-learning episode kernel.
 
 All randomness is pre-drawn by the caller, so a fixed seed reproduces every
-result bit for bit. Per chunk, everything that does not depend on the chosen
-actions is computed once with numpy: the capped price walk, the Q-table row
-base of every (episode, period) and the explore action of every step. The
-episode loop itself is C (`_qloop.c`), updating `q` and `visits` in place.
-Its float operations and their order are those of a plain scalar loop over
-the arrays, which `tests/test_solver.py` keeps as the reference.
+result bit for bit. The episode loop is C (`_qloop.c`): it reads each step's
+explore, action and price draws from the chunk's uniforms, walks the price
+digits itself and updates `q` and `visits` in place. Its float operations
+and their order are those of a plain scalar loop over the arrays, which
+`tests/test_solver.py` keeps as the reference.
 
 The C source is compiled with the system's `cc` on first use into
 `${XDG_CACHE_HOME:-~/.cache}/outageplan/`, under a name keyed by the source's
 sha256 and the platform, and loaded through ctypes at the first `train` call.
-A case-study episode, precompute included, takes 0.75-0.8 µs on a 2-vCPU
+A case-study episode, uniform draws included, takes 0.65-0.8 µs on a 2-vCPU
 Intel Xeon VM with numpy 2.4 and gcc 12; compiling takes about 0.1 s, once.
 Islanding dispatch is vectorised numpy in `outageplan.simulate.dispatch_spans`.
 """
@@ -98,8 +97,11 @@ def _episode_loop():
         except (OSError, AttributeError) as exc:
             raise BuildError(f"cannot load the compiled Q-learning loop {path}: {exc}; delete it to rebuild") from exc
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        fn.argtypes = [ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, f64, f64, ptr]
-        fn.restype = i64
+        fn.argtypes = [
+            ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
+            f64, f64, ptr, ptr,
+        ]
+        fn.restype = None
         _loop = fn
     return _loop
 
@@ -107,47 +109,44 @@ def _episode_loop():
 def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
     """One chunk of epsilon-greedy Q-learning episodes, updating `q` and
     `visits` in place; returns (largest |update|, summed return, number of
-    Q-values that left [q_lower, 0]).
+    Q-values that left [q_lower, 0], number of (state, action) pairs
+    visited for the first time).
 
-    Per step the stream supplies: explore uniform, action uniform (consumed
+    Per step the stream supplies: explore uniform, action uniform (drawn
     whether or not the step explores), then one uniform per unit for the
     price walk, so a fixed seed always yields the same trajectory.
     """
-    n_episodes, horizon = uniforms.shape[:2]
-    n_actions = tables.n_actions
     # carray: C-contiguous, aligned and writable, as the C loop needs (a
     # loaded Q-table is a read-only, possibly unaligned view of its file)
     if q.dtype != np.float64 or visits.dtype != np.int64 or not (q.flags.carray and visits.flags.carray):
         raise ValueError("q and visits must be C-contiguous, aligned, writable float64 and int64 arrays")
-    rows = (tables.state_codes.shape[0], n_actions)
+    rows = (tables.state_codes.shape[0], tables.n_actions)
     if q.shape != rows or visits.shape != rows:
         raise ValueError(f"q and visits must have shape {rows}")
-    if uniforms.shape[1:] != (tables.horizon, 2 + len(tables.ladder_sizes)) or alphas.shape != (n_episodes,):
-        raise ValueError("uniforms must hold one step per period and alphas one entry per episode")
+    # the C loop reads these by episode, period and unit with no bounds checks
+    n_units = len(tables.ladder_sizes)
+    steps = uniforms.shape[:1] + (tables.horizon, 2 + n_units)
+    if uniforms.dtype != np.float64 or not (uniforms.flags.c_contiguous and uniforms.flags.aligned) or uniforms.shape != steps:
+        raise ValueError(f"uniforms must be a C-contiguous, aligned float64 array of shape (episodes, {steps[1]}, {steps[2]})")
+    if np.shape(alphas) != steps[:1] or np.shape(epsilons) != steps[:1]:
+        raise ValueError("alphas and epsilons must hold one entry per episode of uniforms")
     loop = _episode_loop()
 
-    # Price combo after every period: each digit advances one rung on its
-    # uniform and stops at the ladder's floor.
-    advance = uniforms[:, :, 2:] < tables.advance_prob
-    top = tables.ladder_sizes - 1
-    digits = np.zeros((n_episodes, len(top)), dtype=np.int64)
-    prices = np.zeros((n_episodes, horizon), dtype=np.int64)
-    for t in range(1, horizon):
-        digits = np.minimum(digits + advance[:, t - 1], top)
-        prices[:, t] = digits @ tables.price_strides
-    bases = np.ascontiguousarray(tables.row_base[np.arange(horizon), prices], np.int64)
-    explore = np.minimum((uniforms[:, :, 1] * n_actions).astype(np.int64), n_actions - 1)
-    explore[uniforms[:, :, 0] >= epsilons[:, None]] = -1
-
     alphas = np.ascontiguousarray(alphas, np.float64)
+    epsilons = np.ascontiguousarray(epsilons, np.float64)
+    row_base = np.ascontiguousarray(tables.row_base, np.int64)
+    tops = np.ascontiguousarray(tables.ladder_sizes - 1, np.int64)
+    strides = np.ascontiguousarray(tables.price_strides, np.int64)
+    advance_prob = np.ascontiguousarray(tables.advance_prob, np.float64)
     cap_next = np.ascontiguousarray(tables.cap_next, np.int64)
     invest = np.ascontiguousarray(tables.invest, np.float64)
     cost_of_cap = np.ascontiguousarray(tables.cost_of_cap, np.float64)
-    out = np.zeros(2)
-    violations = loop(
-        q.ctypes.data, visits.ctypes.data, n_actions, n_episodes, horizon,
-        bases.ctypes.data, prices.ctypes.data, explore.ctypes.data, alphas.ctypes.data,
+    out, counts = np.zeros(2), np.zeros(2, np.int64)
+    loop(
+        q.ctypes.data, visits.ctypes.data, tables.n_actions, steps[0], tables.horizon, n_units,
+        uniforms.ctypes.data, alphas.ctypes.data, epsilons.ctypes.data, row_base.ctypes.data,
+        tables.p_full, tops.ctypes.data, strides.ctypes.data, advance_prob.ctypes.data,
         cap_next.ctypes.data, invest.ctypes.data, cost_of_cap.ctypes.data,
-        float(gamma), float(tables.q_lower), out.ctypes.data,
+        float(gamma), float(tables.q_lower), out.ctypes.data, counts.ctypes.data,
     )
-    return float(out[0]), float(out[1]), int(violations)
+    return float(out[0]), float(out[1]), int(counts[0]), int(counts[1])

@@ -198,6 +198,7 @@ def cmd_train(args) -> int:
     _update_manifest(out_dir, "convergence", convergence_path, cfg.config_hash, args.seed)
     final = result.convergence[-1]
     print(f"final epoch: max |dQ| = {final.max_q_delta:.6g}, mean return = {final.mean_return:.6g}")
+    print(f"coverage: {result.pairs_visited} of {result.qtable.visits.size} (state, action) pairs")
     print(f"wrote {qtable_path}")
     print(f"wrote {convergence_path}")
     return 0

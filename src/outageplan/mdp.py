@@ -479,9 +479,7 @@ class PlanningEnv:
         acting unit's ladder value at the combo's digit."""
         codec = self.codec
         invest = np.zeros((codec.p_full, codec.n_actions))
-        digits = np.empty((codec.p_full, len(self.catalog)), dtype=np.int64)
-        for p in range(codec.p_full):
-            digits[p] = codec.price_digits(p)
+        digits = np.arange(codec.p_full)[:, None] // codec.price_strides % codec.ladder_sizes
         for u, entry in enumerate(self.catalog):
             ladder = np.array(entry.chain.values)
             for l, level in enumerate(self.levels_kwh):

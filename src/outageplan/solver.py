@@ -3,12 +3,13 @@
 Training runs in chunks of up to 10^4 episodes: the uniform stream for a
 chunk is drawn up front from one PCG64 generator and handed to the episode
 kernel, so a fixed seed reproduces training bit-for-bit. The kernel's
-episode loop is compiled C that updates the Q-table in place; its extra
-memory is the chunk's precomputed arrays, bounded by the chunk, not by the
-run. The case study's 4,000,000 episodes per config train in 3.0-3.2 s on
-a 2-vCPU VM.
+episode loop is compiled C that walks the prices from those uniforms and
+updates the Q-table in place; its extra memory is the chunk's uniforms,
+bounded by the chunk, not by the run. The case study's 4,000,000 episodes
+per config train in 2.7-3.1 s on a 2-vCPU VM.
 The exact solver does backward induction with the factorized price-chain
 expectation and serves as the oracle the learned policy is judged against.
+The terminal values are zero, so the last period takes no expectation.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ class QTable:
 class TrainResult:
     qtable: QTable
     convergence: list[ConvergencePoint]
+    # (state, action) pairs with a nonzero visit count
+    pairs_visited: int
 
 
 def greedy_action(qtable: QTable, env: PlanningEnv, state: PlanningState) -> InstallAction:
@@ -229,21 +232,24 @@ def train(
 
     Q starts at zero, which is optimistic here because every reward is a
     cost; the convergence log records the largest absolute Q update and the
-    mean behavior-policy return per epoch of up to 10^4 episodes.
+    mean behavior-policy return per epoch of up to 10^4 episodes. The
+    result also counts the (state, action) pairs visited at least once.
     """
     tables = env.kernel_tables()
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(schedule.seed))
     n_units = len(env.catalog)
     q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
-    visits = np.zeros_like(q, dtype=np.int64)
+    # np.zeros, not zeros_like: the pages stay unmapped until an episode
+    # visits them
+    visits = np.zeros(q.shape, np.int64)
     log: list[ConvergencePoint] = []
-    done = 0
+    done = visited = 0
     while done < schedule.episodes:
         m = min(CONVERGENCE_EPOCH, schedule.episodes - done)
         alphas, epsilons = schedule_at(schedule, np.arange(done, done + m))
         uniforms = rng.random((m, tables.horizon, 2 + n_units))
-        max_delta, total_return, violations = qlearn_chunk(
+        max_delta, total_return, violations, first_visits = qlearn_chunk(
             q, visits, tables, schedule.gamma, uniforms, alphas, epsilons
         )
         if violations:
@@ -252,6 +258,7 @@ def train(
                 "rewards or schedule are inconsistent"
             )
         done += m
+        visited += first_visits
         log.append(
             ConvergencePoint(episode=done, max_q_delta=float(max_delta), mean_return=float(total_return) / m)
         )
@@ -271,7 +278,7 @@ def train(
             "n_actions": tables.n_actions,
         },
     )
-    return TrainResult(qtable=qtable, convergence=log)
+    return TrainResult(qtable=qtable, convergence=log, pairs_visited=visited)
 
 
 def write_convergence_csv(points: Sequence[ConvergencePoint], path) -> None:
@@ -352,16 +359,14 @@ def value_iteration(env: PlanningEnv, gamma: float = 1.0, max_states: int = 2_00
     cost_of_cap = env._cost_of_cap
     q_per_period: list[np.ndarray] = [None] * env.horizon  # type: ignore[list-item]
     v_per_period: list[np.ndarray] = [None] * env.horizon  # type: ignore[list-item]
-    v_next = np.zeros((codec.p_full, codec.cap_count_at(env.horizon)))
     for t in range(env.horizon - 1, -1, -1):
         c_count = codec.cap_count_at(t)
-        ev = _price_expectation(env, v_next)
         cap_next = codec.cap_next[:c_count]
-        q_t = (
-            -invest[:, None, :]
-            - cost_of_cap[cap_next][None, :, :]
-            + gamma * ev[:, cap_next]
-        )
+        q_t = -invest[:, None, :] - cost_of_cap[cap_next][None, :, :]
+        if t == env.horizon - 1:
+            q_t += 0.0  # the terminal value is zero; this turns -0.0 into +0.0 as its expectation would
+        else:
+            q_t += gamma * _price_expectation(env, v_next)[:, cap_next]
         v_t = q_t.max(axis=2)
         q_per_period[t] = q_t
         v_per_period[t] = v_t
@@ -379,7 +384,6 @@ def policy_value(env: PlanningEnv, policy: np.ndarray, gamma: float = 1.0) -> fl
         raise ValueError(f"policy must have shape ({codec.n_states},)")
     invest = env.invest_table()
     cost_of_cap = env._cost_of_cap
-    v_next = np.zeros((codec.p_full, codec.cap_count_at(env.horizon)))
     for t in range(env.horizon - 1, -1, -1):
         c_count = codec.cap_count_at(t)
         combos = codec.period_combos[t]
@@ -387,9 +391,12 @@ def policy_value(env: PlanningEnv, policy: np.ndarray, gamma: float = 1.0) -> fl
         block = policy[start : start + len(combos) * c_count].reshape(len(combos), c_count)
         actions = np.zeros((codec.p_full, c_count), dtype=np.int64)
         actions[combos, :] = block
-        ev = _price_expectation(env, v_next)
         cap2 = codec.cap_next[np.arange(c_count)[None, :], actions]
         rows = np.arange(codec.p_full)[:, None]
-        v_t = -invest[rows, actions] - cost_of_cap[cap2] + gamma * ev[rows, cap2]
+        v_t = -invest[rows, actions] - cost_of_cap[cap2]
+        if t == env.horizon - 1:
+            v_t += 0.0  # as in value_iteration
+        else:
+            v_t += gamma * _price_expectation(env, v_next)[rows, cap2]
         v_next = v_t
     return float(v_next[0, 0])

@@ -119,6 +119,8 @@ class TestPipeline:
         text = capsys.readouterr().out
         assert f"episodes: 2000  backend: {_kernels.ACTIVE_BACKEND}" in text
         assert "final epoch: max |dQ| = " in text
+        visits = persist.load_container(tmp_path / "qtable.bin")[1]["visits"]
+        assert f"coverage: {np.count_nonzero(visits)} of {visits.size} (state, action) pairs\n" in text
         assert (tmp_path / "qtable.bin").read_bytes() == (pipeline / "qtable.bin").read_bytes()
         assert (tmp_path / "convergence.csv").read_bytes() == (pipeline / "convergence.csv").read_bytes()
 

@@ -482,11 +482,7 @@ class TestPlanningEnv:
             d_alpha, d_beta = codec.price_digits(p)
             alpha_price = env.catalog[0].chain.values[d_alpha]
             beta_price = env.catalog[1].chain.values[d_beta]
-            assert invest[p, 0] == 0.0
-            assert invest[p, 1] == pytest.approx(200 * alpha_price)
-            assert invest[p, 2] == pytest.approx(500 * alpha_price)
-            assert invest[p, 3] == pytest.approx(200 * beta_price)
-            assert invest[p, 4] == pytest.approx(500 * beta_price)
+            assert invest[p].tolist() == [0.0, 200 * alpha_price, 500 * alpha_price, 200 * beta_price, 500 * beta_price]
 
     def test_kernel_tables_bound(self):
         env = make_env()

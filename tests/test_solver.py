@@ -1,10 +1,13 @@
 """Training schedules, Q-learning, the exact solver, and their agreement."""
 
+import ctypes
 import functools
 import itertools
 import math
 import re
+import shutil
 import subprocess
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from outageplan.mdp import (
 from outageplan.simulate import StorageUnitSpec, build_metamodel
 from outageplan.solver import (
     CONVERGENCE_EPOCH,
+    _price_expectation,
     QTable,
     TrainingSchedule,
     greedy_action,
@@ -225,6 +229,64 @@ class TestExactSolver:
             policy_value(env, np.zeros(3, dtype=np.int64))
 
 
+def value_iteration_oracle(env, gamma):
+    """Backward induction that takes the price expectation at every period,
+    the all-zero terminal values included: the reference `value_iteration`
+    must match byte for byte."""
+    codec = env.codec
+    invest = env.invest_table()
+    q_per_period, v_per_period = [None] * env.horizon, [None] * env.horizon
+    v_next = np.zeros((codec.p_full, codec.cap_count_at(env.horizon)))
+    for t in range(env.horizon - 1, -1, -1):
+        cap_next = codec.cap_next[: codec.cap_count_at(t)]
+        ev = _price_expectation(env, v_next)
+        q_t = -invest[:, None, :] - env._cost_of_cap[cap_next][None, :, :] + gamma * ev[:, cap_next]
+        q_per_period[t], v_per_period[t] = q_t, q_t.max(axis=2)
+        v_next = v_per_period[t]
+    return q_per_period, v_per_period
+
+
+def policy_value_oracle(env, policy, gamma):
+    """`policy_value` with the price expectation taken at every period."""
+    codec = env.codec
+    invest = env.invest_table()
+    v_next = np.zeros((codec.p_full, codec.cap_count_at(env.horizon)))
+    for t in range(env.horizon - 1, -1, -1):
+        c_count = codec.cap_count_at(t)
+        combos = codec.period_combos[t]
+        start = codec.block_starts[t]
+        actions = np.zeros((codec.p_full, c_count), dtype=np.int64)
+        actions[combos, :] = policy[start : start + len(combos) * c_count].reshape(len(combos), c_count)
+        ev = _price_expectation(env, v_next)
+        cap2 = codec.cap_next[np.arange(c_count)[None, :], actions]
+        rows = np.arange(codec.p_full)[:, None]
+        v_next = -invest[rows, actions] - env._cost_of_cap[cap2] + gamma * ev[rows, cap2]
+    return float(v_next[0, 0])
+
+
+class TestExactSolverOracle:
+    @pytest.mark.parametrize("gamma", [1.0, 0.9, 0.0])
+    @pytest.mark.parametrize("name", ["tiny", "casestudy-single", "tiny-zero-cost", "unequal-ladders"])
+    def test_matches_full_expectation_backward_induction(self, name, gamma):
+        env = named_env(name)
+        want_q, want_v = value_iteration_oracle(env, gamma)
+        sol = value_iteration(env, gamma=gamma)
+        for got, want in zip(sol.q_per_period + sol.v_per_period, want_q + want_v, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(7)
+        policies = [
+            sol.greedy_policy(),
+            np.zeros(env.codec.n_states, dtype=np.int64),
+            rng.integers(0, env.codec.n_actions, size=env.codec.n_states),
+        ]
+        for policy in policies:
+            assert policy_value(env, policy, gamma).hex() == policy_value_oracle(env, policy, gamma).hex()
+        if name == "tiny-zero-cost":
+            last = sol.q_per_period[-1]
+            assert not np.signbit(last[last == 0.0]).any() and (last == 0.0).any()
+
+
 class TestTraining:
     def test_learns_the_exact_optimum_on_a_small_instance(self):
         env = mini_env(horizon=2)
@@ -278,6 +340,7 @@ class TestTraining:
         schedule = TrainingSchedule(episodes=500, seed=9)
         res = train(env, schedule)
         assert res.qtable.visits.sum() == 500 * 2
+        assert res.pairs_visited == np.count_nonzero(res.qtable.visits)
         untouched = res.qtable.visits == 0
         assert np.all(res.qtable.values[untouched] == 0.0)
 
@@ -344,6 +407,7 @@ def qlearn_chunk_oracle(
     max_delta = 0.0
     total_return = 0.0
     violations = 0
+    first_visits = 0
     for ep in range(n_episodes):
         alpha = alphas[ep]
         eps = epsilons[ep]
@@ -391,6 +455,8 @@ def qlearn_chunk_oracle(
             delta = target - q[s, a]
             q_new = q[s, a] + alpha * delta
             q[s, a] = q_new
+            if visits[s, a] == 0:
+                first_visits += 1
             visits[s, a] += 1
             step = alpha * delta
             if step < 0.0:
@@ -403,7 +469,7 @@ def qlearn_chunk_oracle(
             p = p2
             c = c2
         total_return += ep_return
-    return max_delta, total_return, violations
+    return max_delta, total_return, violations, first_visits
 
 
 def run_chunks(kernel, env, schedule, epoch):
@@ -447,13 +513,41 @@ def metamodel_env(name):
     return env
 
 
+@functools.cache
+def named_env(name):
+    """A bundled config with a simulated metamodel, or one of three
+    synthetic cases: ladders of 3, 1 and 2 rungs over 4 periods, so each
+    unit's price stops at its own floor; a single period, with no next
+    state; and tiny at zero outage cost, where every do-nothing reward is
+    -0.0."""
+    if name == "tiny-zero-cost":
+        env = load_config("tiny").env()
+        env.attach_zero_cost()
+        return env
+    if name == "unequal-ladders":
+        env = PlanningEnv(
+            horizon=4,
+            catalog=(
+                unit("a", (400.0, 290.0, 200.0), 0.7),
+                unit("b", (150.0,), 0.6),
+                unit("c", (300.0, 250.0), 0.5),
+            ),
+            levels_kwh=(200.0, 500.0),
+        )
+        env.attach_metamodel(cost_table(env, lambda kwh: 120_000.0 / (1.0 + kwh.sum(axis=1) / 300.0)))
+        return env
+    if name == "horizon-1":
+        return mini_env(horizon=1)
+    return metamodel_env(name)
+
+
 def exact(returned):
-    return [(float(d).hex(), float(r).hex(), int(v)) for d, r, v in returned]
+    return [(float(d).hex(), float(r).hex(), int(v), int(n)) for d, r, v, n in returned]
 
 
 class TestKernelParity:
     @given(
-        name=st.sampled_from(["tiny", "tiny-superposed"]),
+        name=st.sampled_from(["tiny", "tiny-superposed", "unequal-ladders", "horizon-1"]),
         seed=st.integers(0, 2**32 - 1),
         episodes=st.one_of(st.just(1), st.integers(1, 1500)),
         epoch=st.sampled_from([1, 7, 64, CONVERGENCE_EPOCH]),
@@ -462,7 +556,7 @@ class TestKernelParity:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_oracle_bit_for_bit(self, name, seed, episodes, epoch, epsilon, gamma):
-        env = metamodel_env(name)
+        env = named_env(name)
         rates = {} if epsilon is None else {"epsilon_start": epsilon, "epsilon_end": epsilon}
         schedule = TrainingSchedule(episodes=episodes, gamma=gamma, seed=seed, **rates)
         want_q, want_visits, want = run_chunks(qlearn_chunk_oracle, env, schedule, epoch)
@@ -480,7 +574,8 @@ class TestKernelParity:
         assert res.qtable.visits.tobytes() == want_visits.tobytes()
         assert [p.episode for p in res.convergence] == [CONVERGENCE_EPOCH, CONVERGENCE_EPOCH + 1500]
         sizes = [CONVERGENCE_EPOCH, 1500]
-        for point, (max_delta, total_return, _), m in zip(res.convergence, want, sizes):
+        assert res.pairs_visited == sum(n for *_, n in want) == np.count_nonzero(want_visits)
+        for point, (max_delta, total_return, _, _), m in zip(res.convergence, want, sizes):
             assert point.max_q_delta.hex() == float(max_delta).hex()
             assert point.mean_return.hex() == (float(total_return) / m).hex()
 
@@ -530,6 +625,38 @@ class TestTies:
         assert np.signbit(got_q[got_q == 0.0]).any()
 
 
+class TestChunkInputs:
+    BAD = {
+        "float32 uniforms": lambda u, a, e: (u.astype(np.float32), a, e),
+        "Fortran-order uniforms": lambda u, a, e: (np.asfortranarray(u), a, e),
+        "strided uniforms": lambda u, a, e: (np.repeat(u, 2, axis=0)[::2], a, e),
+        "unaligned uniforms": lambda u, a, e: (
+            np.frombuffer(b"\0" + u.tobytes(), np.float64, offset=1).reshape(u.shape), a, e
+        ),
+        "a period short": lambda u, a, e: (u[:, :-1].copy(), a, e),
+        "a uniform per step short": lambda u, a, e: (u[:, :, :-1].copy(), a, e),
+        "2-D uniforms": lambda u, a, e: (u.reshape(len(u), -1), a, e),
+        "short alphas": lambda u, a, e: (u, a[:-1], e),
+        "short epsilons": lambda u, a, e: (u, a, e[:-1]),
+        "long epsilons": lambda u, a, e: (u, a, np.append(e, 0.5)),
+        "2-D epsilons": lambda u, a, e: (u, a, e[:, None]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_rejects_before_the_c_loop(self, case):
+        env = mini_env()
+        tables = env.kernel_tables()
+        q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
+        visits = np.zeros(q.shape, np.int64)
+        uniforms = np.random.default_rng(0).random((6, tables.horizon, 2 + len(env.catalog)))
+        alphas, epsilons = np.full(6, 0.5), np.full(6, 0.5)
+        with pytest.raises(ValueError, match="uniforms must be|alphas and epsilons must"):
+            _kernels.qlearn_chunk(q, visits, tables, 1.0, *self.BAD[case](uniforms, alphas, epsilons))
+        assert not q.any() and not visits.any()
+        _kernels.qlearn_chunk(q, visits, tables, 1.0, uniforms, alphas, epsilons)
+        assert visits.sum() == 6 * tables.horizon
+
+
 class TestBuild:
     def test_builds_into_an_empty_cache_then_reuses_it(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -547,6 +674,24 @@ class TestBuild:
         again = train(env, schedule)
         assert list((tmp_path / "outageplan").iterdir()) == built
         assert again.qtable.values.tobytes() == first.qtable.values.tobytes()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_source_compiles_without_warnings(self, tmp_path):
+        source = resources.files("outageplan").joinpath("_qloop.c")
+        flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
+        proc = subprocess.run(
+            ["cc", *flags, str(source), "-o", str(tmp_path / "qloop.so")], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_argtypes_match_the_c_prototype(self):
+        # a parameter ctypes does not declare shifts every later argument
+        source = resources.files("outageplan").joinpath("_qloop.c").read_text()
+        params = re.search(r"\bvoid qlearn_episodes\(([^)]*)\)", source).group(1).split(",")
+        ctype = {"ptr": ctypes.c_void_p, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+        want = [ctype["ptr" if "*" in p else p.split()[0]] for p in params]
+        assert _kernels._episode_loop().argtypes == want
+        assert _kernels._episode_loop().restype is None
 
     def test_missing_compiler(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
