@@ -68,9 +68,7 @@ class RunManifest:
     def save(self, path: Path) -> None:
         entries = [asdict(e) for e in self.entries]
         doc = {"format": "outageplan-manifest", "tool_version": self.tool_version, "entries": entries}
-        with persist.atomic_write(path, newline="\n") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        persist.write_json(path, doc)
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
@@ -165,25 +163,29 @@ def cmd_metamodel(args) -> int:
     return 0
 
 
-def _resolve_metamodel(cfg: AppConfig, flag_value: str | None, out_dir: Path) -> Path:
+def _resolve_metamodel(cfg: AppConfig, flag_value: str | None, out_dir: Path) -> Path | None:
+    """The cost table named by --metamodel, else by the config's metamodel
+    path, else metamodel.csv in the output directory if it exists; None if
+    there is none."""
     if flag_value:
         return Path(flag_value)
     if cfg.metamodel_path is not None:
         return cfg.metamodel_path
     candidate = out_dir / "metamodel.csv"
-    if candidate.exists():
-        return candidate
-    raise ConfigError(
-        "no metamodel available: pass --metamodel, set metamodel.path in the config, "
-        "or run 'outageplan metamodel' into the same output directory first"
-    )
+    return candidate if candidate.exists() else None
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     _print_seed(args.seed, args.seed_explicit)
     out_dir = _out_dir(args)
-    table = CostTable.load(_resolve_metamodel(cfg, args.metamodel, out_dir), expect_config_hash=cfg.config_hash)
+    metamodel_path = _resolve_metamodel(cfg, args.metamodel, out_dir)
+    if metamodel_path is None:
+        raise ConfigError(
+            "no metamodel available: pass --metamodel, set metamodel.path in the config, "
+            "or run 'outageplan metamodel' into the same output directory first"
+        )
+    table = CostTable.load(metamodel_path, expect_config_hash=cfg.config_hash)
     env = cfg.env()
     env.attach_metamodel(table)
     schedule = cfg.schedule(seed=args.seed, episodes=args.episodes)
@@ -214,10 +216,10 @@ def cmd_evaluate(args) -> int:
         raise ArtifactMismatchError(f"{args.qtable}: Q-table rows do not match the states of the active config")
     if qtable.action_labels != tuple(env.action_label(a) for a in env.actions):
         raise ArtifactMismatchError(f"{args.qtable}: Q-table columns do not match the actions of the active config")
-    have_metamodel = bool(args.metamodel or cfg.metamodel_path or (out_dir / "metamodel.csv").exists())
+    metamodel_path = _resolve_metamodel(cfg, args.metamodel, out_dir)
     exact_return = None
-    if have_metamodel:
-        table = CostTable.load(_resolve_metamodel(cfg, args.metamodel, out_dir), expect_config_hash=cfg.config_hash)
+    if metamodel_path is not None:
+        table = CostTable.load(metamodel_path, expect_config_hash=cfg.config_hash)
         env.attach_metamodel(table)
         exact_return = policy_value(env, qtable.greedy_policy(), gamma=cfg.training.gamma)
     trace = ev.rollout(

@@ -15,7 +15,7 @@ instead of silently falling back to defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -170,16 +170,6 @@ def read_profile_csv(path) -> np.ndarray:
     return np.ascontiguousarray(values)
 
 
-@dataclass(frozen=True)
-class TrainingDefaults:
-    episodes: int
-    alpha_start: float
-    alpha_end: float
-    epsilon_start: float
-    epsilon_end: float
-    gamma: float
-
-
 class AppConfig:
     """A fully validated configuration plus its identity hashes."""
 
@@ -237,14 +227,17 @@ class AppConfig:
         epsilon = _numbers(training.get("epsilon", [1.0, 0.05]), f"{source}: training epsilon")
         if len(alpha) != 2 or len(epsilon) != 2:
             raise ConfigError(f"{source}: training alpha and epsilon must be [start, end] pairs")
-        self.training = TrainingDefaults(
-            episodes=_number(training.get("episodes", 1_000_000), f"{source}: training episodes", int),
-            alpha_start=alpha[0],
-            alpha_end=alpha[1],
-            epsilon_start=epsilon[0],
-            epsilon_end=epsilon[1],
-            gamma=_number(training.get("gamma", 1.0), f"{source}: training gamma", float),
-        )
+        try:
+            self.training = TrainingSchedule(
+                episodes=_number(training.get("episodes", 1_000_000), f"{source}: training episodes", int),
+                alpha_start=alpha[0],
+                alpha_end=alpha[1],
+                epsilon_start=epsilon[0],
+                epsilon_end=epsilon[1],
+                gamma=_number(training.get("gamma", 1.0), f"{source}: training gamma", float),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{source}: training section is invalid: {exc}") from None
         metamodel = doc.get("metamodel", {})
         if not isinstance(metamodel, dict):
             raise ConfigError(f"{source}: metamodel section must be a mapping, got {metamodel!r}")
@@ -390,15 +383,9 @@ class AppConfig:
         )
 
     def schedule(self, seed: int, episodes: int | None = None) -> TrainingSchedule:
-        return TrainingSchedule(
-            episodes=self.training.episodes if episodes is None else episodes,
-            alpha_start=self.training.alpha_start,
-            alpha_end=self.training.alpha_end,
-            epsilon_start=self.training.epsilon_start,
-            epsilon_end=self.training.epsilon_end,
-            gamma=self.training.gamma,
-            seed=seed,
-        )
+        """The config's training schedule with `seed`, and `episodes` in place
+        of the configured budget when given."""
+        return replace(self.training, seed=seed, episodes=self.training.episodes if episodes is None else episodes)
 
 
 def load_config(path_or_name: str) -> AppConfig:

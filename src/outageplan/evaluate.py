@@ -146,9 +146,7 @@ class PolicyTrace:
         }
 
     def save(self, path) -> None:
-        with persist.atomic_write(path, newline="\n") as fh:
-            json.dump(self.to_doc(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        persist.write_json(path, self.to_doc())
 
     @classmethod
     def load(cls, path) -> "PolicyTrace":
@@ -245,9 +243,7 @@ class ComparisonReport:
         }
 
     def save(self, path) -> None:
-        with persist.atomic_write(path, newline="\n") as fh:
-            json.dump(self.to_doc(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        persist.write_json(path, self.to_doc())
 
     def format_text(self) -> str:
         lines = []

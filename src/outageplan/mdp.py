@@ -273,7 +273,7 @@ class StateCodec:
 
 @dataclass
 class KernelTables:
-    """Dense arrays consumed by the training kernel and the exact solver."""
+    """Dense arrays that `train` hands to the compiled Q-learning loop (`qlearn_chunk`)."""
 
     state_codes: np.ndarray
     row_base: np.ndarray

@@ -8,11 +8,12 @@ shifted Poisson law: a fixed minimum duration (the shift, in hours) plus a
 Poisson number of extra hours, with a separate extra-hours rate per event
 class.
 
-Sampling draws from an explicitly passed numpy Generator and consumes a
-fixed uniform budget per decision (one per count, three per event), so runs
-that share a seed stay aligned under common random numbers when a rate
-parameter moves. A single model consumes the same stream layout as a
-superposed model with severe_rate=0, and produces identical traces.
+`sample_trace` draws every event of a window from an explicitly passed
+numpy Generator and consumes a fixed uniform budget per decision (one per
+count, three per event), so runs that share a seed stay aligned under
+common random numbers when a rate parameter moves. A single model
+consumes the same stream layout as a superposed model with
+severe_rate=0, and produces identical traces.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ __all__ = [
     "poisson_quantile",
     "poisson_pmf",
     "sample_outage_count",
-    "sample_type",
-    "sample_duration",
     "sample_trace",
     "duration_pmf",
     "duration_support",
@@ -130,14 +129,9 @@ class SuperposedModel:
 
     @property
     def mean_duration(self) -> float:
-        total = self.total_rate
-        if total == 0:
+        if self.total_rate == 0:
             raise ValueError("mean duration undefined when both rates are 0")
-        mix = (
-            self.regular_rate * self.regular_duration_rate
-            + self.severe_rate * self.severe_duration_rate
-        ) / total
-        return self.shift + mix
+        return self.shift + mean_matched_single(self).duration_rate
 
     def rate_pair(self) -> tuple[float, float]:
         return (self.regular_rate, self.severe_rate)
@@ -270,23 +264,6 @@ def sample_outage_count(model: OutageModel, horizon_years: float, rng: np.random
     n_regular = poisson_quantile(rng.random(), regular_rate * horizon_years)
     n_severe = poisson_quantile(rng.random(), severe_rate * horizon_years)
     return n_regular + n_severe
-
-
-def sample_type(model: SuperposedModel, rng: np.random.Generator) -> OutageKind:
-    """Class of one merged event: severe with probability severe_rate/total_rate."""
-    if not isinstance(model, SuperposedModel):
-        raise ValueError("event types are only defined for a superposed model")
-    if model.total_rate == 0:
-        raise ValueError("event type undefined when both rates are 0")
-    if rng.random() < model.severe_fraction:
-        return OutageKind.SEVERE
-    return OutageKind.REGULAR
-
-
-def sample_duration(model: OutageModel, kind: OutageKind, rng: np.random.Generator) -> float:
-    """shift + Poisson(extra-hours rate) for the event class. Real-valued."""
-    rate = model.duration_rate_for(kind)
-    return model.shift + float(poisson_quantile(rng.random(), rate))
 
 
 def sample_trace(model: OutageModel, horizon_years: float, rng: np.random.Generator) -> list[OutageEvent]:

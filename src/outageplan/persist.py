@@ -67,6 +67,13 @@ def atomic_write(path, mode: str = "w", **open_kwargs) -> Iterator[IO]:
         raise
 
 
+def write_json(path, doc: Any) -> None:
+    """Write a JSON artifact: keys sorted, two-space indent, final newline."""
+    with atomic_write(path, newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write named arrays plus a metadata dict as one self-describing file."""
     manifest = []

@@ -131,25 +131,6 @@ class Microgrid:
 
 
 @dataclass(frozen=True)
-class UnservedReport:
-    """Outcome of dispatching one outage."""
-
-    unserved_kwh: tuple[tuple[str, float], ...]
-    outage_hours: int
-    cost: float
-
-    def unserved_for(self, class_name: str) -> float:
-        for name, kwh in self.unserved_kwh:
-            if name == class_name:
-                return kwh
-        raise KeyError(class_name)
-
-    @property
-    def total_unserved_kwh(self) -> float:
-        return float(sum(kwh for _, kwh in self.unserved_kwh))
-
-
-@dataclass(frozen=True)
 class CostEstimate:
     mean: float
     stderr: float
@@ -187,9 +168,11 @@ def dispatch_spans(
     start_hours = np.asarray(start_hours, dtype=np.int64)
     n_hours = np.asarray(n_hours, dtype=np.int64)
     kwh = _portfolio_kwh(portfolios, specs)
-    # StorageUnitSpec's arithmetic, one column per unit
-    deliverable0 = (kwh * [s.usable_fraction for s in specs] * [s.round_trip_efficiency for s in specs]).T
-    power_cap = (kwh * [s.power_limit for s in specs]).T
+    deliverable0 = np.empty(kwh.T.shape)
+    power_cap = np.empty(kwh.T.shape)
+    for u, spec in enumerate(specs):
+        deliverable0[u] = spec.deliverable_kwh(kwh[:, u])
+        power_cap[u] = spec.power_cap_kw(kwh[:, u])
     demand = grid.profiles.demand
     pv = grid.profiles.pv
     n_classes = demand.shape[0]
@@ -234,27 +217,6 @@ def dispatch_spans(
     for plane in unserved:
         plane[:] = plane[rank]
     return cost, unserved
-
-
-def simulate_outage(
-    event: OutageEvent,
-    kwh: Sequence[float],
-    specs: Sequence[StorageUnitSpec],
-    grid: Microgrid,
-    start_hour: int,
-) -> UnservedReport:
-    """Dispatch one outage hour by hour, storage full at onset, for the
-    portfolio with installed kWh `kwh` per unit of `specs`.
-
-    The outage occupies ceil(duration) whole hours starting at the given
-    hour-of-year, wrapping across the year boundary.
-    """
-    if not 0 <= start_hour < HOURS_PER_YEAR:
-        raise ValueError(f"start_hour must be in [0, {HOURS_PER_YEAR}), got {start_hour}")
-    n_hours = int(math.ceil(event.duration))
-    cost, unserved = dispatch_spans([start_hour], [n_hours], [kwh], specs, grid)
-    pairs = tuple((f.name, float(u)) for f, u in zip(grid.facilities, unserved[:, 0, 0]))
-    return UnservedReport(unserved_kwh=pairs, outage_hours=n_hours, cost=float(cost[0, 0]))
 
 
 def merge_events(events: Iterable[OutageEvent]) -> list[tuple[float, float]]:

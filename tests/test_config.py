@@ -1,6 +1,7 @@
 """YAML config parsing, identity hashes, profiles, and bundled examples."""
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 import yaml
@@ -21,6 +22,7 @@ from outageplan.config import (
 from outageplan.errors import ConfigError
 from outageplan.outage import HOURS_PER_YEAR, SingleModel, SuperposedModel
 from outageplan.simulate import build_metamodel
+from outageplan.solver import TrainingSchedule
 
 
 def profile_text(values):
@@ -461,6 +463,22 @@ class TestDocumentValidation:
         with pytest.raises(ConfigError, match=message):
             load_config(str(p))
 
+    @pytest.mark.parametrize(
+        "training, message",
+        [
+            ({"alpha": [0.01, 0.5]}, "alpha must not grow"),
+            ({"epsilon": [0.05, 1.0]}, "epsilon must not grow"),
+            ({"episodes": 0}, "episodes must be >= 1"),
+            ({"gamma": 1.5}, r"gamma must be in \[0, 1\]"),
+        ],
+    )
+    def test_training_block_must_form_a_schedule(self, tmp_path, training, message):
+        doc = base_doc()
+        doc["training"] = training
+        p = write_workspace(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"training section is invalid: {message}"):
+            load_config(str(p))
+
     def test_facility_block_missing_key(self, tmp_path):
         doc = base_doc()
         del doc["facilities"][0]["count"]
@@ -506,6 +524,19 @@ class TestDerivedObjects:
         assert sched.episodes == 123
         assert sched.seed == 5
         assert cfg.schedule(seed=0).episodes == 1_000_000
+
+    @pytest.mark.parametrize(
+        "name, episodes", [("tiny", 60_000), ("tiny-superposed", 60_000),
+                           ("casestudy-single", 4_000_000), ("casestudy-superposed", 4_000_000)]
+    )
+    def test_bundled_schedules(self, name, episodes):
+        cfg = load_config(name)
+        for seed, override in ((7, None), (3, 1234)):
+            want = TrainingSchedule(episodes=override or episodes, alpha_start=0.5, alpha_end=0.01,
+                                    epsilon_start=1.0, epsilon_end=0.05, gamma=1.0, seed=seed)
+            got = cfg.schedule(seed=seed, episodes=override)
+            assert got == want
+            assert [type(getattr(got, f.name)) for f in fields(got)] == [int] + [float] * 5 + [int]
 
     def test_metamodel_path_resolves_relative(self, tmp_path):
         doc = base_doc()

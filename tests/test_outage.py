@@ -21,10 +21,8 @@ from outageplan.outage import (
     mean_matched_single,
     poisson_pmf,
     poisson_quantile,
-    sample_duration,
     sample_outage_count,
     sample_trace,
-    sample_type,
     severe_years,
 )
 
@@ -163,42 +161,18 @@ class TestSampling:
         with pytest.raises(ValueError, match="horizon must be >= 0"):
             sample_outage_count(SingleModel(rate=1.0, duration_rate=1.0), -1.0, rng)
 
-    def test_type_frequency_matches_rate_ratio(self):
-        model = SuperposedModel(
-            regular_rate=3.0, severe_rate=1.0, regular_duration_rate=1.0, severe_duration_rate=9.0
-        )
-        rng = np.random.default_rng(3)
-        kinds = [sample_type(model, rng) for _ in range(20000)]
-        frac = sum(k is OutageKind.SEVERE for k in kinds) / len(kinds)
-        assert frac == pytest.approx(0.25, abs=0.01)
-
-    def test_type_requires_superposed(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="only defined for a superposed"):
-            sample_type(SingleModel(rate=1.0, duration_rate=1.0), rng)
-
-    def test_type_rejects_dead_model(self):
-        rng = np.random.default_rng(0)
-        dead = SuperposedModel(
-            regular_rate=0.0, severe_rate=0.0, regular_duration_rate=0.0, severe_duration_rate=0.0
-        )
-        with pytest.raises(ValueError, match="undefined when both rates are 0"):
-            sample_type(dead, rng)
-
     def test_duration_is_shift_plus_poisson(self):
-        model = SingleModel(rate=1.0, duration_rate=4.0, shift=1.0)
+        model = SingleModel(rate=500.0, duration_rate=4.0, shift=1.0)
         rng = np.random.default_rng(5)
-        durations = np.array(
-            [sample_duration(model, OutageKind.REGULAR, rng) for _ in range(20000)]
-        )
+        durations = np.array([e.duration for _ in range(40) for e in sample_trace(model, 1.0, rng)])
+        assert len(durations) > 19000
         assert durations.min() >= 1.0
         assert durations.mean() == pytest.approx(5.0, abs=0.08)
         assert np.all(durations == np.round(durations))
 
     def test_single_model_has_no_severe_durations(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="no severe event class"):
-            sample_duration(SingleModel(rate=1.0, duration_rate=1.0), OutageKind.SEVERE, rng)
+            SingleModel(rate=1.0, duration_rate=1.0).duration_rate_for(OutageKind.SEVERE)
 
     def test_trace_sorted_and_in_window(self):
         model = SuperposedModel(

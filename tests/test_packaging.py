@@ -1,6 +1,7 @@
-"""The declared runtime dependencies are the ones this environment provides,
-and the package ships the C source it compiles."""
+"""The declared runtime dependencies are the ones this environment provides
+and the package imports, and the package ships the C source it compiles."""
 
+import ast
 import importlib
 import re
 from importlib import resources
@@ -10,19 +11,37 @@ import pytest
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 # distribution name -> import name, where they differ
 IMPORT_NAMES = {"pyyaml": "yaml"}
 
 
-def test_every_declared_dependency_imports():
+def runtime_import_names():
     with open(PYPROJECT, "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     assert deps
     for dep in deps:
         dist = re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
-        importlib.import_module(IMPORT_NAMES.get(dist, dist))
+        yield IMPORT_NAMES.get(dist, dist)
+
+
+def test_every_declared_dependency_imports():
+    for name in runtime_import_names():
+        importlib.import_module(name)
+
+
+def test_every_declared_dependency_is_imported_by_the_package():
+    imported = set()
+    for path in (ROOT / "src" / "outageplan").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    unused = [name for name in runtime_import_names() if name not in imported]
+    assert not unused, f"runtime dependencies that src/outageplan never imports: {unused}"
 
 
 def test_episode_loop_source_is_package_data():

@@ -25,7 +25,6 @@ from outageplan.simulate import (
     dispatch_spans,
     expected_period_cost,
     merge_events,
-    simulate_outage,
 )
 
 H = 8760
@@ -186,48 +185,49 @@ class TestDispatch:
         # 5 kWh deliverable storage with a loose power cap.
         grid = flat_grid([(10.0, 10.0), (6.0, 2.0)], pv_kw=4.0)
         specs, pf = one_unit(5.0, 100.0)
-        event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=2.0)
-        report = simulate_outage(event, pf, specs, grid, start_hour=0)
+        cost, unserved = dispatch_spans([0], [2], [pf], specs, grid)
         # hour 1: pool 4+5=9 -> A gets 9 of 10, B gets 0: cost 1*10 + 6*2 = 22
         # hour 2: pool 4 -> A gets 4 of 10, B gets 0: cost 6*10 + 6*2 = 72
-        assert report.cost == pytest.approx(94.0)
-        assert report.unserved_for("c0") == pytest.approx(7.0)
-        assert report.unserved_for("c1") == pytest.approx(12.0)
-        assert report.outage_hours == 2
+        assert cost[0, 0] == pytest.approx(94.0)
+        assert unserved[:, 0, 0] == pytest.approx([7.0, 12.0])
 
     def test_power_cap_binds(self):
         grid = flat_grid([(10.0, 10.0), (6.0, 2.0)], pv_kw=4.0)
         specs, pf = one_unit(100.0, 3.0)
-        event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=1.0)
-        report = simulate_outage(event, pf, specs, grid, start_hour=0)
+        cost, _ = dispatch_spans([0], [1], [pf], specs, grid)
         # pool 4+3=7 -> A short 3, B short 6: 3*10 + 6*2 = 42
-        assert report.cost == pytest.approx(42.0)
+        assert cost[0, 0] == pytest.approx(42.0)
 
     def test_pv_alone_covers_everything(self):
         grid = flat_grid([(10.0, 10.0)], pv_kw=12.0)
         specs, pf = one_unit(5.0, 5.0)
-        event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=3.0)
-        report = simulate_outage(event, pf, specs, grid, start_hour=100)
-        assert report.cost == 0.0
-        assert report.total_unserved_kwh == 0.0
+        cost, unserved = dispatch_spans([100], [3], [pf], specs, grid)
+        assert cost[0, 0] == 0.0
+        assert unserved.sum() == 0.0
 
     def test_higher_voll_served_first_regardless_of_declaration(self):
         # declared low-VoLL first; the pool must still go to the high-VoLL class
         grid = flat_grid([(6.0, 2.0), (10.0, 10.0)], pv_kw=4.0)
         specs, pf = one_unit(0.0, 1.0)
-        event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=1.0)
-        report = simulate_outage(event, pf, specs, grid, start_hour=0)
-        assert report.unserved_for("c1") == pytest.approx(6.0)
-        assert report.unserved_for("c0") == pytest.approx(6.0)
-        assert report.cost == pytest.approx(6.0 * 10 + 6.0 * 2)
+        cost, unserved = dispatch_spans([0], [1], [pf], specs, grid)
+        assert unserved[:, 0, 0] == pytest.approx([6.0, 6.0])
+        assert cost[0, 0] == pytest.approx(6.0 * 10 + 6.0 * 2)
 
-    def test_duration_rounds_up_to_whole_hours(self):
+    def test_duration_rounds_up_to_whole_hours(self, monkeypatch):
+        # a 2.2-hour merged span occupies 3 whole hours
+        fixed = [
+            OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=1.5),
+            OutageEvent(start=1.0, kind=OutageKind.REGULAR, duration=1.2),
+        ]
+        monkeypatch.setattr(sim, "sample_trace", lambda model, horizon, rng: list(fixed))
+        starts, lengths, offsets = sim._outage_spans(
+            SingleModel(rate=1.0, duration_rate=1.0), 1.0, np.array([7], dtype=np.int64)
+        )
+        assert lengths.tolist() == [3] and offsets.tolist() == [0, 1]
         grid = flat_grid([(10.0, 1.0)])
         specs, pf = one_unit(0.0, 1.0)
-        event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=2.2)
-        report = simulate_outage(event, pf, specs, grid, start_hour=0)
-        assert report.outage_hours == 3
-        assert report.cost == pytest.approx(30.0)
+        cost, _ = dispatch_spans(starts, lengths, [pf], specs, grid)
+        assert cost[0, 0] == pytest.approx(30.0)
 
     def test_wraps_across_year_end(self):
         demand = np.zeros((1, H))
@@ -238,37 +238,27 @@ class TestDispatch:
         )
         grid = Microgrid(facilities=facilities, profiles=HourlyProfiles(demand=demand, pv=np.zeros(H)))
         specs, pf = one_unit(0.0, 1.0)
-        event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=2.0)
-        report = simulate_outage(event, pf, specs, grid, start_hour=8759)
-        assert report.cost == pytest.approx((5.0 + 7.0) * 2.0)
+        cost, _ = dispatch_spans([8759], [2], [pf], specs, grid)
+        assert cost[0, 0] == pytest.approx((5.0 + 7.0) * 2.0)
 
     def test_storage_depletes_across_hours(self):
         grid = flat_grid([(10.0, 1.0)])
         specs, pf = one_unit(15.0, 100.0)
-        event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=3.0)
-        report = simulate_outage(event, pf, specs, grid, start_hour=0)
+        cost, unserved = dispatch_spans([0], [3], [pf], specs, grid)
         # 10 + 5 kWh served from storage, then dry: unserved 5 + 10
-        assert report.total_unserved_kwh == pytest.approx(15.0)
-        assert report.cost == pytest.approx(15.0)
-
-    def test_rejects_bad_start_hour(self):
-        grid = flat_grid([(1.0, 1.0)])
-        specs, pf = one_unit(1.0, 1.0)
-        event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=1.0)
-        with pytest.raises(ValueError, match="start_hour must be in"):
-            simulate_outage(event, pf, specs, grid, start_hour=H)
+        assert unserved.sum() == pytest.approx(15.0)
+        assert cost[0, 0] == pytest.approx(15.0)
 
     def test_portfolio_width_must_match_specs(self):
         grid = flat_grid([(1.0, 1.0)])
         specs = (StorageUnitSpec(name="u", round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=1.0),)
-        event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=1.0)
         with pytest.raises(ConfigError, match="one column per storage unit"):
-            simulate_outage(event, [1.0, 2.0], specs, grid, start_hour=0)
+            dispatch_spans([0], [1], [[1.0, 2.0]], specs, grid)
         with pytest.raises(ConfigError, match="one column per storage unit"):
             dispatch_spans([0], [1], np.ones((3, 2)), specs, grid)
         for kwh in (-1.0, math.nan):
             with pytest.raises(ConfigError, match="installed kWh >= 0"):
-                simulate_outage(event, [kwh], specs, grid, start_hour=0)
+                dispatch_spans([0], [1], [[kwh]], specs, grid)
 
 
 class TestDispatchParity:
@@ -289,11 +279,10 @@ class TestDispatchParity:
                     start, n_hours, demand, pv, order, voll, deliverable, power_cap, short
                 )
                 want_unserved[:, s, p] = short
-                event = OutageEvent(start=0.0, kind=OutageKind.REGULAR, duration=float(n_hours))
-                report = simulate_outage(event, portfolio, specs, grid, start_hour=start)
-                got_short = np.array([kwh for _, kwh in report.unserved_kwh])
-                assert got_short.tobytes() == short.tobytes()
-                assert np.float64(report.cost).tobytes() == want_cost[s, p].tobytes()
+                # the same pair dispatched on its own
+                one_cost, one_unserved = dispatch_spans([start], [n_hours], [portfolio], specs, grid)
+                assert one_unserved[:, 0, 0].tobytes() == short.tobytes()
+                assert one_cost[0, 0].tobytes() == want_cost[s, p].tobytes()
         assert cost.tobytes() == want_cost.tobytes()
         assert unserved.tobytes() == want_unserved.tobytes()
 
