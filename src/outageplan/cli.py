@@ -20,12 +20,12 @@ import numpy as np
 import yaml
 
 import outageplan
-from outageplan import _kernels, evaluate as ev, persist, solver
+from outageplan import _kernels, evaluate as ev, persist
 from outageplan.config import AppConfig, load_config
 from outageplan.errors import ArtifactMismatchError, ConfigError, OutagePlanError
 from outageplan.outage import CaidiSeries, SuperposedModel, fit_from_caidi, mean_matched_single, outage_model_to_config, severe_years
 from outageplan.simulate import CostTable, build_metamodel
-from outageplan.solver import QTable, TrainResult, policy_value, train, value_iteration, write_convergence_csv
+from outageplan.solver import QTable, TrainResult, policy_value, train, write_convergence_csv
 
 OUT_DIR_ENV = "OUTAGEPLAN_OUT_DIR"
 DEFAULT_OUT_DIR = "outageplan-out"
@@ -214,7 +214,7 @@ def cmd_evaluate(args) -> int:
     env = cfg.env()
     if not np.array_equal(qtable.state_codes, env.codec.state_codes):
         raise ArtifactMismatchError(f"{args.qtable}: Q-table rows do not match the states of the active config")
-    if qtable.action_labels != tuple(env.action_label(a) for a in env.actions):
+    if qtable.action_labels != env.action_labels:
         raise ArtifactMismatchError(f"{args.qtable}: Q-table columns do not match the actions of the active config")
     metamodel_path = _resolve_metamodel(cfg, args.metamodel, out_dir)
     exact_return = None

@@ -13,11 +13,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from outageplan import persist
 from outageplan.errors import ArtifactMismatchError, ConfigError
-from outageplan.mdp import PlanningEnv, PlanningState
-from outageplan.outage import OutageModel, SingleModel, SuperposedModel, duration_pmf, outage_model_to_config
-from outageplan.solver import QTable, greedy_action
+from outageplan.mdp import PlanningEnv
+from outageplan.outage import SingleModel, SuperposedModel, duration_pmf, outage_model_to_config
+from outageplan.solver import QTable
 
 TRACE_FORMAT = "outageplan-trace"
 
@@ -178,33 +180,40 @@ def rollout(
     planning_hash: str,
     exact_expected_return: float | None = None,
 ) -> PolicyTrace:
-    """Greedy rollout with prices forced to the trajectory. Deterministic."""
-    indices = trajectory.indices_for(env)
-    installs: tuple[int, ...] = ()
+    """Greedy rollout with prices forced to the trajectory. Deterministic.
+
+    Walks the codec from capacity multiset 0; a state the table does not
+    hold raises KeyError. Each row's state is (period, price per unit in $,
+    installed kWh per unit), whole numbers as ints.
+    """
+    codec = env.codec
+    cap = 0
     rows = []
     first_invest: Optional[int] = None
-    for t in range(env.horizon):
-        state = PlanningState(period=t, price_idx=indices[t], installs=installs)
-        action = greedy_action(qtable, env, state)
-        if action.is_install:
-            a = env.action_index(action)
-            installs = tuple(sorted(installs + (a - 1,)))
+    for t, price_idx in enumerate(trajectory.indices_for(env)):
+        code = (t * codec.p_full + codec.price_combo(price_idx)) * codec.c_full + cap
+        # first maximum wins: do-nothing, then unit-major, level-minor
+        a = int(np.argmax(qtable.values[qtable.index_of(code)]))
+        prices = [e.chain.values[i] for e, i in zip(env.catalog, price_idx)]
+        cells = [t] + prices + env.installed_kwh[cap].tolist()
+        if a:
+            unit, level = divmod(a - 1, len(env.levels_kwh))
+            row_unit, row_level = env.unit_names[unit], env.levels_kwh[level]
             if first_invest is None:
                 first_invest = t + 1
-            row_unit, row_level = env.unit_names[action.unit], env.levels_kwh[action.level]
         else:
             row_unit, row_level = None, None
         rows.append(
             TraceRow(
                 period=t + 1,
-                state=env.display_tuple(state),
-                action=env.action_label(action),
+                state=tuple(int(x) if float(x).is_integer() else float(x) for x in cells),
+                action=env.action_labels[a],
                 action_unit=row_unit,
                 action_level_kwh=row_level,
             )
         )
-    final = PlanningState(period=env.horizon, price_idx=indices[-1], installs=installs)
-    mix = env.capacity_of(final)
+        cap = int(codec.cap_next[cap, a])
+    mix = env.capacity_of(cap)
     totals = {
         "total_kwh": float(sum(mix.values())),
         "first_investment_period": first_invest,
@@ -220,6 +229,10 @@ def rollout(
         totals=totals,
         exact_expected_return=exact_expected_return,
     )
+
+
+# keys of a comparison document beside its two labels' traces
+_REPORT_KEYS = ("format", "version", "labels", "deltas")
 
 
 @dataclass(frozen=True)
@@ -270,6 +283,11 @@ class ComparisonReport:
 
 def compare(trace_a: PolicyTrace, trace_b: PolicyTrace, label_a: str = "model-a", label_b: str = "model-b") -> ComparisonReport:
     """Diff two traces that share planning structure and trajectory."""
+    if label_a == label_b:
+        raise ValueError("comparison labels must differ")
+    for label in (label_a, label_b):
+        if label in _REPORT_KEYS:
+            raise ValueError(f"comparison label {label!r} is a key of the comparison document; choose another")
     if trace_a.planning_hash != trace_b.planning_hash:
         raise ArtifactMismatchError(
             "traces were built on different planning structures "
@@ -298,8 +316,6 @@ def compare(trace_a: PolicyTrace, trace_b: PolicyTrace, label_a: str = "model-a"
             k: float(ta["mix_kwh"][k] - tb["mix_kwh"][k]) for k in ta["mix_kwh"]
         },
     }
-    if label_a == label_b:
-        raise ValueError("comparison labels must differ")
     ra = trace_a.exact_expected_return
     rb = trace_b.exact_expected_return
     if ra is not None and rb is not None:

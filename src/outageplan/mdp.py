@@ -7,9 +7,11 @@ catalog install per period and is never removed; reward is the negative of
 investment cost plus the metamodel's expected outage cost for the
 post-action portfolio, so capacity bought in a period already protects it.
 
-States are keyed by integer tuples, never by floating-point prices. The
-codec packs (period, price combo, capacity multiset) into one integer code
-whose sorted enumeration doubles as the dense Q-table row index.
+In code a state is its integer code and a row of the codec, never a
+floating-point price: the codec packs (period, price combo, capacity
+multiset index) into one integer whose sorted enumeration doubles as the
+dense Q-table row index. An action is an integer too: 0 does nothing and
+1 + unit * n_levels + level installs one catalog level.
 
 A capacity multiset's portfolio is its row of `PlanningEnv.installed_kwh`
 (installed kWh per unit, catalog order). `attach_metamodel` joins those rows
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,13 +58,6 @@ class PriceChain:
     def __len__(self) -> int:
         return len(self.values)
 
-    def step(self, index: int, u: float) -> int:
-        if not 0 <= index < len(self.values):
-            raise ValueError(f"price index {index} out of range")
-        if index < len(self.values) - 1 and u < self.advance_prob:
-            return index + 1
-        return index
-
     def transition_matrix(self) -> np.ndarray:
         n = len(self.values)
         mat = np.zeros((n, n))
@@ -83,36 +78,6 @@ class UnitCatalogEntry:
     @property
     def name(self) -> str:
         return self.storage.name
-
-
-@dataclass(frozen=True)
-class InstallAction:
-    """Install one catalog level on one unit, or do nothing (both None)."""
-
-    unit: Optional[int] = None
-    level: Optional[int] = None
-
-    def __post_init__(self):
-        if (self.unit is None) != (self.level is None):
-            raise ValueError("unit and level must both be set or both be None")
-
-    @property
-    def is_install(self) -> bool:
-        return self.unit is not None
-
-
-@dataclass(frozen=True)
-class PlanningState:
-    """period in [0, K]; one price index per unit; sorted option multiset.
-
-    installs holds (unit * n_levels + level) option indices, sorted; the
-    per-unit kWh view is derived, so two different multisets that sum to the
-    same kWh stay distinct states.
-    """
-
-    period: int
-    price_idx: tuple[int, ...]
-    installs: tuple[int, ...]
 
 
 @dataclass
@@ -146,20 +111,18 @@ def unique_rows(a: np.ndarray) -> np.ndarray:
 class StateCodec:
     """Integer packing and reachable enumeration of planning states.
 
-    code = (period * P + price_combo) * C + cap_index, where P is the full
-    price-combo count and C counts level multisets of size <= horizon. At
-    period t a price index can have advanced at most t rungs and at most t
-    installs exist, which makes the reachable set a simple product; each
-    period's block of codes is built as one numpy outer sum over its price
-    combos and cap indices, in ascending code order.
+    code = (period * P + price_combo) * C + cap, where cap indexes cap_sets,
+    P is the full price-combo count and C counts level multisets of size
+    <= horizon. At period t a price index can have advanced at most t rungs
+    and at most t installs exist, which makes the reachable set a simple
+    product; each period's block of codes is built as one numpy outer sum
+    over its price combos and cap indices, in ascending code order.
     """
 
     def __init__(self, horizon: int, ladder_sizes: Sequence[int], n_units: int, n_levels: int):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.horizon = horizon
-        self.n_units = n_units
-        self.n_levels = n_levels
         self.n_options = n_units * n_levels
         self.ladder_sizes = np.array(ladder_sizes, dtype=np.int64)
 
@@ -170,7 +133,6 @@ class StateCodec:
                 itertools.combinations_with_replacement(range(self.n_options), k)
             )
             self._cap_prefix.append(len(self.cap_sets))
-        self.cap_index = {cap: i for i, cap in enumerate(self.cap_sets)}
         self.c_full = len(self.cap_sets)
         # One row per multiset, its options ascending, padded with n_options.
         self.cap_array = np.array(
@@ -230,26 +192,6 @@ class StateCodec:
 
     def price_combo(self, price_idx: Sequence[int]) -> int:
         return int(sum(int(d) * int(s) for d, s in zip(price_idx, self.price_strides)))
-
-    def price_digits(self, combo: int) -> tuple[int, ...]:
-        digits = []
-        for u in range(self.n_units):
-            d, combo = divmod(combo, int(self.price_strides[u]))
-            digits.append(int(d))
-        return tuple(digits)
-
-    def code_of(self, state: PlanningState) -> int:
-        p = self.price_combo(state.price_idx)
-        c = self.cap_index[tuple(state.installs)]
-        return (state.period * self.p_full + p) * self.c_full + c
-
-    def state_of(self, code: int) -> PlanningState:
-        tp, c = divmod(code, self.c_full)
-        t, p = divmod(tp, self.p_full)
-        return PlanningState(period=t, price_idx=self.price_digits(p), installs=self.cap_sets[c])
-
-    def index_of(self, code: int) -> int:
-        return row_index(self.state_codes, code)
 
     def row_base(self) -> np.ndarray:
         """Row index of (t, p, cap index 0) by period and price combo, -1 where
@@ -326,13 +268,8 @@ class PlanningEnv:
             n_units=len(catalog),
             n_levels=len(self.levels_kwh),
         )
-        self.actions: tuple[InstallAction, ...] = tuple(
-            [InstallAction()]
-            + [
-                InstallAction(unit=u, level=l)
-                for u in range(len(catalog))
-                for l in range(len(self.levels_kwh))
-            ]
+        self.action_labels = ("do-nothing",) + tuple(
+            f"install {name} {level:g} kWh" for name in self.unit_names for level in self.levels_kwh
         )
         self.installed_kwh = self._installed_kwh_table()
         self._cost_of_cap: np.ndarray | None = None
@@ -356,84 +293,10 @@ class PlanningEnv:
             kwh[rows, unit] += levels[level]
         return kwh
 
-    # -- state helpers -------------------------------------------------
-
-    def initial_state(self) -> PlanningState:
-        return PlanningState(
-            period=0, price_idx=(0,) * len(self.catalog), installs=()
-        )
-
-    def is_terminal(self, state: PlanningState) -> bool:
-        return state.period >= self.horizon
-
-    def legal_actions(self, state: PlanningState) -> tuple[InstallAction, ...]:
-        self._check_state(state)
-        if self.is_terminal(state):
-            return ()
-        return self.actions
-
-    def action_index(self, action: InstallAction) -> int:
-        if not action.is_install:
-            return 0
-        if not (0 <= action.unit < len(self.catalog)):
-            raise ValueError(f"unit index {action.unit} out of range")
-        if not (0 <= action.level < len(self.levels_kwh)):
-            raise ValueError(f"level index {action.level} out of range")
-        return 1 + action.unit * len(self.levels_kwh) + action.level
-
-    def action_label(self, action: InstallAction) -> str:
-        if not action.is_install:
-            return "do-nothing"
-        name = self.unit_names[action.unit]
-        level = self.levels_kwh[action.level]
-        level_txt = f"{level:g}"
-        return f"install {name} {level_txt} kWh"
-
-    def capacity_of(self, state: PlanningState) -> dict[str, float]:
-        """Installed kWh per unit name, in catalog order."""
-        kwh = self.installed_kwh[self.codec.cap_index[tuple(state.installs)]]
-        return dict(zip(self.unit_names, kwh.tolist()))
-
-    def display_tuple(self, state: PlanningState) -> tuple:
-        """Flat (period, price per unit in $, installed kWh per unit) view."""
-        prices = [e.chain.values[i] for e, i in zip(self.catalog, state.price_idx)]
-        cells = [state.period] + prices + list(self.capacity_of(state).values())
-        return tuple(int(x) if float(x).is_integer() else float(x) for x in cells)
-
-    def _check_state(self, state: PlanningState) -> None:
-        if not 0 <= state.period <= self.horizon:
-            raise ValueError(f"period {state.period} out of [0, {self.horizon}]")
-        if len(state.price_idx) != len(self.catalog):
-            raise ValueError("one price index per unit required")
-        for idx, entry in zip(state.price_idx, self.catalog):
-            if not 0 <= idx < len(entry.chain):
-                raise ValueError(f"price index {idx} off the {entry.name} ladder")
-        if len(state.installs) > state.period:
-            raise ValueError("more installs than elapsed periods")
-        if tuple(sorted(state.installs)) != tuple(state.installs):
-            raise ValueError("installs multiset must be sorted")
-
-    # -- dynamics --------------------------------------------------------
-
-    def transition(self, state: PlanningState, action: InstallAction, rng: np.random.Generator) -> PlanningState:
-        """Advance one period: apply the install, then walk every price chain.
-
-        One uniform is consumed per unit in catalog order, at the absorbing
-        floor too, mirroring the training kernel's stream layout exactly.
-        """
-        self._check_state(state)
-        if self.is_terminal(state):
-            raise ValueError(f"no actions at terminal period {state.period}")
-        a = self.action_index(action)
-        if action.is_install:
-            installs = tuple(sorted(state.installs + (a - 1,)))
-        else:
-            installs = state.installs
-        new_idx = []
-        for entry, idx in zip(self.catalog, state.price_idx):
-            u = rng.random()
-            new_idx.append(entry.chain.step(idx, u))
-        return PlanningState(period=state.period + 1, price_idx=tuple(new_idx), installs=installs)
+    def capacity_of(self, cap: int) -> dict[str, float]:
+        """Installed kWh per unit name, in catalog order, of capacity
+        multiset `cap`."""
+        return dict(zip(self.unit_names, self.installed_kwh[cap].tolist()))
 
     def attach_metamodel(self, table: CostTable) -> None:
         """Bind a cost table and pre-resolve the cost of every reachable
@@ -455,22 +318,6 @@ class PlanningEnv:
             raise ArtifactMismatchError(
                 f"cost table entry for {key} kWh is {float(costs[bad[0]])!r}; costs must be finite and >= 0")
         self._cost_of_cap = costs
-
-    def attach_zero_cost(self) -> None:
-        """Bind an all-zero outage cost (useful for structural tests)."""
-        self._cost_of_cap = np.zeros(self.codec.c_full)
-
-    def reward(self, state: PlanningState, action: InstallAction, next_state: PlanningState) -> float:
-        """-(investment at the pre-transition price) - metamodel cost of the
-        post-action portfolio."""
-        if self._cost_of_cap is None:
-            raise RuntimeError("attach a metamodel before computing rewards")
-        invest = 0.0
-        if action.is_install:
-            price = self.catalog[action.unit].chain.values[state.price_idx[action.unit]]
-            invest = self.levels_kwh[action.level] * price
-        outage_cost = float(self._cost_of_cap[self.codec.cap_index[tuple(next_state.installs)]])
-        return -(invest + outage_cost)
 
     # -- dense tables ---------------------------------------------------
 

@@ -23,7 +23,7 @@ import numpy as np
 from outageplan import persist
 from outageplan._kernels import qlearn_chunk
 from outageplan.errors import ArtifactMismatchError
-from outageplan.mdp import InstallAction, PlanningEnv, PlanningState, row_index
+from outageplan.mdp import PlanningEnv, row_index
 
 CONVERGENCE_EPOCH = 10_000
 
@@ -134,13 +134,6 @@ class QTable:
     def index_of(self, code: int) -> int:
         return row_index(self.state_codes, code)
 
-    def action_values(self, code: int) -> np.ndarray:
-        return self.values[self.index_of(code)]
-
-    def greedy_index(self, code: int) -> int:
-        # first maximum wins: do-nothing, then unit-major, level-minor
-        return int(np.argmax(self.action_values(code)))
-
     def greedy_policy(self) -> np.ndarray:
         return np.argmax(self.values, axis=1).astype(np.int64)
 
@@ -214,14 +207,6 @@ class TrainResult:
     pairs_visited: int
 
 
-def greedy_action(qtable: QTable, env: PlanningEnv, state: PlanningState) -> InstallAction:
-    """Greedy action at a state; terminal states have none."""
-    if env.is_terminal(state):
-        raise ValueError(f"no greedy action at terminal period {state.period}")
-    code = env.codec.code_of(state)
-    return env.actions[qtable.greedy_index(code)]
-
-
 def train(
     env: PlanningEnv,
     schedule: TrainingSchedule,
@@ -262,12 +247,11 @@ def train(
         log.append(
             ConvergencePoint(episode=done, max_q_delta=float(max_delta), mean_return=float(total_return) / m)
         )
-    labels = [env.action_label(a) for a in env.actions]
     qtable = QTable(
         state_codes=tables.state_codes.copy(),
         values=q,
         visits=visits,
-        action_labels=labels,
+        action_labels=env.action_labels,
         config_hash=config_hash,
         schedule=asdict(schedule),
         seed=schedule.seed,
@@ -301,20 +285,6 @@ class ExactSolution:
         self.env = env
         self.q_per_period = q_per_period
         self.v_per_period = v_per_period
-
-    def q_values(self, state: PlanningState) -> np.ndarray:
-        codec = self.env.codec
-        p = codec.price_combo(state.price_idx)
-        c = codec.cap_index[tuple(state.installs)]
-        return self.q_per_period[state.period][p, c]
-
-    def value(self, state: PlanningState) -> float:
-        if state.period >= self.env.horizon:
-            return 0.0
-        codec = self.env.codec
-        p = codec.price_combo(state.price_idx)
-        c = codec.cap_index[tuple(state.installs)]
-        return float(self.v_per_period[state.period][p, c])
 
     def expected_return(self) -> float:
         return float(self.v_per_period[0][0, 0])

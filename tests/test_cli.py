@@ -177,6 +177,15 @@ class TestPipeline:
         assert rc == 1
         assert "outageplan-error: ValueError: comparison labels must differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [("deltas", "b"), ("a", "format")])
+    def test_compare_label_that_is_a_document_key(self, pipeline, tmp_path, capsys, labels):
+        trace = str(pipeline / "trace-single.json")
+        argv = ["compare", "--trace-a", trace, "--trace-b", trace, "--out", str(tmp_path)]
+        assert main(argv + ["--label-a", labels[0], "--label-b", labels[1]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("outageplan-error: ValueError: comparison label ") and err.count("\n") == 1, err
+        assert not (tmp_path / "comparison.json").exists()
+
 
 class TestErrorPaths:
     def test_train_without_metamodel(self, tmp_path, capsys):

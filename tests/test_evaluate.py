@@ -7,7 +7,6 @@ import pytest
 
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.evaluate import (
-    ComparisonReport,
     PolicyTrace,
     PriceTrajectory,
     compare,
@@ -15,7 +14,7 @@ from outageplan.evaluate import (
     rollout,
     write_plot_csv,
 )
-from outageplan.mdp import PlanningEnv, PlanningState, PriceChain, UnitCatalogEntry
+from outageplan.mdp import PlanningEnv, PriceChain, UnitCatalogEntry
 from outageplan.outage import SingleModel, SuperposedModel, duration_pmf
 from outageplan.simulate import StorageUnitSpec
 from outageplan.solver import QTable
@@ -56,18 +55,19 @@ GOOD_TRAJECTORY = "unit,p1,p2,p3\nalpha,400,290,290\nbeta,150,95,95\n"
 def scripted_qtable(env, wanted):
     """QTable whose greedy action is forced at the given states.
 
-    wanted maps PlanningState -> action index; everywhere else the values
-    row stays zero, so do-nothing wins the first-maximum tie-break.
+    wanted maps (period, price indices, sorted installs) -> action index;
+    everywhere else the values row stays zero, so do-nothing wins the
+    first-maximum tie-break.
     """
     codec = env.codec
     values = np.zeros((codec.n_states, codec.n_actions))
-    for state, action_idx in wanted.items():
-        values[codec.index_of(codec.code_of(state)), action_idx] = 1.0
+    for (t, idx, installs), action_idx in wanted.items():
+        values[codec.row_base()[t, codec.price_combo(idx)] + codec.cap_sets.index(installs), action_idx] = 1.0
     return QTable(
         state_codes=codec.state_codes.copy(),
         values=values,
         visits=np.zeros_like(values, dtype=np.int64),
-        action_labels=[env.action_label(a) for a in env.actions],
+        action_labels=env.action_labels,
         config_hash="cfg",
         schedule={},
         seed=0,
@@ -143,8 +143,8 @@ class TestRollout:
         env = make_env()
         traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))
         wanted = {
-            PlanningState(0, (0, 0), ()): 3,  # install beta 200
-            PlanningState(1, (1, 1), (2,)): 2,  # install alpha 500
+            (0, (0, 0), ()): 3,  # install beta 200
+            (1, (1, 1), (2,)): 2,  # install alpha 500
         }
         trace = rollout(scripted_qtable(env, wanted), env, traj, config_hash="c", planning_hash="p")
         assert [r.action for r in trace.rows] == [
@@ -185,12 +185,12 @@ class TestRollout:
         )
         traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, "unit,p1,p2,p3\nu,100,100,100\n"))
         wanted = {
-            PlanningState(0, (0,), ()): 2,
-            PlanningState(1, (0,), (1,)): 3,
-            PlanningState(2, (0,), (1, 2)): 1,
+            (0, (0,), ()): 2,
+            (1, (0,), (1,)): 3,
+            (2, (0,), (1, 2)): 1,
         }
         trace = rollout(scripted_qtable(env, wanted), env, traj, config_hash="c", planning_hash="p")
-        final = env.capacity_of(PlanningState(3, (0,), (0, 1, 2)))
+        final = env.capacity_of(env.codec.cap_sets.index((0, 1, 2)))
         assert trace.totals["mix_kwh"] == final
         assert trace.totals["total_kwh"] == final["u"] == 1.0
 
@@ -202,11 +202,22 @@ class TestRollout:
         assert trace.totals["first_investment_period"] is None
         assert all(r.action == "do-nothing" for r in trace.rows)
 
+    def test_state_missing_from_the_table(self, tmp_path):
+        env = make_env()
+        traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))
+        full = scripted_qtable(env, {})
+        # drop the do-nothing path's second state: prices (1, 1), nothing installed
+        keep = np.ones(full.n_states, dtype=bool)
+        keep[env.codec.row_base()[1, env.codec.price_combo((1, 1))]] = False
+        table = QTable(full.state_codes[keep], full.values[keep], full.visits[keep], full.action_labels, "cfg", {}, 0, {})
+        with pytest.raises(KeyError, match="not a reachable non-terminal state"):
+            rollout(table, env, traj, config_hash="c", planning_hash="p")
+
     def test_save_load_round_trip(self, tmp_path):
         env = make_env()
         traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))
         trace = rollout(
-            scripted_qtable(env, {PlanningState(0, (0, 0), ()): 1}),
+            scripted_qtable(env, {(0, (0, 0), ()): 1}),
             env,
             traj,
             config_hash="c",
@@ -260,8 +271,8 @@ class TestCompare:
             scripted_qtable(
                 env,
                 {
-                    PlanningState(0, (0, 0), ()): 3,
-                    PlanningState(1, (1, 1), (2,)): 2,
+                    (0, (0, 0), ()): 3,
+                    (1, (1, 1), (2,)): 2,
                 },
             ),
             env,
@@ -270,7 +281,7 @@ class TestCompare:
             planning_hash="p",
             exact_expected_return=-10.0,
         )
-        wanted_b = {PlanningState(1, (1, 1), ()): 3} if first_b_invests else {}
+        wanted_b = {(1, (1, 1), ()): 3} if first_b_invests else {}
         b = rollout(
             scripted_qtable(env, wanted_b),
             env,
@@ -335,6 +346,12 @@ class TestCompare:
         a, b = self._trace_pair(tmp_path)
         with pytest.raises(ValueError, match="labels must differ"):
             compare(a, b, label_a="x", label_b="x")
+
+    @pytest.mark.parametrize("labels", [("deltas", "b"), ("a", "format"), ("labels", "b"), ("a", "version")])
+    def test_labels_must_not_be_document_keys(self, tmp_path, labels):
+        a, b = self._trace_pair(tmp_path)
+        with pytest.raises(ValueError, match="is a key of the comparison document"):
+            compare(a, b, *labels)
 
     def test_report_document_and_text(self, tmp_path):
         a, b = self._trace_pair(tmp_path)

@@ -9,15 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outageplan.errors import ArtifactMismatchError, ConfigError
-from outageplan.mdp import (
-    InstallAction,
-    PlanningEnv,
-    PlanningState,
-    PriceChain,
-    StateCodec,
-    UnitCatalogEntry,
-    unique_rows,
-)
+from outageplan.mdp import PlanningEnv, PriceChain, StateCodec, UnitCatalogEntry, row_index, unique_rows
 from outageplan.simulate import CostTable, StorageUnitSpec
 from outageplan.solver import value_iteration
 
@@ -130,20 +122,6 @@ def catalog_of(ladder_sizes):
     )
 
 
-class ScriptedRng:
-    """Deterministic stand-in for numpy's Generator: pops scripted uniforms."""
-
-    def __init__(self, uniforms):
-        self._queue = list(uniforms)
-
-    def random(self):
-        return self._queue.pop(0)
-
-    @property
-    def consumed_all(self):
-        return not self._queue
-
-
 class TestPriceChain:
     def test_validation(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
@@ -155,21 +133,6 @@ class TestPriceChain:
         with pytest.raises(ValueError, match="at least one value"):
             PriceChain(values=(), advance_prob=0.5)
 
-    def test_step_advances_below_threshold(self):
-        chain = PriceChain(values=(10.0, 5.0, 2.0), advance_prob=0.7)
-        assert chain.step(0, 0.69) == 1
-        assert chain.step(0, 0.7) == 0
-        assert chain.step(1, 0.0) == 2
-
-    def test_floor_is_absorbing(self):
-        chain = PriceChain(values=(10.0, 5.0), advance_prob=0.9)
-        assert chain.step(1, 0.0) == 1
-
-    def test_step_rejects_bad_index(self):
-        chain = PriceChain(values=(10.0, 5.0), advance_prob=0.5)
-        with pytest.raises(ValueError, match="out of range"):
-            chain.step(2, 0.5)
-
     def test_transition_matrix_is_stochastic(self):
         chain = PriceChain(values=(10.0, 5.0, 2.0), advance_prob=0.3)
         mat = chain.transition_matrix()
@@ -180,28 +143,7 @@ class TestPriceChain:
         assert mat[2, 0] == mat[2, 1] == 0.0
 
 
-class TestInstallAction:
-    def test_do_nothing(self):
-        a = InstallAction()
-        assert not a.is_install
-
-    def test_pair_required(self):
-        with pytest.raises(ValueError, match="both be set or both be None"):
-            InstallAction(unit=1)
-
-    def test_install(self):
-        a = InstallAction(unit=0, level=1)
-        assert a.is_install
-
-
 class TestStateCodec:
-    def test_code_round_trips(self):
-        env = make_env()
-        codec = env.codec
-        for code in codec.state_codes:
-            state = codec.state_of(int(code))
-            assert codec.code_of(state) == code
-
     def test_codes_sorted_strictly(self):
         codec = make_env().codec
         assert np.all(np.diff(codec.state_codes) > 0)
@@ -210,9 +152,9 @@ class TestStateCodec:
         env = make_env()
         codec = env.codec
         # price index 1 cannot be reached at period 0
-        bad = PlanningState(period=0, price_idx=(1, 0), installs=())
+        bad = codec.price_combo((1, 0)) * codec.c_full
         with pytest.raises(KeyError, match="not a reachable non-terminal state"):
-            codec.index_of(codec.code_of(bad))
+            row_index(codec.state_codes, bad)
 
     def test_cap_next_matches_multiset_append(self):
         codec = make_env().codec
@@ -228,13 +170,10 @@ class TestStateCodec:
     def test_same_kwh_different_multisets_stay_distinct(self):
         env = make_env(levels=(250.0, 500.0))
         codec = env.codec
-        double_small = tuple(sorted((0, 0)))  # two alpha-250 installs
-        one_big = (1,)  # one alpha-500 install
-        assert codec.cap_index[double_small] != codec.cap_index[one_big]
-        assert (
-            env.capacity_of(PlanningState(2, (0, 0), double_small))
-            == env.capacity_of(PlanningState(1, (0, 0), one_big))
-        )
+        double_small = codec.cap_sets.index((0, 0))  # two alpha-250 installs
+        one_big = codec.cap_sets.index((1,))  # one alpha-500 install
+        assert double_small != one_big
+        assert env.capacity_of(double_small) == env.capacity_of(one_big)
 
     def test_tiny_census(self):
         census = make_env().codec.census()
@@ -255,35 +194,41 @@ class TestStateCodec:
         assert codec.p_full == 256
 
     def test_reachability_census_by_breadth_first_walk(self):
-        # independent oracle: walk the actual dynamics, branching every price
-        # chain both ways, and compare the discovered set to the codec's.
+        # independent oracle: walk (period, price indices, sorted installs)
+        # from the start, branching every price chain both ways (stay, or
+        # advance unless at the floor) and growing the install multiset by
+        # any one option, and compare the discovered set to the codec's.
         env = make_env()
-        frontier = {env.initial_state()}
-        seen_nonterminal = set()
-        terminal = set()
+        codec = env.codec
+        ladders = [len(e.chain) for e in env.catalog]
+        frontier = {(0, (0,) * len(ladders), ())}
+        nonterminal, terminal = set(), set()
         while frontier:
             nxt = set()
-            for state in frontier:
-                if env.is_terminal(state):
-                    terminal.add(state)
+            for t, idx, installs in frontier:
+                if t == env.horizon:
+                    terminal.add((t, idx, installs))
                     continue
-                seen_nonterminal.add(state)
-                for action in env.legal_actions(state):
-                    for branch in itertools.product((0.0, 0.99), repeat=len(env.catalog)):
-                        nxt.add(env.transition(state, action, ScriptedRng(branch)))
-            frontier = nxt - seen_nonterminal - terminal
-        codes = sorted(env.codec.code_of(s) for s in seen_nonterminal)
-        assert codes == list(env.codec.state_codes)
-        assert len(terminal) == env.codec.census().per_period[-1]
+                nonterminal.add((t, idx, installs))
+                grown = [installs] + [tuple(sorted(installs + (j,))) for j in range(codec.n_options)]
+                steps = [{i, min(i + 1, n - 1)} for i, n in zip(idx, ladders)]
+                nxt.update((t + 1, p, g) for p in itertools.product(*steps) for g in grown)
+            frontier = nxt
+        codes = sorted(
+            (t * codec.p_full + codec.price_combo(idx)) * codec.c_full + codec.cap_sets.index(installs)
+            for t, idx, installs in nonterminal
+        )
+        assert codes == list(codec.state_codes)
+        assert len(terminal) == codec.census().per_period[-1]
 
     @pytest.mark.parametrize("ladders", [[2, 2], [3, 2, 4], [4, 1]])
     def test_row_base_plus_cap_index_is_the_sorted_row(self, ladders):
         codec = StateCodec(horizon=3, ladder_sizes=ladders, n_units=len(ladders), n_levels=2)
         base = codec.row_base()
         for row, code in enumerate(codec.state_codes):
-            state = codec.state_of(int(code))
-            p = codec.price_combo(state.price_idx)
-            assert base[state.period, p] + codec.cap_index[state.installs] == row
+            tp, cap = divmod(int(code), codec.c_full)
+            t, p = divmod(tp, codec.p_full)
+            assert base[t, p] + cap == row
         reachable = sum(len(combos) for combos in codec.period_combos)
         assert np.count_nonzero(base >= 0) == reachable
 
@@ -323,17 +268,16 @@ class TestStateCodec:
     def test_installed_kwh_sums_in_multiset_order(self):
         # 0.1 + 0.2 + 0.7 differs from 0.7 + 0.2 + 0.1 in the last bit
         env = make_env(horizon=3, levels=(0.1, 0.2, 0.7))
-        cap = (0, 1, 2)  # alpha at each level, in multiset order
-        state = PlanningState(period=3, price_idx=(0, 0), installs=cap)
-        assert env.capacity_of(state) == {"alpha": (0.1 + 0.2) + 0.7, "beta": 0.0}
+        cap = env.codec.cap_sets.index((0, 1, 2))  # alpha at each level, in multiset order
+        assert env.capacity_of(cap) == {"alpha": (0.1 + 0.2) + 0.7, "beta": 0.0}
         assert (0.1 + 0.2) + 0.7 != (0.7 + 0.2) + 0.1
 
     def test_price_combo_digits_round_trip(self):
+        # digit tuples in lexicographic order, first unit most significant,
+        # map onto 0 .. P - 1 in order
         codec = StateCodec(horizon=2, ladder_sizes=[3, 2, 4], n_units=3, n_levels=1)
-        for combo in range(codec.p_full):
-            digits = codec.price_digits(combo)
-            assert codec.price_combo(digits) == combo
-            assert all(0 <= d < n for d, n in zip(digits, [3, 2, 4]))
+        digits = itertools.product(range(3), range(2), range(4))
+        assert [codec.price_combo(d) for d in digits] == list(range(codec.p_full))
 
 
 class TestPlanningEnv:
@@ -355,89 +299,14 @@ class TestPlanningEnv:
 
     def test_action_enumeration(self):
         env = make_env()
-        assert len(env.actions) == 5
-        assert not env.actions[0].is_install
-        labels = [env.action_label(a) for a in env.actions]
-        assert labels == [
+        assert env.action_labels == (
             "do-nothing",
             "install alpha 200 kWh",
             "install alpha 500 kWh",
             "install beta 200 kWh",
             "install beta 500 kWh",
-        ]
-        for i, a in enumerate(env.actions):
-            assert env.action_index(a) == i
-
-    def test_initial_state(self):
-        env = make_env()
-        s = env.initial_state()
-        assert s.period == 0
-        assert s.price_idx == (0, 0)
-        assert s.installs == ()
-        assert not env.is_terminal(s)
-
-    def test_legal_actions_empty_at_terminal(self):
-        env = make_env()
-        terminal = PlanningState(period=3, price_idx=(1, 1), installs=())
-        assert env.legal_actions(terminal) == ()
-
-    def test_transition_applies_install_and_walks_prices(self):
-        env = make_env()
-        s = env.initial_state()
-        # alpha advances (0.0 < 0.7), beta stays (0.99 >= 0.6)
-        s2 = env.transition(s, InstallAction(unit=1, level=0), ScriptedRng([0.0, 0.99]))
-        assert s2.period == 1
-        assert s2.price_idx == (1, 0)
-        assert s2.installs == (2,)  # option index = unit 1 * 2 levels + level 0
-        assert env.capacity_of(s2) == {"alpha": 0.0, "beta": 200.0}
-
-    def test_transition_consumes_uniform_at_absorbing_floor(self):
-        env = make_env()
-        s = PlanningState(period=1, price_idx=(1, 0), installs=())
-        rng = ScriptedRng([0.0, 0.99])
-        s2 = env.transition(s, InstallAction(), rng)
-        # the first uniform went to alpha (stuck at its floor), so beta saw
-        # 0.99 and stayed; skipping floor units would wrongly advance beta
-        assert s2.price_idx == (1, 0)
-        assert rng.consumed_all
-
-    def test_transition_rejects_terminal(self):
-        env = make_env()
-        terminal = PlanningState(period=3, price_idx=(0, 0), installs=())
-        with pytest.raises(ValueError, match="no actions at terminal"):
-            env.transition(terminal, InstallAction(), ScriptedRng([0.5, 0.5]))
-
-    def test_state_validation(self):
-        env = make_env()
-        with pytest.raises(ValueError, match="more installs than elapsed periods"):
-            env.legal_actions(PlanningState(period=0, price_idx=(0, 0), installs=(0,)))
-        with pytest.raises(ValueError, match="must be sorted"):
-            env.legal_actions(PlanningState(period=2, price_idx=(0, 0), installs=(3, 1)))
-        with pytest.raises(ValueError, match="off the alpha ladder"):
-            env.legal_actions(PlanningState(period=1, price_idx=(5, 0), installs=()))
-
-    def test_display_tuple_uses_ladder_values(self):
-        env = make_env()
-        s = PlanningState(period=1, price_idx=(1, 0), installs=(2,))
-        assert env.display_tuple(s) == (1, 290, 150, 0, 200)
-
-    def test_reward_arithmetic(self):
-        env = make_env()
-        env.attach_metamodel(linear_cost_table(env, dollars_per_kwh=100.0))
-        s = env.initial_state()
-        a = InstallAction(unit=0, level=1)  # alpha 500 kWh at ladder top 400
-        s2 = PlanningState(period=1, price_idx=(1, 1), installs=(1,))
-        # invest = 500 * 400; outage cost = 100 * 500 installed kWh
-        assert env.reward(s, a, s2) == pytest.approx(-(500 * 400 + 100 * 500))
-        # do-nothing pays only the standing outage cost of what is installed
-        s3 = PlanningState(period=1, price_idx=(0, 0), installs=())
-        assert env.reward(s, InstallAction(), s3) == pytest.approx(-0.0)
-
-    def test_reward_requires_metamodel(self):
-        env = make_env()
-        s = env.initial_state()
-        with pytest.raises(RuntimeError, match="attach a metamodel"):
-            env.reward(s, InstallAction(), PlanningState(1, (0, 0), ()))
+        )
+        assert len(env.action_labels) == env.codec.n_actions
 
     def test_attach_metamodel_rejects_unit_mismatch(self):
         env = make_env()
@@ -465,21 +334,13 @@ class TestPlanningEnv:
         with pytest.raises(RuntimeError, match="attach a metamodel"):
             value_iteration(env)
 
-    def test_attach_zero_cost(self):
-        env = make_env()
-        env.attach_zero_cost()
-        s = env.initial_state()
-        s2 = PlanningState(period=1, price_idx=(0, 0), installs=(3,))
-        # only the investment remains: beta 500 kWh at ladder top 150
-        assert env.reward(s, InstallAction(unit=1, level=1), s2) == pytest.approx(-500 * 150)
-
     def test_invest_table_values(self):
         env = make_env()
         invest = env.invest_table()
         codec = env.codec
         assert invest.shape == (codec.p_full, codec.n_actions)
-        for p in range(codec.p_full):
-            d_alpha, d_beta = codec.price_digits(p)
+        for d_alpha, d_beta in itertools.product(range(2), range(2)):
+            p = codec.price_combo((d_alpha, d_beta))
             alpha_price = env.catalog[0].chain.values[d_alpha]
             beta_price = env.catalog[1].chain.values[d_beta]
             assert invest[p].tolist() == [0.0, 200 * alpha_price, 500 * alpha_price, 200 * beta_price, 500 * beta_price]

@@ -1,7 +1,5 @@
 """Outage model construction, sampling, duration laws, and CAIDI fitting."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

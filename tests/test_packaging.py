@@ -51,3 +51,23 @@ def test_episode_loop_source_is_package_data():
     source = resources.files("outageplan").joinpath("_qloop.c")
     assert source.is_file()
     assert b"qlearn_episodes" in source.read_bytes()
+
+
+def test_no_unused_module_imports():
+    # a module-level import the module never uses misleads a reader about
+    # what it depends on; names in __all__ and __future__ imports are exempt
+    unused = []
+    for path in sorted([*(ROOT / "src" / "outageplan").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused.extend(
+                    f"{path.relative_to(ROOT)}: {name}"
+                    for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                    if name not in used
+                )
+    assert not unused, f"module-level imports never used: {unused}"

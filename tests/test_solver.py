@@ -17,20 +17,13 @@ from hypothesis import strategies as st
 from outageplan import _kernels, persist
 from outageplan.config import load_config
 from outageplan.errors import ArtifactMismatchError, OutagePlanError
-from outageplan.mdp import (
-    InstallAction,
-    PlanningEnv,
-    PlanningState,
-    PriceChain,
-    UnitCatalogEntry,
-)
+from outageplan.mdp import PlanningEnv, PriceChain, UnitCatalogEntry
 from outageplan.simulate import StorageUnitSpec, build_metamodel
 from outageplan.solver import (
     CONVERGENCE_EPOCH,
     _price_expectation,
     QTable,
     TrainingSchedule,
-    greedy_action,
     policy_value,
     schedule_at,
     train,
@@ -61,15 +54,19 @@ def mini_env(horizon=2):
     return env
 
 
+START = (0, (0, 0), ())
+
+
 def expectimax(env, state, gamma=1.0, memo=None):
-    """Independent recursive oracle for the exact solver."""
+    """Independent recursive oracle for the exact solver over
+    (period, price indices, sorted installs) states."""
     if memo is None:
         memo = {}
-    if env.is_terminal(state):
+    period, price_idx, installs = state
+    if period == env.horizon:
         return 0.0
-    key = (state.period, state.price_idx, state.installs)
-    if key in memo:
-        return memo[key]
+    if state in memo:
+        return memo[state]
 
     def price_branches(price_idx):
         per_unit = []
@@ -84,18 +81,22 @@ def expectimax(env, state, gamma=1.0, memo=None):
             prob = math.prod(p for _, p in combo)
             yield digits, prob
 
+    n_levels = len(env.levels_kwh)
     best = -math.inf
-    for action in env.legal_actions(state):
-        ai = env.action_index(action)
-        installs = tuple(sorted(state.installs + (ai - 1,))) if action.is_install else state.installs
-        probe = PlanningState(state.period + 1, state.price_idx, installs)
-        r = env.reward(state, action, probe)
+    # do nothing, or install one level on one unit at its current price
+    for option in [None] + list(range(len(env.catalog) * n_levels)):
+        if option is None:
+            invest, grown = 0.0, installs
+        else:
+            u, level = divmod(option, n_levels)
+            invest = env.levels_kwh[level] * env.catalog[u].chain.values[price_idx[u]]
+            grown = tuple(sorted(installs + (option,)))
+        r = -(invest + env._cost_of_cap[env.codec.cap_sets.index(grown)])
         ev = 0.0
-        for digits, prob in price_branches(state.price_idx):
-            ns = PlanningState(state.period + 1, digits, installs)
-            ev += prob * expectimax(env, ns, gamma, memo)
+        for digits, prob in price_branches(price_idx):
+            ev += prob * expectimax(env, (period + 1, digits, grown), gamma, memo)
         best = max(best, r + gamma * ev)
-    memo[key] = best
+    memo[state] = best
     return best
 
 
@@ -150,28 +151,18 @@ class TestExactSolver:
         env = mini_env(horizon=2)
         sol = value_iteration(env)
         memo = {}
-        assert sol.expected_return() == pytest.approx(
-            expectimax(env, env.initial_state(), memo=memo), abs=1e-9
-        )
+        assert sol.expected_return() == pytest.approx(expectimax(env, START, memo=memo), abs=1e-9)
         # spot-check interior states too
-        for state in (
-            PlanningState(1, (1, 0), (2,)),
-            PlanningState(1, (0, 1), ()),
-            PlanningState(1, (1, 1), (1,)),
-        ):
-            assert sol.value(state) == pytest.approx(expectimax(env, state, memo=memo), abs=1e-9)
+        codec = env.codec
+        for state in ((1, (1, 0), (2,)), (1, (0, 1), ()), (1, (1, 1), (1,))):
+            t, idx, installs = state
+            got = sol.v_per_period[t][codec.price_combo(idx), codec.cap_sets.index(installs)]
+            assert got == pytest.approx(expectimax(env, state, memo=memo), abs=1e-9)
 
     def test_three_period_expectimax(self):
         env = mini_env(horizon=3)
         sol = value_iteration(env)
-        assert sol.expected_return() == pytest.approx(
-            expectimax(env, env.initial_state()), abs=1e-9
-        )
-
-    def test_terminal_value_is_zero(self):
-        env = mini_env()
-        sol = value_iteration(env)
-        assert sol.value(PlanningState(2, (1, 1), (0, 3))) == 0.0
+        assert sol.expected_return() == pytest.approx(expectimax(env, START), abs=1e-9)
 
     def test_single_state_closed_form(self):
         env = PlanningEnv(
@@ -179,7 +170,7 @@ class TestExactSolver:
         )
         env.attach_metamodel(cost_table(env, lambda kwh: np.where(kwh[:, 0] == 0.0, 77.0, 13.0)))
         sol = value_iteration(env)
-        q = sol.q_values(env.initial_state())
+        q = sol.q_per_period[0][0, 0]  # the start state: top price, nothing installed
         assert q[0] == pytest.approx(-77.0)
         assert q[1] == pytest.approx(-(50.0 * 100.0 + 13.0))
         assert sol.expected_return() == pytest.approx(-77.0)
@@ -303,10 +294,10 @@ class TestTraining:
         )
         env.attach_metamodel(cost_table(env, lambda kwh: np.where(kwh[:, 0] == 0.0, 77.0, 13.0)))
         res = train(env, TrainingSchedule(episodes=5000, seed=0))
-        q = res.qtable.action_values(env.codec.code_of(env.initial_state()))
+        q = res.qtable.values[res.qtable.index_of(0)]  # code 0 is the start state
         assert q[0] == pytest.approx(-77.0, rel=1e-3)
         assert q[1] == pytest.approx(-5013.0, rel=1e-3)
-        assert greedy_action(res.qtable, env, env.initial_state()) == InstallAction()
+        assert res.qtable.greedy_policy()[0] == 0  # do nothing
 
     def test_deterministic_per_seed(self):
         env = mini_env()
@@ -352,7 +343,7 @@ class TestTraining:
             episodes=20_000, epsilon_start=1.0, epsilon_end=1.0, seed=8
         )
         res = train(env, schedule)
-        root = res.qtable.index_of(env.codec.code_of(env.initial_state()))
+        root = res.qtable.index_of(0)  # code 0 is the start state
         freq = res.qtable.visits[root] / res.qtable.visits[root].sum()
         assert np.allclose(freq, 1 / env.codec.n_actions, atol=0.02)
 
@@ -370,12 +361,6 @@ class TestTraining:
         env._cost_of_cap[0] = math.nan
         with pytest.raises(RuntimeError, match="Q updates left"):
             train(env, TrainingSchedule(episodes=100, seed=0))
-
-    def test_greedy_action_rejects_terminal(self):
-        env = mini_env()
-        res = train(env, TrainingSchedule(episodes=100, seed=0))
-        with pytest.raises(ValueError, match="no greedy action at terminal"):
-            greedy_action(res.qtable, env, PlanningState(2, (0, 0), ()))
 
 
 def qlearn_chunk_oracle(
@@ -522,7 +507,7 @@ def named_env(name):
     -0.0."""
     if name == "tiny-zero-cost":
         env = load_config("tiny").env()
-        env.attach_zero_cost()
+        env.attach_metamodel(cost_table(env, lambda kwh: np.zeros(len(kwh))))
         return env
     if name == "unequal-ladders":
         env = PlanningEnv(
