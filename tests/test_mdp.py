@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outageplan import _kernels
 from outageplan.errors import ArtifactMismatchError, ConfigError
+from outageplan.evaluate import PriceTrajectory, rollout
 from outageplan.mdp import PlanningEnv, PriceChain, StateCodec, UnitCatalogEntry, row_index, unique_rows
 from outageplan.simulate import CostTable, StorageUnitSpec
-from outageplan.solver import value_iteration
+from outageplan.solver import QTable, TrainingSchedule, policy_value, train, value_iteration
 
 from conftest import cost_table
 
@@ -122,6 +124,41 @@ def catalog_of(ladder_sizes):
     )
 
 
+def one_unit_env(chain, horizon):
+    entry = UnitCatalogEntry(
+        storage=StorageUnitSpec(name="u", round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=1.0),
+        chain=chain,
+    )
+    return PlanningEnv(horizon=horizon, catalog=(entry,), levels_kwh=(100.0,))
+
+
+def compiled_episode(env, actions, price_uniforms):
+    """The (period, price indices, sorted installs) states that one episode
+    of the compiled Q-learning loop visits when it takes `actions` in turn
+    and walks the prices with `price_uniforms`, one row of per-unit
+    uniforms per period."""
+    env.attach_metamodel(linear_cost_table(env))
+    tables = env.kernel_tables()
+    codec = env.codec
+    uniforms = np.zeros((1, env.horizon, 2 + len(env.catalog)))
+    # explore uniform 0.0 < epsilon 1 at every step, so the action uniform
+    # picks the scripted action; alpha 0 leaves every Q-value at zero
+    uniforms[0, :, 1] = (np.array(actions) + 0.5) / tables.n_actions
+    uniforms[0, :, 2:] = price_uniforms
+    q = np.zeros((len(tables.state_codes), tables.n_actions))
+    visits = np.zeros(q.shape, np.int64)
+    _kernels.qlearn_chunk(q, visits, tables, 1.0, uniforms, np.zeros(1), np.ones(1))
+    rows, taken = np.nonzero(visits)  # rows ascend with the period
+    assert taken.tolist() == list(actions)
+    states = []
+    for row in rows:
+        tp, cap = divmod(int(codec.state_codes[row]), codec.c_full)
+        t, p = divmod(tp, codec.p_full)
+        digits = tuple(int(d) for d in p // codec.price_strides % codec.ladder_sizes)
+        states.append((t, digits, codec.cap_sets[cap]))
+    return states
+
+
 class TestPriceChain:
     def test_validation(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
@@ -133,6 +170,17 @@ class TestPriceChain:
         with pytest.raises(ValueError, match="at least one value"):
             PriceChain(values=(), advance_prob=0.5)
 
+    def test_step_advances_below_threshold(self):
+        env = one_unit_env(PriceChain(values=(10.0, 5.0, 2.0), advance_prob=0.7), horizon=4)
+        # a uniform at advance_prob stays, one below it moves one rung down
+        states = compiled_episode(env, [0, 0, 0, 0], [[0.7], [0.69], [0.0], [0.0]])
+        assert [idx for _, idx, _ in states] == [(0,), (0,), (1,), (2,)]
+
+    def test_floor_is_absorbing(self):
+        env = one_unit_env(PriceChain(values=(10.0, 5.0), advance_prob=0.9), horizon=3)
+        states = compiled_episode(env, [0, 0, 0], [[0.0], [0.0], [0.0]])
+        assert [idx for _, idx, _ in states] == [(0,), (1,), (1,)]
+
     def test_transition_matrix_is_stochastic(self):
         chain = PriceChain(values=(10.0, 5.0, 2.0), advance_prob=0.3)
         mat = chain.transition_matrix()
@@ -143,7 +191,42 @@ class TestPriceChain:
         assert mat[2, 0] == mat[2, 1] == 0.0
 
 
+class TestInstallAction:
+    """Actions are integer indices: 0 does nothing, 1 + unit * levels +
+    level installs that level on that unit."""
+
+    def test_do_nothing(self):
+        env = make_env()
+        codec = env.codec
+        assert env.action_labels[0] == "do-nothing"
+        assert not env.invest_table()[:, 0].any()
+        assert codec.cap_next[:, 0].tolist() == list(range(codec.c_full))
+
+    def test_install(self):
+        env = make_env()
+        codec = env.codec
+        a = 1 + 1 * len(env.levels_kwh) + 1  # beta 500 kWh
+        assert env.action_labels[a] == "install beta 500 kWh"
+        grown = codec.cap_next[0, a]
+        assert codec.cap_sets[grown] == (a - 1,)
+        assert env.capacity_of(grown) == {"alpha": 0.0, "beta": 500.0}
+        assert env.invest_table()[0, a] == 500 * 150.0
+
+
 class TestStateCodec:
+    def test_code_round_trips(self):
+        # code = (period * P + price combo) * C + cap decodes with divmod,
+        # and the combo's digits pack back through price_combo
+        env = make_env()
+        codec = env.codec
+        for code in codec.state_codes:
+            tp, cap = divmod(int(code), codec.c_full)
+            t, p = divmod(tp, codec.p_full)
+            digits = tuple(int(d) for d in p // codec.price_strides % codec.ladder_sizes)
+            assert t < env.horizon and cap < codec.cap_count_at(t)
+            assert all(d <= t for d in digits)
+            assert (t * codec.p_full + codec.price_combo(digits)) * codec.c_full + cap == code
+
     def test_codes_sorted_strictly(self):
         codec = make_env().codec
         assert np.all(np.diff(codec.state_codes) > 0)
@@ -308,6 +391,88 @@ class TestPlanningEnv:
         )
         assert len(env.action_labels) == env.codec.n_actions
 
+    def test_initial_state(self):
+        # code 0 is the start: period 0, every price at its ladder top,
+        # nothing installed, and the first row of the table
+        env = make_env()
+        codec = env.codec
+        assert codec.state_codes[0] == 0
+        assert codec.row_base()[0, 0] == 0
+        assert codec.cap_sets[0] == ()
+        assert env.capacity_of(0) == {"alpha": 0.0, "beta": 0.0}
+        assert compiled_episode(env, [0, 0, 0], [[0.99, 0.99]] * 3)[0] == (0, (0, 0), ())
+
+    def test_legal_actions_empty_at_terminal(self):
+        # a multiset of horizon installs is reached only at the horizon: it
+        # grows no further, and no terminal state has a row
+        env = make_env()
+        codec = env.codec
+        full = [c for c, cap in enumerate(codec.cap_sets) if len(cap) == env.horizon]
+        assert full and (codec.cap_next[full, 1:] == -1).all()
+        assert codec.cap_count_at(env.horizon - 1) == min(full)
+        for p in range(codec.p_full):
+            with pytest.raises(KeyError, match="not a reachable non-terminal state"):
+                row_index(codec.state_codes, (env.horizon * codec.p_full + p) * codec.c_full)
+
+    def test_transition_applies_install_and_walks_prices(self):
+        env = make_env()
+        # install beta 200 (option 1 * 2 levels + 0); alpha advances
+        # (0.0 < 0.7), beta stays (0.99 >= 0.6)
+        states = compiled_episode(env, [3, 0, 0], [[0.0, 0.99]] * 3)
+        assert states[1] == (1, (1, 0), (2,))
+        assert env.capacity_of(env.codec.cap_sets.index((2,))) == {"alpha": 0.0, "beta": 200.0}
+
+    def test_transition_consumes_uniform_at_absorbing_floor(self):
+        env = make_env()
+        states = compiled_episode(env, [0, 0, 0], [[0.0, 0.99], [0.0, 0.99], [0.0, 0.99]])
+        # in period 1 the first uniform still went to alpha (stuck at its
+        # floor), so beta saw 0.99 and stayed; skipping floor units would
+        # wrongly advance beta
+        assert [idx for _, idx, _ in states] == [(0, 0), (1, 0), (1, 0)]
+
+    def test_state_validation(self):
+        env = make_env()
+        codec = env.codec
+        # more installs than elapsed periods
+        with pytest.raises(KeyError, match="not a reachable non-terminal state"):
+            row_index(codec.state_codes, codec.cap_sets.index((0,)))
+        # every multiset is stored sorted, so each has one index
+        assert all(list(cap) == sorted(cap) for cap in codec.cap_sets)
+        assert len(set(codec.cap_sets)) == codec.c_full
+
+    def test_display_tuple_uses_ladder_values(self):
+        # a trace row's state shows the period, the ladder value of each
+        # price index and the installed kWh per unit
+        env = make_env()
+        codec = env.codec
+        values = np.zeros((codec.n_states, codec.n_actions))
+        values[0, 3] = 1.0  # install beta 200 at the start
+        qtable = QTable(codec.state_codes, values, np.zeros(values.shape, np.int64), env.action_labels,
+                        config_hash=None, schedule={}, seed=0, codec_meta={})
+        traj = PriceTrajectory(units=("alpha", "beta"), values=((400.0, 290.0, 290.0), (150.0, 150.0, 95.0)))
+        trace = rollout(qtable, env, traj, config_hash="c", planning_hash="p")
+        assert trace.rows[1].state == (1, 290, 150, 0, 200)
+
+    def test_reward_arithmetic(self):
+        # at horizon 1 the exact Q-values are the rewards:
+        # -(invest at the price + outage cost of the grown multiset)
+        env = make_env(horizon=1)
+        env.attach_metamodel(linear_cost_table(env, dollars_per_kwh=100.0))
+        q = value_iteration(env).q_per_period[0][0, 0]
+        # alpha 500 kWh at ladder top 400; outage cost = 100 * 500 installed kWh
+        assert q[2] == pytest.approx(-(500 * 400 + 100 * 500))
+        # do-nothing pays only the standing outage cost of what is installed
+        assert q[0] == 0.0
+        tables = env.kernel_tables()
+        assert -tables.invest[0, 2] - tables.cost_of_cap[tables.cap_next[0, 2]] == q[2]
+
+    def test_reward_requires_metamodel(self):
+        env = make_env()
+        with pytest.raises(RuntimeError, match="attach a metamodel"):
+            policy_value(env, np.zeros(env.codec.n_states, np.int64))
+        with pytest.raises(RuntimeError, match="attach a metamodel"):
+            train(env, TrainingSchedule(episodes=1, seed=0))
+
     def test_attach_metamodel_rejects_unit_mismatch(self):
         env = make_env()
         table = CostTable(units=("x",), kwh=[[0.0]], cost=[0.0], stderr=[0.0], meta={})
@@ -333,6 +498,13 @@ class TestPlanningEnv:
             env.attach_metamodel(table)
         with pytest.raises(RuntimeError, match="attach a metamodel"):
             value_iteration(env)
+
+    def test_attach_zero_cost(self):
+        env = make_env(horizon=1)
+        env.attach_metamodel(cost_table(env, lambda kwh: np.zeros(len(kwh))))
+        assert not env.kernel_tables().cost_of_cap.any()
+        # only the investment remains: beta 500 kWh at ladder top 150
+        assert value_iteration(env).q_per_period[0][0, 0, 4] == pytest.approx(-500 * 150)
 
     def test_invest_table_values(self):
         env = make_env()

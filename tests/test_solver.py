@@ -164,6 +164,17 @@ class TestExactSolver:
         sol = value_iteration(env)
         assert sol.expected_return() == pytest.approx(expectimax(env, START), abs=1e-9)
 
+    def test_terminal_value_is_zero(self):
+        # the last period's Q-values are the bare rewards, so the terminal
+        # value adds nothing: not even the sign of a zero
+        env = named_env("tiny-zero-cost")
+        sol = value_iteration(env)
+        codec = env.codec
+        q_last = sol.q_per_period[-1]
+        cap_next = codec.cap_next[: codec.cap_count_at(env.horizon - 1)]
+        assert np.array_equal(q_last, -env.invest_table()[:, None, :] - env._cost_of_cap[cap_next][None, :, :])
+        assert not np.signbit(q_last[:, :, 0]).any()
+
     def test_single_state_closed_form(self):
         env = PlanningEnv(
             horizon=1, catalog=(unit("a", (100.0,), 0.5),), levels_kwh=(50.0,)
@@ -361,6 +372,13 @@ class TestTraining:
         env._cost_of_cap[0] = math.nan
         with pytest.raises(RuntimeError, match="Q updates left"):
             train(env, TrainingSchedule(episodes=100, seed=0))
+
+    def test_greedy_action_rejects_terminal(self):
+        env = mini_env()
+        res = train(env, TrainingSchedule(episodes=100, seed=0))
+        terminal = (env.horizon * env.codec.p_full + 0) * env.codec.c_full
+        with pytest.raises(KeyError, match="not a reachable non-terminal state"):
+            res.qtable.index_of(terminal)
 
 
 def qlearn_chunk_oracle(
