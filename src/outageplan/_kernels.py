@@ -107,10 +107,11 @@ def _episode_loop():
 
 
 def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
-    """One chunk of epsilon-greedy Q-learning episodes, updating `q` and
-    `visits` in place; returns (largest |update|, summed return, number of
-    Q-values that left [q_lower, 0], number of (state, action) pairs
-    visited for the first time).
+    """One chunk of epsilon-greedy Q-learning episodes, updating `q`
+    (float64) and `visits` (int32) in place; returns (largest |update|,
+    summed return, number of Q-values that left [q_lower, 0], number of
+    (state, action) pairs visited for the first time). An episode adds at
+    most one visit to a pair, so int32 counts hold 2^31 - 1 episodes.
 
     Per step the stream supplies: explore uniform, action uniform (drawn
     whether or not the step explores), then one uniform per unit for the
@@ -118,8 +119,8 @@ def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
     """
     # carray: C-contiguous, aligned and writable, as the C loop needs (a
     # loaded Q-table is a read-only, possibly unaligned view of its file)
-    if q.dtype != np.float64 or visits.dtype != np.int64 or not (q.flags.carray and visits.flags.carray):
-        raise ValueError("q and visits must be C-contiguous, aligned, writable float64 and int64 arrays")
+    if q.dtype != np.float64 or visits.dtype != np.int32 or not (q.flags.carray and visits.flags.carray):
+        raise ValueError("q and visits must be C-contiguous, aligned, writable float64 and int32 arrays")
     rows = (tables.state_codes.shape[0], tables.n_actions)
     if q.shape != rows or visits.shape != rows:
         raise ValueError(f"q and visits must have shape {rows}")

@@ -1,7 +1,9 @@
 /* The episode loop of outageplan._kernels.qlearn_chunk.
  *
  * Plays n_episodes epsilon-greedy Q-learning episodes of `horizon` steps,
- * updating q and visits (both (rows, n_actions), row-major) in place. All
+ * updating q and the visit counts (both (rows, n_actions), row-major) in
+ * place. A state holds its period, so an episode adds at most one visit to
+ * a pair and the caller bounds the counts by its episode budget. All
  * randomness comes from `uniforms`, (n_episodes, horizon, 2 + n_units)
  * row-major: per step the explore uniform, the action uniform (read only
  * when the step explores) and one uniform per unit for the price walk. Each
@@ -30,7 +32,7 @@ static int64_t first_max(const double *row, int64_t n)
     return best;
 }
 
-void qlearn_episodes(double *q, int64_t *visits, int64_t n_actions,
+void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
                      int64_t n_episodes, int64_t horizon, int64_t n_units,
                      const double *uniforms, const double *alphas,
                      const double *epsilons, const int64_t *row_base,

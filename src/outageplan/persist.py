@@ -25,6 +25,8 @@ import numpy as np
 from outageplan.errors import ArtifactMismatchError
 
 CONTAINER_MAGIC = "OPAC1"
+# largest slice of an array that save_container converts at once
+_BLOCK_BYTES = 1 << 20
 
 # JSON kinds by the Python type json.load gives them, bool before int
 _JSON_KIND = {dict: "an object", list: "a list", str: "a string", bool: "a boolean", int: "an integer",
@@ -74,22 +76,32 @@ def write_json(path, doc: Any) -> None:
         fh.write("\n")
 
 
-def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write named arrays plus a metadata dict as one self-describing file."""
-    manifest = []
-    buffers = []
+def save_container(path, meta: dict, arrays: dict[str, np.ndarray], dtypes: dict[str, str] | None = None) -> None:
+    """Write named arrays plus a metadata dict as one self-describing file.
+
+    An array named in `dtypes` is stored as that dtype, which it must cast
+    to safely; any other keeps its own dtype, little-endian. The bytes are
+    converted and written a block of at most 1 MiB at a time, so no
+    full-size copy of a C-contiguous array is made."""
+    dtypes = dtypes or {}
+    # a 0-d array is stored with shape (1,)
+    arrays = {name: np.atleast_1d(arr) for name, arr in arrays.items()}
+    stored = {}
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        manifest.append([name, arr.dtype.str, list(arr.shape)])
-        buffers.append(arr)
+        dtype = np.dtype(dtypes.get(name, arr.dtype)).newbyteorder("<")
+        if not np.can_cast(arr.dtype, dtype, "safe"):
+            raise ValueError(f"array {name!r} of dtype {arr.dtype} cannot be stored as {dtype}")
+        stored[name] = dtype
+    manifest = [[name, stored[name].str, list(arr.shape)] for name, arr in arrays.items()]
     header = canonical_json({"magic": CONTAINER_MAGIC, "meta": meta, "arrays": manifest})
     with atomic_write(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
-        for arr in buffers:
-            fh.write(arr.reshape(-1).view(np.uint8))
+        for name, arr in arrays.items():
+            flat, step = arr.reshape(-1), max(_BLOCK_BYTES // stored[name].itemsize, 1)
+            for start in range(0, flat.size, step):
+                # one expression, so a block is freed before the next exists
+                fh.write(np.ascontiguousarray(flat[start : start + step], dtype=stored[name]).view(np.uint8))
 
 
 def _array_specs(path, header: dict) -> list[tuple[str, np.dtype, tuple[int, ...]]]:

@@ -4,9 +4,11 @@ Training runs in chunks of up to 10^4 episodes: the uniform stream for a
 chunk is drawn up front from one PCG64 generator and handed to the episode
 kernel, so a fixed seed reproduces training bit-for-bit. The kernel's
 episode loop is compiled C that walks the prices from those uniforms and
-updates the Q-table in place; its extra memory is the chunk's uniforms,
-bounded by the chunk, not by the run. The case study's 4,000,000 episodes
-per config train in 2.7-3.1 s on a 2-vCPU VM.
+updates the Q-table in place. What training holds in memory is the table,
+float64 values and int32 visit counts in one anonymous mapping that is
+unmapped when the table is dropped, plus one uniforms buffer of a chunk's
+size that every chunk refills. The case study's 4,000,000 episodes per
+config train in 2.7-3.1 s on a 2-vCPU VM.
 The exact solver does backward induction with the factorized price-chain
 expectation and serves as the oracle the learned policy is judged against.
 The terminal values are zero, so the last period takes no expectation.
@@ -15,6 +17,7 @@ The terminal values are zero, so the last period takes no expectation.
 from __future__ import annotations
 
 import csv
+import mmap
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -26,6 +29,11 @@ from outageplan.errors import ArtifactMismatchError
 from outageplan.mdp import PlanningEnv, row_index
 
 CONVERGENCE_EPOCH = 10_000
+# an int32 visit count; a state holds its period, so an episode adds at
+# most one visit to any (state, action) pair
+MAX_EPISODES = 2**31 - 1
+# rows per block of the greedy argmax, about 0.85 MB of a 13-action table
+_ARGMAX_ROWS = 8192
 
 QTABLE_FORMAT = "outageplan-qtable"
 
@@ -55,6 +63,8 @@ class TrainingSchedule:
     def __post_init__(self):
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        if self.episodes > MAX_EPISODES:
+            raise ValueError(f"episodes must be <= {MAX_EPISODES}, the limit of an int32 visit count")
         for name in ("alpha_start", "alpha_end"):
             v = getattr(self, name)
             if not 0 < v <= 1:
@@ -135,7 +145,14 @@ class QTable:
         return row_index(self.state_codes, code)
 
     def greedy_policy(self) -> np.ndarray:
-        return np.argmax(self.values, axis=1).astype(np.int64)
+        """First-maximum action per row. The argmax goes a block of rows at
+        a time because numpy copies an unaligned array, as a loaded table's
+        values are, before reducing it."""
+        policy = np.empty(self.n_states, np.int64)
+        for start in range(0, self.n_states, _ARGMAX_ROWS):
+            rows = slice(start, start + _ARGMAX_ROWS)
+            np.argmax(self.values[rows], axis=1, out=policy[rows])
+        return policy
 
     def save(self, path) -> None:
         meta = {
@@ -151,6 +168,7 @@ class QTable:
             path,
             meta,
             {"state_codes": self.state_codes, "values": self.values, "visits": self.visits},
+            dtypes={name: dtype for name, (dtype, _) in _QTABLE_ARRAYS.items()},
         )
 
     @classmethod
@@ -207,6 +225,22 @@ class TrainResult:
     pairs_visited: int
 
 
+def _zeroed_tables(rows: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed float64 values and int32 visit counts of shape (rows,
+    n_actions), as two views of one private anonymous mapping.
+
+    The mapping is unmapped when the last view goes, so a dropped table's
+    memory returns to the OS instead of staying in the malloc heap."""
+    n = rows * n_actions
+    buf = mmap.mmap(-1, 8 * n + 4 * n, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # episodes jump between far rows, and 4 KB pages train slower
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    q = np.frombuffer(buf, np.float64, count=n).reshape(rows, n_actions)
+    visits = np.frombuffer(buf, np.int32, count=n, offset=8 * n).reshape(rows, n_actions)
+    return q, visits
+
+
 def train(
     env: PlanningEnv,
     schedule: TrainingSchedule,
@@ -224,16 +258,14 @@ def train(
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(schedule.seed))
     n_units = len(env.catalog)
-    q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
-    # np.zeros, not zeros_like: the pages stay unmapped until an episode
-    # visits them
-    visits = np.zeros(q.shape, np.int64)
+    q, visits = _zeroed_tables(tables.state_codes.shape[0], tables.n_actions)
+    draws = np.empty((min(CONVERGENCE_EPOCH, schedule.episodes), tables.horizon, 2 + n_units))
     log: list[ConvergencePoint] = []
     done = visited = 0
     while done < schedule.episodes:
         m = min(CONVERGENCE_EPOCH, schedule.episodes - done)
         alphas, epsilons = schedule_at(schedule, np.arange(done, done + m))
-        uniforms = rng.random((m, tables.horizon, 2 + n_units))
+        uniforms = rng.random(out=draws[:m])
         max_delta, total_return, violations, first_visits = qlearn_chunk(
             q, visits, tables, schedule.gamma, uniforms, alphas, epsilons
         )

@@ -470,6 +470,7 @@ class TestDocumentValidation:
             ({"epsilon": [0.05, 1.0]}, "epsilon must not grow"),
             ({"episodes": 0}, "episodes must be >= 1"),
             ({"gamma": 1.5}, r"gamma must be in \[0, 1\]"),
+            ({"episodes": 2**31}, "episodes must be <= 2147483647, the limit of an int32 visit count"),
         ],
     )
     def test_training_block_must_form_a_schedule(self, tmp_path, training, message):

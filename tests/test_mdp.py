@@ -146,7 +146,7 @@ def compiled_episode(env, actions, price_uniforms):
     uniforms[0, :, 1] = (np.array(actions) + 0.5) / tables.n_actions
     uniforms[0, :, 2:] = price_uniforms
     q = np.zeros((len(tables.state_codes), tables.n_actions))
-    visits = np.zeros(q.shape, np.int64)
+    visits = np.zeros(q.shape, np.int32)
     _kernels.qlearn_chunk(q, visits, tables, 1.0, uniforms, np.zeros(1), np.ones(1))
     rows, taken = np.nonzero(visits)  # rows ascend with the period
     assert taken.tolist() == list(actions)

@@ -136,6 +136,9 @@ class TestSchedule:
     def test_validation(self):
         with pytest.raises(ValueError, match="episodes must be >= 1"):
             TrainingSchedule(episodes=0)
+        assert TrainingSchedule(episodes=2**31 - 1).episodes == 2**31 - 1
+        with pytest.raises(ValueError, match="episodes must be <= 2147483647, the limit of an int32 visit count"):
+            TrainingSchedule(episodes=2**31)
         with pytest.raises(ValueError, match="alpha must not grow"):
             TrainingSchedule(episodes=10, alpha_start=0.1, alpha_end=0.5)
         with pytest.raises(ValueError, match="epsilon must not grow"):
@@ -481,7 +484,8 @@ def run_chunks(kernel, env, schedule, epoch):
     tables = env.kernel_tables()
     rng = np.random.Generator(np.random.PCG64(schedule.seed))
     q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
-    visits = np.zeros_like(q, dtype=np.int64)
+    # the oracle counts in int64, the compiled loop in int32
+    visits = np.zeros_like(q, dtype=np.int64 if kernel is qlearn_chunk_oracle else np.int32)
     returned = []
     done = 0
     while done < schedule.episodes:
@@ -565,7 +569,7 @@ class TestKernelParity:
         want_q, want_visits, want = run_chunks(qlearn_chunk_oracle, env, schedule, epoch)
         got_q, got_visits, got = run_chunks(_kernels.qlearn_chunk, env, schedule, epoch)
         assert got_q.tobytes() == want_q.tobytes()
-        assert got_visits.tobytes() == want_visits.tobytes()
+        assert got_visits.astype(np.int64).tobytes() == want_visits.tobytes()
         assert exact(got) == exact(want)
 
     def test_train_matches_oracle_across_an_epoch_boundary(self):
@@ -574,7 +578,7 @@ class TestKernelParity:
         want_q, want_visits, want = run_chunks(qlearn_chunk_oracle, env, schedule, CONVERGENCE_EPOCH)
         res = train(env, schedule)
         assert res.qtable.values.tobytes() == want_q.tobytes()
-        assert res.qtable.visits.tobytes() == want_visits.tobytes()
+        assert res.qtable.visits.astype(np.int64).tobytes() == want_visits.tobytes()
         assert [p.episode for p in res.convergence] == [CONVERGENCE_EPOCH, CONVERGENCE_EPOCH + 1500]
         sizes = [CONVERGENCE_EPOCH, 1500]
         assert res.pairs_visited == sum(n for *_, n in want) == np.count_nonzero(want_visits)
@@ -620,29 +624,30 @@ class TestTies:
             tables.ladder_sizes, tables.price_strides, tables.advance_prob, tables.horizon,
             tables.p_full, tables.c_full, gamma, uniforms, alphas, epsilons, tables.q_lower,
         )
-        got_q, got_visits = start.copy(), np.zeros(start.shape, dtype=np.int64)
+        got_q, got_visits = start.copy(), np.zeros(start.shape, dtype=np.int32)
         got = _kernels.qlearn_chunk(got_q, got_visits, tables, gamma, uniforms, alphas, epsilons)
         assert got_q.tobytes() == want_q.tobytes()
-        assert got_visits.tobytes() == want_visits.tobytes()
+        assert got_visits.astype(np.int64).tobytes() == want_visits.tobytes()
         assert exact([got]) == exact([want])
         assert np.signbit(got_q[got_q == 0.0]).any()
 
 
 class TestChunkInputs:
     BAD = {
-        "float32 uniforms": lambda u, a, e: (u.astype(np.float32), a, e),
-        "Fortran-order uniforms": lambda u, a, e: (np.asfortranarray(u), a, e),
-        "strided uniforms": lambda u, a, e: (np.repeat(u, 2, axis=0)[::2], a, e),
-        "unaligned uniforms": lambda u, a, e: (
-            np.frombuffer(b"\0" + u.tobytes(), np.float64, offset=1).reshape(u.shape), a, e
+        "int64 visits": lambda v, u, a, e: (np.zeros(v.shape, np.int64), u, a, e),
+        "float32 uniforms": lambda v, u, a, e: (v, u.astype(np.float32), a, e),
+        "Fortran-order uniforms": lambda v, u, a, e: (v, np.asfortranarray(u), a, e),
+        "strided uniforms": lambda v, u, a, e: (v, np.repeat(u, 2, axis=0)[::2], a, e),
+        "unaligned uniforms": lambda v, u, a, e: (
+            v, np.frombuffer(b"\0" + u.tobytes(), np.float64, offset=1).reshape(u.shape), a, e
         ),
-        "a period short": lambda u, a, e: (u[:, :-1].copy(), a, e),
-        "a uniform per step short": lambda u, a, e: (u[:, :, :-1].copy(), a, e),
-        "2-D uniforms": lambda u, a, e: (u.reshape(len(u), -1), a, e),
-        "short alphas": lambda u, a, e: (u, a[:-1], e),
-        "short epsilons": lambda u, a, e: (u, a, e[:-1]),
-        "long epsilons": lambda u, a, e: (u, a, np.append(e, 0.5)),
-        "2-D epsilons": lambda u, a, e: (u, a, e[:, None]),
+        "a period short": lambda v, u, a, e: (v, u[:, :-1].copy(), a, e),
+        "a uniform per step short": lambda v, u, a, e: (v, u[:, :, :-1].copy(), a, e),
+        "2-D uniforms": lambda v, u, a, e: (v, u.reshape(len(u), -1), a, e),
+        "short alphas": lambda v, u, a, e: (v, u, a[:-1], e),
+        "short epsilons": lambda v, u, a, e: (v, u, a, e[:-1]),
+        "long epsilons": lambda v, u, a, e: (v, u, a, np.append(e, 0.5)),
+        "2-D epsilons": lambda v, u, a, e: (v, u, a, e[:, None]),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD))
@@ -650,12 +655,13 @@ class TestChunkInputs:
         env = mini_env()
         tables = env.kernel_tables()
         q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
-        visits = np.zeros(q.shape, np.int64)
+        visits = np.zeros(q.shape, np.int32)
         uniforms = np.random.default_rng(0).random((6, tables.horizon, 2 + len(env.catalog)))
         alphas, epsilons = np.full(6, 0.5), np.full(6, 0.5)
-        with pytest.raises(ValueError, match="uniforms must be|alphas and epsilons must"):
-            _kernels.qlearn_chunk(q, visits, tables, 1.0, *self.BAD[case](uniforms, alphas, epsilons))
-        assert not q.any() and not visits.any()
+        bad_visits, *bad = self.BAD[case](visits, uniforms, alphas, epsilons)
+        with pytest.raises(ValueError, match="q and visits must be|uniforms must be|alphas and epsilons must"):
+            _kernels.qlearn_chunk(q, bad_visits, tables, 1.0, *bad)
+        assert not q.any() and not visits.any() and not bad_visits.any()
         _kernels.qlearn_chunk(q, visits, tables, 1.0, uniforms, alphas, epsilons)
         assert visits.sum() == 6 * tables.horizon
 
