@@ -109,9 +109,9 @@ def _episode_loop():
 def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
     """One chunk of epsilon-greedy Q-learning episodes, updating `q`
     (float64) and `visits` (int32) in place; returns (largest |update|,
-    summed return, number of Q-values that left [q_lower, 0], number of
-    (state, action) pairs visited for the first time). An episode adds at
-    most one visit to a pair, so int32 counts hold 2^31 - 1 episodes.
+    summed return, number of Q-values that left [q_lower, 0]). An episode
+    adds at most one visit to a pair, so int32 counts hold 2^31 - 1
+    episodes.
 
     Per step the stream supplies: explore uniform, action uniform (drawn
     whether or not the step explores), then one uniform per unit for the
@@ -142,12 +142,12 @@ def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
     cap_next = np.ascontiguousarray(tables.cap_next, np.int64)
     invest = np.ascontiguousarray(tables.invest, np.float64)
     cost_of_cap = np.ascontiguousarray(tables.cost_of_cap, np.float64)
-    out, counts = np.zeros(2), np.zeros(2, np.int64)
+    out, violations = np.zeros(2), np.zeros(1, np.int64)
     loop(
         q.ctypes.data, visits.ctypes.data, tables.n_actions, steps[0], tables.horizon, n_units,
         uniforms.ctypes.data, alphas.ctypes.data, epsilons.ctypes.data, row_base.ctypes.data,
         tables.p_full, tops.ctypes.data, strides.ctypes.data, advance_prob.ctypes.data,
         cap_next.ctypes.data, invest.ctypes.data, cost_of_cap.ctypes.data,
-        float(gamma), float(tables.q_lower), out.ctypes.data, counts.ctypes.data,
+        float(gamma), float(tables.q_lower), out.ctypes.data, violations.ctypes.data,
     )
-    return float(out[0]), float(out[1]), int(counts[0]), int(counts[1])
+    return float(out[0]), float(out[1]), int(violations[0])

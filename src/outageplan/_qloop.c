@@ -15,9 +15,8 @@
  * loop in tests/test_solver.py. Build without FMA contraction
  * (-ffp-contract=off) and without -ffast-math, so every value rounds as it
  * does there. Writes the largest |update| and the summed return to out[0]
- * and out[1], the number of Q-values that left [q_lower, 1e-9] to counts[0]
- * and the number of (state, action) pairs visited for the first time to
- * counts[1].
+ * and out[1] and the number of Q-values that left [q_lower, 1e-9] to
+ * *n_violations.
  */
 #include <math.h>
 #include <stdint.h>
@@ -40,11 +39,11 @@ void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
                      const int64_t *strides, const double *advance_prob,
                      const int64_t *cap_next, const double *invest,
                      const double *cost_of_cap, double gamma, double q_lower,
-                     double *out, int64_t *counts)
+                     double *out, int64_t *n_violations)
 {
     const int64_t width = 2 + n_units;
     double max_delta = 0.0, total_return = 0.0;
-    int64_t violations = 0, first_visits = 0;
+    int64_t violations = 0;
     int64_t digits[n_units];
     for (int64_t e = 0; e < n_episodes; e++) {
         const double *draws = uniforms + e * horizon * width;
@@ -79,8 +78,7 @@ void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
             double step = alpha * (target - row[a]);
             double q_new = row[a] + step;
             row[a] = q_new;
-            if (visits[s * n_actions + a]++ == 0)
-                first_visits++;
+            visits[s * n_actions + a]++;
             if (fabs(step) > max_delta)
                 max_delta = fabs(step);
             if (!(q_lower <= q_new && q_new <= 1e-9))
@@ -93,6 +91,5 @@ void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
     }
     out[0] = max_delta;
     out[1] = total_return;
-    counts[0] = violations;
-    counts[1] = first_visits;
+    *n_violations = violations;
 }

@@ -18,7 +18,7 @@ import numpy as np
 from outageplan import persist
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.mdp import PlanningEnv
-from outageplan.outage import SingleModel, SuperposedModel, duration_pmf, outage_model_to_config
+from outageplan.outage import SingleModel, SuperposedModel, duration_support, outage_model_to_config
 from outageplan.solver import QTable
 
 TRACE_FORMAT = "outageplan-trace"
@@ -342,12 +342,9 @@ def emit_duration_plot_data(
         raise ConfigError("models must share the duration shift to share a support")
     if max_hours < single.shift:
         raise ConfigError(f"max_hours {max_hours} is below the minimum duration {single.shift}")
-    rows = []
-    t = single.shift
-    while t <= max_hours + 1e-9:
-        rows.append((t, duration_pmf(single, t), duration_pmf(superposed, t)))
-        t += 1.0
-    return rows
+    hours, pmf_single = duration_support(single, max_hours)
+    _, pmf_superposed = duration_support(superposed, max_hours)
+    return list(zip(hours.tolist(), pmf_single.tolist(), pmf_superposed.tolist()))
 
 
 def write_plot_csv(rows: Sequence[tuple[float, float, float]], path) -> None:

@@ -9,9 +9,11 @@ float64 values and int32 visit counts in one anonymous mapping that is
 unmapped when the table is dropped, plus one uniforms buffer of a chunk's
 size that every chunk refills. The case study's 4,000,000 episodes per
 config train in 2.7-3.1 s on a 2-vCPU VM.
-The exact solver does backward induction with the factorized price-chain
-expectation and serves as the oracle the learned policy is judged against.
-The terminal values are zero, so the last period takes no expectation.
+The exact solver is one backward induction with the factorized price-chain
+expectation: over every action it gives the optimum the learned policy is
+judged against, and over one action per state the value of a fixed policy,
+so the optimum's greedy policy replays its value bit for bit. The terminal
+values are zero, so the last period takes no expectation.
 """
 
 from __future__ import annotations
@@ -244,7 +246,6 @@ def _zeroed_tables(rows: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
 def train(
     env: PlanningEnv,
     schedule: TrainingSchedule,
-    rng: np.random.Generator | None = None,
     config_hash: str | None = None,
 ) -> TrainResult:
     """Epsilon-greedy tabular Q-learning over the configured episode budget.
@@ -255,18 +256,17 @@ def train(
     result also counts the (state, action) pairs visited at least once.
     """
     tables = env.kernel_tables()
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(schedule.seed))
+    rng = np.random.Generator(np.random.PCG64(schedule.seed))
     n_units = len(env.catalog)
     q, visits = _zeroed_tables(tables.state_codes.shape[0], tables.n_actions)
     draws = np.empty((min(CONVERGENCE_EPOCH, schedule.episodes), tables.horizon, 2 + n_units))
     log: list[ConvergencePoint] = []
-    done = visited = 0
+    done = 0
     while done < schedule.episodes:
         m = min(CONVERGENCE_EPOCH, schedule.episodes - done)
         alphas, epsilons = schedule_at(schedule, np.arange(done, done + m))
         uniforms = rng.random(out=draws[:m])
-        max_delta, total_return, violations, first_visits = qlearn_chunk(
+        max_delta, total_return, violations = qlearn_chunk(
             q, visits, tables, schedule.gamma, uniforms, alphas, epsilons
         )
         if violations:
@@ -275,7 +275,6 @@ def train(
                 "rewards or schedule are inconsistent"
             )
         done += m
-        visited += first_visits
         log.append(
             ConvergencePoint(episode=done, max_q_delta=float(max_delta), mean_return=float(total_return) / m)
         )
@@ -294,7 +293,7 @@ def train(
             "n_actions": tables.n_actions,
         },
     )
-    return TrainResult(qtable=qtable, convergence=log, pairs_visited=visited)
+    return TrainResult(qtable=qtable, convergence=log, pairs_visited=int(np.count_nonzero(visits)))
 
 
 def write_convergence_csv(points: Sequence[ConvergencePoint], path) -> None:
@@ -344,8 +343,42 @@ def _price_expectation(env: PlanningEnv, v_next: np.ndarray) -> np.ndarray:
     return out.reshape(codec.p_full, v_next.shape[1])
 
 
+def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> ExactSolution:
+    """Finite-horizon backward induction on the full price grid. With no
+    policy every state takes every action, so q[t] is (P, C_t, A) and v[t]
+    its maximum; with per-row actions aligned with the codec each state
+    takes only its own action, so q[t] is (P, C_t, 1), and price combos
+    unreachable at t take action 0."""
+    if env._cost_of_cap is None:
+        raise RuntimeError("attach a metamodel before backward induction")
+    codec = env.codec
+    invest = env.invest_table()
+    cost_of_cap = env._cost_of_cap
+    rows = np.arange(codec.p_full)[:, None, None]
+    q_per_period: list[np.ndarray] = [None] * env.horizon  # type: ignore[list-item]
+    v_per_period: list[np.ndarray] = [None] * env.horizon  # type: ignore[list-item]
+    for t in range(env.horizon - 1, -1, -1):
+        c_count = codec.cap_count_at(t)
+        if policy is None:
+            acts = np.arange(codec.n_actions)[None, None, :]
+        else:
+            combos = codec.period_combos[t]
+            start = codec.block_starts[t]
+            acts = np.zeros((codec.p_full, c_count, 1), dtype=np.int64)
+            acts[combos, :, 0] = policy[start : start + len(combos) * c_count].reshape(len(combos), c_count)
+        cap2 = codec.cap_next[np.arange(c_count)[None, :, None], acts]
+        q_t = -invest[rows, acts] - cost_of_cap[cap2]
+        if t == env.horizon - 1:
+            q_t += 0.0  # the terminal value is zero; this turns -0.0 into +0.0 as its expectation would
+        else:
+            q_t += gamma * _price_expectation(env, v_next)[rows, cap2]
+        v_next = q_t.max(axis=2)
+        q_per_period[t], v_per_period[t] = q_t, v_next
+    return ExactSolution(env=env, q_per_period=q_per_period, v_per_period=v_per_period)
+
+
 def value_iteration(env: PlanningEnv, gamma: float = 1.0, max_states: int = 2_000_000) -> ExactSolution:
-    """Finite-horizon backward induction over the full reachable state space.
+    """Optimal values over the full reachable state space.
 
     Refuses instances whose census exceeds max_states.
     """
@@ -354,51 +387,12 @@ def value_iteration(env: PlanningEnv, gamma: float = 1.0, max_states: int = 2_00
         raise ValueError(
             f"state space has {census.total} states, above the enumeration cap {max_states}"
         )
-    if env._cost_of_cap is None:
-        raise RuntimeError("attach a metamodel before solving")
-    codec = env.codec
-    invest = env.invest_table()
-    cost_of_cap = env._cost_of_cap
-    q_per_period: list[np.ndarray] = [None] * env.horizon  # type: ignore[list-item]
-    v_per_period: list[np.ndarray] = [None] * env.horizon  # type: ignore[list-item]
-    for t in range(env.horizon - 1, -1, -1):
-        c_count = codec.cap_count_at(t)
-        cap_next = codec.cap_next[:c_count]
-        q_t = -invest[:, None, :] - cost_of_cap[cap_next][None, :, :]
-        if t == env.horizon - 1:
-            q_t += 0.0  # the terminal value is zero; this turns -0.0 into +0.0 as its expectation would
-        else:
-            q_t += gamma * _price_expectation(env, v_next)[:, cap_next]
-        v_t = q_t.max(axis=2)
-        q_per_period[t] = q_t
-        v_per_period[t] = v_t
-        v_next = v_t
-    return ExactSolution(env=env, q_per_period=q_per_period, v_per_period=v_per_period)
+    return _backward(env, gamma, None)
 
 
 def policy_value(env: PlanningEnv, policy: np.ndarray, gamma: float = 1.0) -> float:
     """Exact expected return of a fixed policy given per-row action indices
     aligned with the codec's state enumeration."""
-    if env._cost_of_cap is None:
-        raise RuntimeError("attach a metamodel before evaluating a policy")
-    codec = env.codec
-    if policy.shape != (codec.n_states,):
-        raise ValueError(f"policy must have shape ({codec.n_states},)")
-    invest = env.invest_table()
-    cost_of_cap = env._cost_of_cap
-    for t in range(env.horizon - 1, -1, -1):
-        c_count = codec.cap_count_at(t)
-        combos = codec.period_combos[t]
-        start = codec.block_starts[t]
-        block = policy[start : start + len(combos) * c_count].reshape(len(combos), c_count)
-        actions = np.zeros((codec.p_full, c_count), dtype=np.int64)
-        actions[combos, :] = block
-        cap2 = codec.cap_next[np.arange(c_count)[None, :], actions]
-        rows = np.arange(codec.p_full)[:, None]
-        v_t = -invest[rows, actions] - cost_of_cap[cap2]
-        if t == env.horizon - 1:
-            v_t += 0.0  # as in value_iteration
-        else:
-            v_t += gamma * _price_expectation(env, v_next)[rows, cap2]
-        v_next = v_t
-    return float(v_next[0, 0])
+    if policy.shape != (env.codec.n_states,):
+        raise ValueError(f"policy must have shape ({env.codec.n_states},)")
+    return _backward(env, gamma, policy).expected_return()
