@@ -140,7 +140,7 @@ def cmd_fit(args) -> int:
 def cmd_metamodel(args) -> int:
     cfg = load_config(args.config)
     _print_seed(args.seed, args.seed_explicit)
-    replications = args.replications or cfg.metamodel_replications
+    replications = cfg.metamodel_replications if args.replications is None else args.replications
     env = cfg.env()
     grid = env.reachable_portfolios()
     table = build_metamodel(

@@ -352,9 +352,6 @@ class AppConfig:
 
     # -- derived objects -------------------------------------------------
 
-    def unit_names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.units)
-
     def storage_specs(self) -> tuple[StorageUnitSpec, ...]:
         return tuple(e.storage for e in self.units)
 

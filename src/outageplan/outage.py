@@ -55,6 +55,12 @@ class OutageKind(str, Enum):
     SEVERE = "severe"
 
 
+def _require_finite(**values: float) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class SingleModel:
     """One Poisson event stream with one duration law.
@@ -68,6 +74,7 @@ class SingleModel:
     shift: float = 1.0
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if self.rate < 0:
             raise ValueError(f"rate must be >= 0, got {self.rate}")
         if self.duration_rate < 0:
@@ -107,6 +114,7 @@ class SuperposedModel:
     shift: float = 1.0
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if self.regular_rate < 0 or self.severe_rate < 0:
             raise ValueError("event rates must be >= 0")
         if self.regular_duration_rate < 0 or self.severe_duration_rate < 0:
@@ -315,6 +323,7 @@ def duration_pmf(model: OutageModel, t_hours: float) -> float:
 
 def duration_support(model: OutageModel, max_hours: float) -> tuple[np.ndarray, np.ndarray]:
     """Durations shift, shift+1, ... up to max_hours, with their exact pmf."""
+    _require_finite(max_hours=max_hours)
     if max_hours < model.shift:
         raise ValueError(f"max_hours {max_hours} is below the minimum duration {model.shift}")
     n = int(math.floor(max_hours - model.shift + 1e-9)) + 1
@@ -347,6 +356,7 @@ def fit_from_caidi(
     rate is its mean CAIDI minus the shift (clamped at zero), and the total
     outage frequency splits between classes by year counts.
     """
+    _require_finite(severe_threshold_hours=severe_threshold_hours, base_frequency=base_frequency, shift=shift)
     if severe_threshold_hours <= 0:
         raise ValueError(f"severe threshold must be > 0, got {severe_threshold_hours}")
     if base_frequency <= 0:

@@ -9,11 +9,13 @@ float64 values and int32 visit counts in one anonymous mapping that is
 unmapped when the table is dropped, plus one uniforms buffer of a chunk's
 size that every chunk refills. The case study's 4,000,000 episodes per
 config train in 2.7-3.1 s on a 2-vCPU VM.
-The exact solver is one backward induction with the factorized price-chain
-expectation: over every action it gives the optimum the learned policy is
-judged against, and over one action per state the value of a fixed policy,
-so the optimum's greedy policy replays its value bit for bit. The terminal
-values are zero, so the last period takes no expectation.
+The exact solver is one backward induction over the stored states with the
+factorized price-chain expectation: over every action it gives the optimum
+the learned policy is judged against, and over one action per state the
+value of a fixed policy, so the optimum's greedy policy replays its value
+bit for bit. The terminal values are zero, so the last period takes no
+expectation. Its action values sit on the codec's rows like a Q-table's,
+and one first-maximum argmax gives the greedy policy of either.
 """
 
 from __future__ import annotations
@@ -99,6 +101,17 @@ def schedule_at(schedule: TrainingSchedule, episode: int | np.ndarray) -> tuple:
     return alpha, epsilon
 
 
+def greedy_policy(values: np.ndarray) -> np.ndarray:
+    """First-maximum action per row of an action-value table. The argmax goes
+    a block of rows at a time because numpy copies an unaligned array, as a
+    loaded table's values are, before reducing it."""
+    policy = np.empty(len(values), np.int64)
+    for start in range(0, len(values), _ARGMAX_ROWS):
+        rows = slice(start, start + _ARGMAX_ROWS)
+        np.argmax(values[rows], axis=1, out=policy[rows])
+    return policy
+
+
 @dataclass(frozen=True)
 class ConvergencePoint:
     episode: int
@@ -135,26 +148,11 @@ class QTable:
         self.seed = seed
         self.codec_meta = dict(codec_meta)
 
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.values.shape[1]
-
     def index_of(self, code: int) -> int:
         return row_index(self.state_codes, code)
 
     def greedy_policy(self) -> np.ndarray:
-        """First-maximum action per row. The argmax goes a block of rows at
-        a time because numpy copies an unaligned array, as a loaded table's
-        values are, before reducing it."""
-        policy = np.empty(self.n_states, np.int64)
-        for start in range(0, self.n_states, _ARGMAX_ROWS):
-            rows = slice(start, start + _ARGMAX_ROWS)
-            np.argmax(self.values[rows], axis=1, out=policy[rows])
-        return policy
+        return greedy_policy(self.values)
 
     def save(self, path) -> None:
         meta = {
@@ -304,32 +302,24 @@ def write_convergence_csv(points: Sequence[ConvergencePoint], path) -> None:
             writer.writerow([p.episode, persist.format_float(p.max_q_delta), persist.format_float(p.mean_return)])
 
 
+@dataclass
 class ExactSolution:
-    """Optimal state/action values from backward induction.
+    """Optimal action values from backward induction.
 
-    Arrays are per period: q[t] has shape (P, C_t, A) over the full price
-    grid and the capacity prefix reachable at t. Price expectation uses the
-    per-unit chain matrices, so values are exact up to float rounding.
+    `values` has one row per stored state, in codec order like a QTable's,
+    so it lines up row for row with a trained table's values; the start
+    state is row 0. Price expectation uses the per-unit chain matrices, so
+    values are exact up to float rounding.
     """
 
-    def __init__(self, env: PlanningEnv, q_per_period: list[np.ndarray], v_per_period: list[np.ndarray]):
-        self.env = env
-        self.q_per_period = q_per_period
-        self.v_per_period = v_per_period
+    values: np.ndarray
+    start_value: float
 
     def expected_return(self) -> float:
-        return float(self.v_per_period[0][0, 0])
+        return self.start_value
 
     def greedy_policy(self) -> np.ndarray:
-        """Optimal action per stored Q-table row, aligned with the codec."""
-        codec = self.env.codec
-        parts = []
-        for t in range(self.env.horizon):
-            combos = codec.period_combos[t]
-            c_count = codec.cap_count_at(t)
-            q_t = self.q_per_period[t][combos, :c_count, :]
-            parts.append(np.argmax(q_t, axis=2).reshape(-1))
-        return np.concatenate(parts).astype(np.int64)
+        return greedy_policy(self.values)
 
 
 def _price_expectation(env: PlanningEnv, v_next: np.ndarray) -> np.ndarray:
@@ -344,37 +334,41 @@ def _price_expectation(env: PlanningEnv, v_next: np.ndarray) -> np.ndarray:
 
 
 def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> ExactSolution:
-    """Finite-horizon backward induction on the full price grid. With no
-    policy every state takes every action, so q[t] is (P, C_t, A) and v[t]
-    its maximum; with per-row actions aligned with the codec each state
-    takes only its own action, so q[t] is (P, C_t, 1), and price combos
-    unreachable at t take action 0."""
+    """Finite-horizon backward induction over the stored states. With no
+    policy every state takes every action and its row holds all action
+    values; with one action per codec row each state takes only its own,
+    and its row holds that action's value. Each period's values are written
+    in place through a (combos, C_t, actions) view of its block of rows.
+
+    The next-period values stay on the full price grid, which the price
+    expectation needs, and are zero at combos that no stored state reaches:
+    a reachable combo's price digits advance at most one rung, so those
+    zeros only meet transition probabilities that are exactly zero."""
     if env._cost_of_cap is None:
         raise RuntimeError("attach a metamodel before backward induction")
     codec = env.codec
     invest = env.invest_table()
     cost_of_cap = env._cost_of_cap
-    rows = np.arange(codec.p_full)[:, None, None]
-    q_per_period: list[np.ndarray] = [None] * env.horizon  # type: ignore[list-item]
-    v_per_period: list[np.ndarray] = [None] * env.horizon  # type: ignore[list-item]
+    values = np.empty((codec.n_states, codec.n_actions if policy is None else 1))
     for t in range(env.horizon - 1, -1, -1):
+        combos = codec.period_combos[t]
         c_count = codec.cap_count_at(t)
+        block = slice(codec.block_starts[t], codec.block_starts[t] + len(combos) * c_count)
+        q_t = values[block].reshape(len(combos), c_count, -1)
         if policy is None:
             acts = np.arange(codec.n_actions)[None, None, :]
         else:
-            combos = codec.period_combos[t]
-            start = codec.block_starts[t]
-            acts = np.zeros((codec.p_full, c_count, 1), dtype=np.int64)
-            acts[combos, :, 0] = policy[start : start + len(combos) * c_count].reshape(len(combos), c_count)
+            acts = policy[block].reshape(len(combos), c_count, 1)
+        rows = combos[:, None, None]
         cap2 = codec.cap_next[np.arange(c_count)[None, :, None], acts]
-        q_t = -invest[rows, acts] - cost_of_cap[cap2]
+        np.subtract(-invest[rows, acts], cost_of_cap[cap2], out=q_t)
         if t == env.horizon - 1:
             q_t += 0.0  # the terminal value is zero; this turns -0.0 into +0.0 as its expectation would
         else:
             q_t += gamma * _price_expectation(env, v_next)[rows, cap2]
-        v_next = q_t.max(axis=2)
-        q_per_period[t], v_per_period[t] = q_t, v_next
-    return ExactSolution(env=env, q_per_period=q_per_period, v_per_period=v_per_period)
+        v_next = np.zeros((codec.p_full, c_count))
+        v_next[combos] = q_t.max(axis=2)
+    return ExactSolution(values, float(v_next[0, 0]))
 
 
 def value_iteration(env: PlanningEnv, gamma: float = 1.0, max_states: int = 2_000_000) -> ExactSolution:

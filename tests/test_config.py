@@ -336,7 +336,7 @@ class TestBundledConfigs:
         assert cfg.horizon == 4
         assert cfg.period_length_years == 3.0
         assert cfg.levels_kwh == (250.0, 500.0, 1000.0)
-        assert cfg.unit_names() == ("li-ion", "lead-acid", "vanadium-redox", "flywheel")
+        assert cfg.env().unit_names == ("li-ion", "lead-acid", "vanadium-redox", "flywheel")
         assert isinstance(cfg.outage_model, SingleModel)
         assert isinstance(load_config("casestudy-superposed").outage_model, SuperposedModel)
 

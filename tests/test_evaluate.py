@@ -207,7 +207,7 @@ class TestRollout:
         traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))
         full = scripted_qtable(env, {})
         # drop the do-nothing path's second state: prices (1, 1), nothing installed
-        keep = np.ones(full.n_states, dtype=bool)
+        keep = np.ones(len(full.state_codes), dtype=bool)
         keep[env.codec.row_base()[1, env.codec.price_combo((1, 1))]] = False
         table = QTable(full.state_codes[keep], full.values[keep], full.visits[keep], full.action_labels, "cfg", {}, 0, {})
         with pytest.raises(KeyError, match="not a reachable non-terminal state"):

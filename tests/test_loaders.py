@@ -6,17 +6,26 @@ replaced by a value of another kind or removed. A loader either returns or
 raises an OutagePlanError; anything else is a bug. When it raises, the CLI
 command that reads the same file must print one `outageplan-error:` line and
 exit 1.
+
+The CLI's numeric flags get the same treatment: a run either exits 0 and
+writes only finite numbers, or exits 1 with one `outageplan-error:` line.
 """
 
 import contextlib
 import io
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import outageplan
 from outageplan import persist
 from outageplan.cli import main
 from outageplan.config import bundled_config_path, load_config
@@ -29,6 +38,13 @@ from outageplan.solver import QTable
 from conftest import cost_table
 
 FUZZ = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+CAIDI = Path(outageplan.__file__).parent / "data" / "caidi" / "psegli_caidi.csv"
+
+FLAG_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0, 40.0])
+FLAG_COUNTS = st.sampled_from([-1, 0, 1, 2])
+# a nan or an infinity as Python, YAML or CSV spell it
+NON_FINITE = re.compile(r"(?<![a-z])\.?(nan|inf)(?![a-z])", re.IGNORECASE)
 
 DAMAGE = ",\n\r\t -+.0123456789eEnaNifI{}[]\":#_x"
 
@@ -198,3 +214,42 @@ class TestLoaderFuzz:
         text = data.draw(damaged("year,caidi_hours\n2012,22.55\n2013,1.65\n2014,2.1\n"))
         path = write(work / "fuzz-caidi.csv", text)
         check(CaidiSeries.from_csv, path, ["fit", "--caidi", str(path)])
+
+
+class TestFlagFuzz:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_numeric_flags(self, work, data):
+        command = data.draw(st.sampled_from(["fit", "plotdata", "metamodel", "train"]))
+        if command == "fit":
+            flags = data.draw(st.sets(st.sampled_from(["--threshold-hours", "--base-frequency", "--shift-hours"]), min_size=1))
+            argv = ["fit", "--caidi", str(CAIDI)] + [f"{flag}={data.draw(FLAG_FLOATS)}" for flag in sorted(flags)]
+        elif command == "plotdata":
+            argv = ["plotdata", "--config", "tiny-superposed", f"--max-hours={data.draw(FLAG_FLOATS)}"]
+        elif command == "metamodel":
+            count = data.draw(FLAG_COUNTS)
+            argv = ["metamodel", "--config", "tiny", f"--replications={count}"]
+        else:
+            count = data.draw(FLAG_COUNTS)
+            argv = ["train", "--config", "tiny", "--metamodel", str(work / "metamodel.csv"), f"--episodes={count}"]
+        out_dir = Path(tempfile.mkdtemp(dir=work))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            rc = main(argv + ["--out", str(out_dir)])
+        written = sorted(out_dir.iterdir())
+        if rc == 1:
+            assert err.getvalue().startswith("outageplan-error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+            assert written == []
+            return
+        assert rc == 0 and err.getvalue() == "", (argv, err.getvalue())
+        for path in written:
+            if path.name == "qtable.bin":
+                assert np.isfinite(QTable.load(path).values).all()
+            else:
+                assert not NON_FINITE.search(path.read_text()), (argv, path.name)
+        assert not NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+        if command == "metamodel":
+            # a count the command accepts is the count it ran
+            assert CostTable.load(out_dir / "metamodel.csv").meta["replications"] == count
+        elif command == "train":
+            assert QTable.load(out_dir / "qtable.bin").schedule["episodes"] == count

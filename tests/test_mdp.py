@@ -458,7 +458,7 @@ class TestPlanningEnv:
         # -(invest at the price + outage cost of the grown multiset)
         env = make_env(horizon=1)
         env.attach_metamodel(linear_cost_table(env, dollars_per_kwh=100.0))
-        q = value_iteration(env).q_per_period[0][0, 0]
+        q = value_iteration(env).values[0]
         # alpha 500 kWh at ladder top 400; outage cost = 100 * 500 installed kWh
         assert q[2] == pytest.approx(-(500 * 400 + 100 * 500))
         # do-nothing pays only the standing outage cost of what is installed
@@ -504,7 +504,7 @@ class TestPlanningEnv:
         env.attach_metamodel(cost_table(env, lambda kwh: np.zeros(len(kwh))))
         assert not env.kernel_tables().cost_of_cap.any()
         # only the investment remains: beta 500 kWh at ladder top 150
-        assert value_iteration(env).q_per_period[0][0, 0, 4] == pytest.approx(-500 * 150)
+        assert value_iteration(env).values[0, 4] == pytest.approx(-500 * 150)
 
     def test_invest_table_values(self):
         env = make_env()

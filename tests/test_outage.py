@@ -1,5 +1,7 @@
 """Outage model construction, sampling, duration laws, and CAIDI fitting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,20 @@ class TestModelValidation:
     def test_single_model_rejects_nonpositive_shift(self):
         with pytest.raises(ValueError, match="shift must be > 0"):
             SingleModel(rate=1.0, duration_rate=1.0, shift=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["rate", "duration_rate", "shift"])
+    def test_single_model_rejects_non_finite(self, field, value):
+        # nan passes every < comparison, and inf used to be allowed
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SingleModel(**{"rate": 1.0, "duration_rate": 1.0, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["regular_rate", "severe_rate", "regular_duration_rate", "severe_duration_rate", "shift"])
+    def test_superposed_model_rejects_non_finite(self, field, value):
+        fields = {"regular_rate": 1.0, "severe_rate": 0.2, "regular_duration_rate": 1.0, "severe_duration_rate": 2.0}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SuperposedModel(**{**fields, field: value})
 
     def test_single_model_allows_zero_rate(self):
         m = SingleModel(rate=0.0, duration_rate=2.0)
@@ -246,6 +262,11 @@ class TestDurationLaw:
         with pytest.raises(ValueError, match="below the minimum duration"):
             duration_support(m, max_hours=1.0)
 
+    @pytest.mark.parametrize("max_hours", [math.nan, math.inf])
+    def test_support_rejects_non_finite_window(self, max_hours):
+        with pytest.raises(ValueError, match="max_hours must be finite"):
+            duration_support(SingleModel(rate=1.0, duration_rate=1.0), max_hours=max_hours)
+
     def test_mean_matched_single_preserves_moments(self):
         m = SuperposedModel(
             regular_rate=1.0, severe_rate=0.2, regular_duration_rate=0.636, severe_duration_rate=21.55
@@ -309,6 +330,12 @@ class TestCaidiFit:
     def test_rejects_bad_frequency(self):
         with pytest.raises(ValueError, match="base frequency must be > 0"):
             fit_from_caidi(self.SERIES, severe_threshold_hours=10.0, base_frequency=0.0)
+
+    @pytest.mark.parametrize("field", ["severe_threshold_hours", "base_frequency", "shift"])
+    def test_rejects_non_finite_parameters_before_the_split(self, field):
+        args = {"severe_threshold_hours": 10.0, "base_frequency": 1.2, "shift": 1.0, field: math.nan}
+        with pytest.raises(ValueError, match=f"{field} must be finite, got nan"):
+            fit_from_caidi(self.SERIES, **args)
 
     def test_csv_round_trip(self, tmp_path):
         p = tmp_path / "caidi.csv"

@@ -57,7 +57,8 @@ def test_no_unused_module_imports():
     # a module-level import the module never uses misleads a reader about
     # what it depends on; names in __all__ and __future__ imports are exempt
     unused = []
-    for path in sorted([*(ROOT / "src" / "outageplan").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+    scanned = [*(ROOT / "src" / "outageplan").glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")]
+    for path in sorted(scanned):
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:

@@ -7,6 +7,7 @@ import math
 import re
 import shutil
 import subprocess
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -159,7 +160,8 @@ class TestExactSolver:
         codec = env.codec
         for state in ((1, (1, 0), (2,)), (1, (0, 1), ()), (1, (1, 1), (1,))):
             t, idx, installs = state
-            got = sol.v_per_period[t][codec.price_combo(idx), codec.cap_sets.index(installs)]
+            row = codec.row_base()[t, codec.price_combo(idx)] + codec.cap_sets.index(installs)
+            got = sol.values[row].max()
             assert got == pytest.approx(expectimax(env, state, memo=memo), abs=1e-9)
 
     def test_three_period_expectimax(self):
@@ -173,9 +175,11 @@ class TestExactSolver:
         env = named_env("tiny-zero-cost")
         sol = value_iteration(env)
         codec = env.codec
-        q_last = sol.q_per_period[-1]
-        cap_next = codec.cap_next[: codec.cap_count_at(env.horizon - 1)]
-        assert np.array_equal(q_last, -env.invest_table()[:, None, :] - env._cost_of_cap[cap_next][None, :, :])
+        t = env.horizon - 1
+        combos, c_count = codec.period_combos[t], codec.cap_count_at(t)
+        q_last = sol.values[codec.block_starts[t] :].reshape(len(combos), c_count, codec.n_actions)
+        cap_next = codec.cap_next[:c_count]
+        assert np.array_equal(q_last, -env.invest_table()[combos][:, None, :] - env._cost_of_cap[cap_next][None, :, :])
         assert not np.signbit(q_last[:, :, 0]).any()
 
     def test_single_state_closed_form(self):
@@ -184,10 +188,25 @@ class TestExactSolver:
         )
         env.attach_metamodel(cost_table(env, lambda kwh: np.where(kwh[:, 0] == 0.0, 77.0, 13.0)))
         sol = value_iteration(env)
-        q = sol.q_per_period[0][0, 0]  # the start state: top price, nothing installed
+        q = sol.values[0]  # the start state: top price, nothing installed
         assert q[0] == pytest.approx(-77.0)
         assert q[1] == pytest.approx(-(50.0 * 100.0 + 13.0))
         assert sol.expected_return() == pytest.approx(-77.0)
+
+    def test_solve_memory_stays_near_one_table(self):
+        # each period's action values are written in place on the stored
+        # rows; a copy of a period's values, or values kept over the full
+        # price grid, pushes the peak past the bound
+        env = metamodel_env("casestudy-superposed")
+        table_bytes = env.codec.n_states * env.codec.n_actions * 8
+        tracemalloc.start()
+        try:
+            sol = value_iteration(env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.values.shape == (env.codec.n_states, env.codec.n_actions)
+        assert peak < 1.4 * table_bytes
 
     def test_discount_shrinks_future_weight(self):
         env = mini_env(horizon=2)
@@ -276,9 +295,14 @@ class TestExactSolverOracle:
         env = named_env(name)
         want_q, want_v = value_iteration_oracle(env, gamma)
         sol = value_iteration(env, gamma=gamma)
-        for got, want in zip(sol.q_per_period + sol.v_per_period, want_q + want_v, strict=True):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        codec = env.codec
+        want = np.concatenate([
+            q_t[codec.period_combos[t], : codec.cap_count_at(t)].reshape(-1, codec.n_actions)
+            for t, q_t in enumerate(want_q)
+        ])
+        assert sol.values.dtype == want.dtype and sol.values.shape == want.shape
+        assert sol.values.tobytes() == want.tobytes()
+        assert sol.expected_return().hex() == float(want_v[0][0, 0]).hex()
         assert policy_value(env, sol.greedy_policy(), gamma).hex() == sol.expected_return().hex()
         rng = np.random.default_rng(7)
         policies = [
@@ -289,7 +313,7 @@ class TestExactSolverOracle:
         for policy in policies:
             assert policy_value(env, policy, gamma).hex() == policy_value_oracle(env, policy, gamma).hex()
         if name == "tiny-zero-cost":
-            last = sol.q_per_period[-1]
+            last = sol.values[codec.block_starts[-1] :]
             assert not np.signbit(last[last == 0.0]).any() and (last == 0.0).any()
 
 
