@@ -9,7 +9,6 @@ directory recording config hash, seed and artifact paths.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -74,11 +73,7 @@ class RunManifest:
     def load(cls, path: Path) -> "RunManifest":
         """Read a manifest written by `save`; ArtifactMismatchError names the
         first field whose JSON kind is wrong."""
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            doc = None
+        doc = persist.read_json(path)
         if not isinstance(doc, dict) or doc.get("format") != "outageplan-manifest":
             raise OutagePlanError(f"{path}: not a run manifest")
         persist.check_fields(doc, _MANIFEST_FIELDS, str(path))

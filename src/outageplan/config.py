@@ -1,11 +1,13 @@
 """Configuration documents: parsing, validation, hashing, bundled examples.
 
 A config is one YAML document. Two hashes identify it: ``config_hash``
-covers everything semantic (including digests of the referenced profile
-files, excluding only the metamodel_path artifact pointer), and
-``planning_hash`` drops the outage model and training sections so that two
-configs which differ only in the outage model can be recognized as the
-same planning problem.
+covers every key of every section as parsed, except ``profiles_dir``, for
+which the digests of the referenced profile files stand in, and the
+``metamodel`` section's artifact ``path``. ``planning_hash`` drops the
+outage model, training and metamodel sections so that two configs which
+differ only in the outage model can be recognized as the same planning
+problem. Each section's keys are declared once, in a table of the kind each
+value is read as; the hashed document is built from what those tables read.
 
 Documents load with libyaml's safe loader when PyYAML was built with it,
 and unknown keys are rejected at every level, so a misspelt section fails
@@ -26,7 +28,7 @@ import yaml
 from outageplan import persist
 from outageplan.errors import ConfigError
 from outageplan.mdp import PlanningEnv, PriceChain, UnitCatalogEntry
-from outageplan.outage import HOURS_PER_YEAR, OutageModel, SingleModel, SuperposedModel, outage_model_to_config
+from outageplan.outage import HOURS_PER_YEAR, OUTAGE_MODEL_TYPES, OutageModel, outage_model_to_config
 from outageplan.simulate import FacilityClass, HourlyProfiles, Microgrid, StorageUnitSpec
 from outageplan.solver import TrainingSchedule
 
@@ -44,22 +46,15 @@ TOP_LEVEL_KEYS = (
     "training",
     "metamodel",
 )
-UNIT_KEYS = (
-    "name",
-    "price_ladder",
-    "advance_prob",
-    "round_trip_efficiency",
-    "usable_fraction",
-    "power_limit_kw_per_kwh",
-)
-FACILITY_KEYS = ("name", "count", "peak_load_kw", "value_of_lost_load", "profile")
-PV_KEYS = ("profile", "peak_kw")
-TRAINING_KEYS = ("episodes", "alpha", "epsilon", "gamma")
 METAMODEL_KEYS = ("replications", "path")
-OUTAGE_MODEL_KEYS = {
-    "single": ("type", "lambda", "kappa", "shift_hours"),
-    "superposed": ("type", "lambda1", "lambda2", "kappa1", "kappa2", "shift_hours"),
-}
+# Each section's keys, in the order `allowed keys:` lists them, and the kind
+# each value is read as; `list` is a list of numbers.
+_UNIT = {"name": str, "price_ladder": list, "advance_prob": float, "round_trip_efficiency": float,
+         "usable_fraction": float, "power_limit_kw_per_kwh": float}
+_FACILITY = {"name": str, "count": int, "peak_load_kw": float, "value_of_lost_load": float, "profile": str}
+_PV = {"profile": str, "peak_kw": float}
+_TRAINING = {"episodes": int, "alpha": list, "epsilon": list, "gamma": float}
+_TRAINING_DEFAULTS = {"episodes": 1_000_000, "alpha": [0.5, 0.01], "epsilon": [1.0, 0.05], "gamma": 1.0}
 
 # libyaml's loader builds the same document as the pure-Python one, about
 # seven times faster.
@@ -110,29 +105,59 @@ def _numbers(value: Any, where: str) -> tuple[float, ...]:
     return tuple(_number(x, where, float) for x in value)
 
 
+def _read_section(block: Any, kinds: dict[str, type], where: str, prefix: str) -> dict:
+    """Each key of `kinds` read from the mapping `block` as its kind, after a
+    ConfigError naming `where` for any other key. A bad value raises
+    ConfigError naming `prefix` and the key; a missing key raises KeyError,
+    and a block that is not a mapping TypeError, for the caller to word."""
+    _reject_unknown_keys(block, tuple(kinds), where)
+    values = {}
+    for key, kind in kinds.items():
+        value, at = block[key], f"{prefix} {key}"
+        if kind is str:
+            values[key] = str(value)
+        elif kind is list:
+            values[key] = _numbers(value, at)
+        else:
+            values[key] = _number(value, at, kind)
+    return values
+
+
+def _read_entries(blocks: list, kinds: dict[str, type], what: str, build, source: str) -> tuple[tuple, list[dict]]:
+    """`build(values)` for the values read from each block of a list
+    section, and those values."""
+    objects, docs = [], []
+    for block in blocks:
+        try:
+            docs.append(_read_section(block, kinds, f"{source}: {what} block", f"{source}: bad {what} block:"))
+            objects.append(build(docs[-1]))
+        except KeyError as exc:
+            raise ConfigError(f"{source}: {what} block missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{source}: bad {what} block: {exc}") from None
+    return tuple(objects), docs
+
+
+def _unit_entry(v: dict) -> UnitCatalogEntry:
+    chain = PriceChain(values=v["price_ladder"], advance_prob=v["advance_prob"])
+    storage = StorageUnitSpec(name=v["name"], round_trip_efficiency=v["round_trip_efficiency"],
+                              usable_fraction=v["usable_fraction"], power_limit=v["power_limit_kw_per_kwh"])
+    return UnitCatalogEntry(storage=storage, chain=chain)
+
+
 def outage_model_from_config(block: dict) -> OutageModel:
     """Build a model from the ``outage_model`` config section."""
     if not isinstance(block, dict) or "type" not in block:
         raise ConfigError("outage_model section needs a 'type' key")
     kind = block["type"]
-    if kind not in ("single", "superposed"):
-        raise ConfigError(f"outage_model type must be 'single' or 'superposed', got {kind!r}")
-    _reject_unknown_keys(block, OUTAGE_MODEL_KEYS[kind], f"outage_model ({kind})")
-    shift = _number(block.get("shift_hours", 1.0), "outage_model shift_hours", float)
-
-    def param(key: str) -> float:
-        return _number(block[key], f"outage_model {key}", float)
-
+    if not isinstance(kind, str) or kind not in OUTAGE_MODEL_TYPES:
+        choices = " or ".join(repr(k) for k in OUTAGE_MODEL_TYPES)
+        raise ConfigError(f"outage_model type must be {choices}, got {kind!r}")
+    model_class, fields = OUTAGE_MODEL_TYPES[kind]
+    kinds = {"type": str, **dict.fromkeys(fields, float)}
     try:
-        if kind == "single":
-            return SingleModel(rate=param("lambda"), duration_rate=param("kappa"), shift=shift)
-        return SuperposedModel(
-            regular_rate=param("lambda1"),
-            severe_rate=param("lambda2"),
-            regular_duration_rate=param("kappa1"),
-            severe_duration_rate=param("kappa2"),
-            shift=shift,
-        )
+        values = _read_section({"shift_hours": 1.0, **block}, kinds, f"outage_model ({kind})", "outage_model")
+        return model_class(**{name: values[key] for key, name in fields.items()})
     except KeyError as exc:
         raise ConfigError(f"outage_model is missing key {exc}") from None
     except ValueError as exc:
@@ -144,7 +169,7 @@ def read_profile_csv(path) -> np.ndarray:
 
     Empty lines are skipped. The first offending line decides the error,
     checked in the order: more than a year of rows, a line that is not
-    `hour,value`, an hour out of sequence, a negative value.
+    `hour,value`, an hour out of sequence, a non-finite or negative value.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -154,13 +179,14 @@ def read_profile_csv(path) -> np.ndarray:
     rows, bad = persist.parse_csv_rows(lines[:HOURS_PER_YEAR], _PROFILE_ROW)
     hours, values = rows["hour"], rows["value_kw"]
     out_of_order = np.flatnonzero(hours != np.arange(len(rows)))
-    negative = np.flatnonzero(values < 0)
+    bad_value = np.flatnonzero(~np.isfinite(values) | (values < 0))
     first_out_of_order = out_of_order[0] if out_of_order.size else len(rows)
-    first_negative = negative[0] if negative.size else len(rows)
-    if first_out_of_order < len(rows) and first_out_of_order <= first_negative:
+    first_bad_value = bad_value[0] if bad_value.size else len(rows)
+    if first_out_of_order < len(rows) and first_out_of_order <= first_bad_value:
         raise ConfigError(f"{path}: hours must run 0..{HOURS_PER_YEAR - 1} in order")
-    if first_negative < len(rows):
-        raise ConfigError(f"{path}: negative value at hour {hours[first_negative]}")
+    if first_bad_value < len(rows):
+        what = "negative" if np.isfinite(values[first_bad_value]) else "non-finite"
+        raise ConfigError(f"{path}: {what} value at hour {hours[first_bad_value]}")
     if bad is not None:
         raise ConfigError(f"{path}: bad row {lines[bad].split(',')!r}")
     if len(lines) > HOURS_PER_YEAR:
@@ -198,18 +224,14 @@ class AppConfig:
             if not isinstance(block, list):
                 raise ConfigError(f"{source}: {name} must be a list, got {block!r}")
 
-        self.units: tuple[UnitCatalogEntry, ...] = tuple(
-            self._parse_unit(u, source) for u in units_block
-        )
+        self.units, units = _read_entries(units_block, _UNIT, "unit", _unit_entry, source)
         self.outage_model = outage_model_from_config(outage_block)
-        self.facilities: tuple[FacilityClass, ...] = tuple(
-            self._parse_facility(f, source) for f in facilities_block
-        )
-        _reject_unknown_keys(pv_block, PV_KEYS, f"{source}: pv section")
-        if not isinstance(pv_block, dict) or "profile" not in pv_block or "peak_kw" not in pv_block:
+        self.facilities, facilities = _read_entries(
+            facilities_block, _FACILITY, "facility", lambda v: FacilityClass(**v), source)
+        if not isinstance(pv_block, dict) or not pv_block.keys() >= _PV.keys():
             raise ConfigError(f"{source}: pv section needs 'profile' and 'peak_kw'")
-        self.pv_profile = str(pv_block["profile"])
-        self.pv_peak_kw = _number(pv_block["peak_kw"], f"{source}: pv peak_kw", float)
+        pv = _read_section(pv_block, _PV, f"{source}: pv section", f"{source}: pv")
+        self.pv_profile, self.pv_peak_kw = pv["profile"], pv["peak_kw"]
         if self.pv_peak_kw < 0:
             raise ConfigError(f"{source}: pv peak_kw must be >= 0")
 
@@ -222,19 +244,19 @@ class AppConfig:
         training = doc.get("training", {})
         if not isinstance(training, dict):
             raise ConfigError(f"{source}: training section must be a mapping, got {training!r}")
-        _reject_unknown_keys(training, TRAINING_KEYS, f"{source}: training section")
-        alpha = _numbers(training.get("alpha", [0.5, 0.01]), f"{source}: training alpha")
-        epsilon = _numbers(training.get("epsilon", [1.0, 0.05]), f"{source}: training epsilon")
-        if len(alpha) != 2 or len(epsilon) != 2:
+        training = _read_section({**_TRAINING_DEFAULTS, **training}, _TRAINING,
+                                 f"{source}: training section", f"{source}: training")
+        if len(training["alpha"]) != 2 or len(training["epsilon"]) != 2:
             raise ConfigError(f"{source}: training alpha and epsilon must be [start, end] pairs")
+        (alpha_start, alpha_end), (epsilon_start, epsilon_end) = training["alpha"], training["epsilon"]
         try:
             self.training = TrainingSchedule(
-                episodes=_number(training.get("episodes", 1_000_000), f"{source}: training episodes", int),
-                alpha_start=alpha[0],
-                alpha_end=alpha[1],
-                epsilon_start=epsilon[0],
-                epsilon_end=epsilon[1],
-                gamma=_number(training.get("gamma", 1.0), f"{source}: training gamma", float),
+                episodes=training["episodes"],
+                alpha_start=alpha_start,
+                alpha_end=alpha_end,
+                epsilon_start=epsilon_start,
+                epsilon_end=epsilon_end,
+                gamma=training["gamma"],
             )
         except ValueError as exc:
             raise ConfigError(f"{source}: training section is invalid: {exc}") from None
@@ -248,107 +270,36 @@ class AppConfig:
         self.metamodel_path = None if raw_path is None else (base_dir / str(raw_path)).resolve()
 
         self._profile_cache: dict[str, np.ndarray] = {}
-        self._semantic = self._semantic_doc()
-        self.config_hash = persist.sha256_of_text(persist.canonical_json(self._semantic))
-        planning = {
-            k: v for k, v in self._semantic.items() if k not in ("outage_model", "training", "metamodel")
+        semantic = {
+            "horizon": self.horizon,
+            "period_length_years": self.period_length_years,
+            "levels_kwh": self.levels_kwh,
+            "units": units,
+            "outage_model": outage_model_to_config(self.outage_model),
+            "facilities": facilities,
+            "pv": pv,
+            "profiles": self._profile_digests(),
+            "training": training,
+            "metamodel": {"replications": self.metamodel_replications},
         }
+        self.config_hash = persist.sha256_of_text(persist.canonical_json(semantic))
+        planning = {k: v for k, v in semantic.items() if k not in ("outage_model", "training", "metamodel")}
         self.planning_hash = persist.sha256_of_text(persist.canonical_json(planning))
 
-    @staticmethod
-    def _parse_unit(block: Any, source: str) -> UnitCatalogEntry:
-        _reject_unknown_keys(block, UNIT_KEYS, f"{source}: unit block")
-        where = f"{source}: bad unit block:"
-        try:
-            name = str(block["name"])
-            ladder = _numbers(block["price_ladder"], f"{where} price_ladder")
-            advance_prob = _number(block["advance_prob"], f"{where} advance_prob", float)
-            chain = PriceChain(values=ladder, advance_prob=advance_prob)
-            storage = StorageUnitSpec(
-                name=name,
-                round_trip_efficiency=_number(
-                    block["round_trip_efficiency"], f"{where} round_trip_efficiency", float),
-                usable_fraction=_number(block["usable_fraction"], f"{where} usable_fraction", float),
-                power_limit=_number(block["power_limit_kw_per_kwh"], f"{where} power_limit_kw_per_kwh", float),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{source}: unit block missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{source}: bad unit block: {exc}") from None
-        return UnitCatalogEntry(storage=storage, chain=chain)
-
-    @staticmethod
-    def _parse_facility(block: Any, source: str) -> FacilityClass:
-        _reject_unknown_keys(block, FACILITY_KEYS, f"{source}: facility block")
-        try:
-            where = f"{source}: bad facility block:"
-            return FacilityClass(
-                name=str(block["name"]),
-                count=_number(block["count"], f"{where} count", int),
-                peak_load_kw=_number(block["peak_load_kw"], f"{where} peak_load_kw", float),
-                value_of_lost_load=_number(block["value_of_lost_load"], f"{where} value_of_lost_load", float),
-                profile=str(block["profile"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{source}: facility block missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{source}: bad facility block: {exc}") from None
+    def _profile_path(self, name: str) -> Path:
+        path = self.profiles_dir / f"{name}.csv"
+        if not path.is_file():
+            raise ConfigError(f"profile {name!r} not found at {path}")
+        return path
 
     def _profile(self, name: str) -> np.ndarray:
         if name not in self._profile_cache:
-            path = self.profiles_dir / f"{name}.csv"
-            if not path.is_file():
-                raise ConfigError(f"profile {name!r} not found at {path}")
-            self._profile_cache[name] = read_profile_csv(path)
+            self._profile_cache[name] = read_profile_csv(self._profile_path(name))
         return self._profile_cache[name]
 
     def _profile_digests(self) -> dict[str, str]:
         names = sorted({f.profile for f in self.facilities} | {self.pv_profile})
-        digests = {}
-        for name in names:
-            path = self.profiles_dir / f"{name}.csv"
-            if not path.is_file():
-                raise ConfigError(f"profile {name!r} not found at {path}")
-            digests[name] = persist.sha256_of_file(path)
-        return digests
-
-    def _semantic_doc(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "period_length_years": self.period_length_years,
-            "levels_kwh": list(self.levels_kwh),
-            "units": [
-                {
-                    "name": e.name,
-                    "price_ladder": list(e.chain.values),
-                    "advance_prob": e.chain.advance_prob,
-                    "round_trip_efficiency": e.storage.round_trip_efficiency,
-                    "usable_fraction": e.storage.usable_fraction,
-                    "power_limit_kw_per_kwh": e.storage.power_limit,
-                }
-                for e in self.units
-            ],
-            "outage_model": outage_model_to_config(self.outage_model),
-            "facilities": [
-                {
-                    "name": f.name,
-                    "count": f.count,
-                    "peak_load_kw": f.peak_load_kw,
-                    "value_of_lost_load": f.value_of_lost_load,
-                    "profile": f.profile,
-                }
-                for f in self.facilities
-            ],
-            "pv": {"profile": self.pv_profile, "peak_kw": self.pv_peak_kw},
-            "profiles": self._profile_digests(),
-            "training": {
-                "episodes": self.training.episodes,
-                "alpha": [self.training.alpha_start, self.training.alpha_end],
-                "epsilon": [self.training.epsilon_start, self.training.epsilon_end],
-                "gamma": self.training.gamma,
-            },
-            "metamodel": {"replications": self.metamodel_replications},
-        }
+        return {name: persist.sha256_of_file(self._profile_path(name)) for name in names}
 
     # -- derived objects -------------------------------------------------
 

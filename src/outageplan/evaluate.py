@@ -9,7 +9,6 @@ capacity, first investment period, technology mix.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -154,11 +153,7 @@ class PolicyTrace:
     def load(cls, path) -> "PolicyTrace":
         """Read a trace written by `save`; ArtifactMismatchError names the
         first field whose JSON kind is wrong."""
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            doc = None
+        doc = persist.read_json(path)
         if not isinstance(doc, dict) or doc.get("format") != TRACE_FORMAT:
             raise ArtifactMismatchError(f"{path}: not a policy trace file")
         persist.check_fields(doc, {**_TRACE_FIELDS, "rows": (list,)}, str(path))

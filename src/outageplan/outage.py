@@ -36,6 +36,7 @@ __all__ = [
     "SingleModel",
     "SuperposedModel",
     "OutageModel",
+    "OUTAGE_MODEL_TYPES",
     "outage_model_to_config",
     "OutageEvent",
     "CaidiSeries",
@@ -153,23 +154,19 @@ class SuperposedModel:
 OutageModel = Union[SingleModel, SuperposedModel]
 
 
+# config block type -> (model class, {config key: model field}), keys in config order
+OUTAGE_MODEL_TYPES = {
+    "single": (SingleModel, {"lambda": "rate", "kappa": "duration_rate", "shift_hours": "shift"}),
+    "superposed": (SuperposedModel, {"lambda1": "regular_rate", "lambda2": "severe_rate",
+                                     "kappa1": "regular_duration_rate", "kappa2": "severe_duration_rate",
+                                     "shift_hours": "shift"}),
+}
+
+
 def outage_model_to_config(model: OutageModel) -> dict:
     """The ``outage_model`` config block that describes a model."""
-    if isinstance(model, SingleModel):
-        return {
-            "type": "single",
-            "lambda": model.rate,
-            "kappa": model.duration_rate,
-            "shift_hours": model.shift,
-        }
-    return {
-        "type": "superposed",
-        "lambda1": model.regular_rate,
-        "lambda2": model.severe_rate,
-        "kappa1": model.regular_duration_rate,
-        "kappa2": model.severe_duration_rate,
-        "shift_hours": model.shift,
-    }
+    kind, fields = next((k, f) for k, (cls, f) in OUTAGE_MODEL_TYPES.items() if isinstance(model, cls))
+    return {"type": kind, **{key: getattr(model, name) for key, name in fields.items()}}
 
 
 @dataclass(frozen=True)
@@ -353,8 +350,9 @@ def fit_from_caidi(
     """Method-of-moments fit of the superposed model from annual CAIDI data.
 
     Years with CAIDI above the threshold are severe; each class's extra-hours
-    rate is its mean CAIDI minus the shift (clamped at zero), and the total
-    outage frequency splits between classes by year counts.
+    rate is its mean CAIDI minus the shift, and the total outage frequency
+    splits between classes by year counts. A class whose mean CAIDI is below
+    the shift cannot be reproduced and raises FitError.
     """
     _require_finite(severe_threshold_hours=severe_threshold_hours, base_frequency=base_frequency, shift=shift)
     if severe_threshold_hours <= 0:
@@ -373,13 +371,16 @@ def fit_from_caidi(
         )
     regular_mean = sum(regular) / len(regular)
     severe_mean = sum(severe) / len(severe)
+    # every severe year exceeds every regular one, so this covers both classes
+    if regular_mean < shift:
+        raise FitError(f"regular mean CAIDI {regular_mean!r} h is below the minimum duration (shift) {shift!r} h")
     severe_rate = base_frequency * len(severe) / len(series.years)
     regular_rate = base_frequency - severe_rate
     return SuperposedModel(
         regular_rate=regular_rate,
         severe_rate=severe_rate,
-        regular_duration_rate=max(regular_mean - shift, 0.0),
-        severe_duration_rate=max(severe_mean - shift, 0.0),
+        regular_duration_rate=regular_mean - shift,
+        severe_duration_rate=severe_mean - shift,
         shift=shift,
     )
 

@@ -70,10 +70,26 @@ def atomic_write(path, mode: str = "w", **open_kwargs) -> Iterator[IO]:
 
 
 def write_json(path, doc: Any) -> None:
-    """Write a JSON artifact: keys sorted, two-space indent, final newline."""
+    """Write a JSON artifact: keys sorted, two-space indent, final newline.
+    A NaN or infinite number raises ValueError, as strict JSON has none."""
     with atomic_write(path, newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path) -> Any:
+    """The document in a JSON file, or None when the file is not UTF-8 text
+    holding strict JSON; NaN, Infinity and -Infinity, which `json.load`
+    would accept, are not strict JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError included
+        return None
 
 
 def save_container(path, meta: dict, arrays: dict[str, np.ndarray], dtypes: dict[str, str] | None = None) -> None:
@@ -107,7 +123,9 @@ def save_container(path, meta: dict, arrays: dict[str, np.ndarray], dtypes: dict
 def _array_specs(path, header: dict) -> list[tuple[str, np.dtype, tuple[int, ...]]]:
     try:
         specs = [(name, np.dtype(dtype_str), tuple(shape)) for name, dtype_str, shape in header["arrays"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    # numpy parses a comma-separated dtype string as Python source, so a
+    # malformed one such as ",i8" raises SyntaxError
+    except (KeyError, TypeError, ValueError, SyntaxError) as exc:
         raise ArtifactMismatchError(f"{path}: malformed container header") from exc
     names = [name for name, _, _ in specs]
     for name, dtype, shape in specs:

@@ -70,6 +70,14 @@ class TestFit:
         text = capsys.readouterr().out
         assert "severe years (> 1.5 h): 2012, 2013, 2015, 2017" in text
 
+    def test_shift_above_a_class_mean_is_an_error(self, tmp_path, capsys):
+        assert main(["fit", "--caidi", str(CAIDI), "--shift-hours", "40", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("outageplan-error: regular mean CAIDI 1.636") and err.count("\n") == 1
+        assert "shift) 40.0 h" in err
+        assert not (tmp_path / "outage_model.yaml").exists()
+
 
 class TestPipeline:
     def test_artifacts_exist(self, pipeline):
@@ -326,6 +334,36 @@ class TestErrorPaths:
         assert rc == 1
         assert err.startswith("outageplan-error: ") and "Traceback" not in err
         assert re.search(message, err)
+
+    def test_compare_refuses_a_trace_with_a_non_finite_number(self, pipeline, tmp_path, capsys):
+        good = pipeline / "trace-single.json"
+        doc = json.loads(good.read_text())
+        doc["exact_expected_return"], doc["totals"]["total_kwh"] = float("nan"), float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["compare", "--trace-a", str(good), "--trace-b", str(bad), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"outageplan-error: {bad}: not a policy trace file\n"
+        assert not (out / "comparison.json").exists()
+
+    def test_metamodel_rejects_a_non_finite_profile_value(self, tmp_path, capsys):
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        for name in ("hospital", "residential", "pv"):
+            lines = (DATA / "profiles" / f"{name}.csv").read_text().splitlines()
+            if name == "hospital":
+                lines[4] = "3,inf"
+            (profiles / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        doc = yaml.safe_load((DATA / "configs" / "tiny.yaml").read_text())
+        doc["profiles_dir"] = "profiles"
+        config = tmp_path / "tiny.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main(["metamodel", "--config", str(config), "--replications", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"outageplan-error: {profiles / 'hospital.csv'}: non-finite value at hour 3\n"
+        assert not (out / "metamodel.csv").exists()
 
     def test_train_without_a_c_compiler(self, pipeline, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))

@@ -290,6 +290,28 @@ class TestProfileCsv:
         with pytest.raises(ConfigError, match="negative value at hour 10"):
             read_profile_csv(p)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_values_must_be_finite(self, tmp_path, text):
+        p = tmp_path / "p.csv"
+        p.write_text(profile_text([1.0] * HOURS_PER_YEAR).replace("10,1.0", f"10,{text}", 1))
+        with pytest.raises(ConfigError, match="non-finite value at hour 10"):
+            read_profile_csv(p)
+
+    @pytest.mark.parametrize("first, second, message", [("-1.0", "nan", "negative value at hour 10"),
+                                                         ("inf", "-1.0", "non-finite value at hour 10")])
+    def test_first_bad_value_in_file_order_decides(self, tmp_path, first, second, message):
+        p = tmp_path / "p.csv"
+        body = profile_text([1.0] * HOURS_PER_YEAR).replace("10,1.0", f"10,{first}", 1)
+        p.write_text(body.replace("20,1.0", f"20,{second}", 1))
+        with pytest.raises(ConfigError, match=message):
+            read_profile_csv(p)
+
+    def test_non_finite_pv_profile_is_rejected(self, tmp_path):
+        profiles = {"unitload": 1.0, "sun": constant_profile(1.0).replace("3,1.0", "3,inf", 1)}
+        cfg = load_config(str(write_workspace(tmp_path, profiles=profiles)))
+        with pytest.raises(ConfigError, match=r"sun.csv: non-finite value at hour 3$"):
+            cfg.microgrid()
+
 
 class TestBundledConfigs:
     def test_all_names_load(self):
@@ -589,3 +611,112 @@ class TestDerivedObjects:
         after = load_config(str(p))
         assert before.config_hash != after.config_hash
         assert before.planning_hash != after.planning_hash
+
+
+BUNDLED_HASHES = {
+    "tiny": ("1a840132ac91eaf5b0a5c6442a18a6ca0985e46475ee42e718c3db27bd0645de",
+             "9fc646cf7326106e25b485ea97eaa580c4dab726ff83b1d05c0b17895d0769fe"),
+    "tiny-superposed": ("27d566e607338caf02e1b8a5c4a09ecf3752b3a9368d5ef6d51a797982cf2135",
+                        "9fc646cf7326106e25b485ea97eaa580c4dab726ff83b1d05c0b17895d0769fe"),
+    "casestudy-single": ("f805c9c23dd2ff87eb199767bb458d4ddb20b15215c72f58a43ad0c43947d663",
+                         "5bbf72123af60cd329441d26c7ad125bd4265e2db75d4a3e7f5dfcd451d527ec"),
+    "casestudy-superposed": ("acb58c56a11ce35a82e81564345d71f2d09ed8f1091b1530489625bd5f6f2dc1",
+                             "5bbf72123af60cd329441d26c7ad125bd4265e2db75d4a3e7f5dfcd451d527ec"),
+}
+
+
+def full_doc():
+    """`base_doc` with every optional key written out."""
+    doc = base_doc()
+    doc["outage_model"]["shift_hours"] = 1.0
+    doc["training"] = {"episodes": 5, "alpha": [0.5, 0.1], "epsilon": [1.0, 0.5], "gamma": 0.9}
+    doc["metamodel"] = {"replications": 4, "path": "mm.csv"}
+    return doc
+
+
+def leaf_paths(doc, prefix=()):
+    """Key paths of every value in a config document that is not a mapping
+    or a list of mappings."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        if isinstance(value, dict) or (isinstance(value, list) and isinstance(value[0], dict)):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+# (key path, new value, whether planning_hash changes too); the outage
+# model's type is edited by replacing the block with a superposed twin
+HASHED_EDITS = [
+    (("horizon",), 3, True),
+    (("period_length_years",), 2.0, True),
+    (("levels_kwh",), [100.0, 200.0], True),
+    (("units", 0, "name"), "other", True),
+    (("units", 0, "price_ladder"), [300.0, 150.0], True),
+    (("units", 0, "advance_prob"), 0.6, True),
+    (("units", 0, "round_trip_efficiency"), 0.95, True),
+    (("units", 0, "usable_fraction"), 0.7, True),
+    (("units", 0, "power_limit_kw_per_kwh"), 0.6, True),
+    (("outage_model", "type"),
+     {"type": "superposed", "lambda1": 1.0, "lambda2": 0.0, "kappa1": 2.0, "kappa2": 2.0, "shift_hours": 1.0}, False),
+    (("outage_model", "lambda"), 1.5, False),
+    (("outage_model", "kappa"), 3.0, False),
+    (("outage_model", "shift_hours"), 2.0, False),
+    (("facilities", 0, "name"), "other", True),
+    (("facilities", 0, "count"), 3, True),
+    (("facilities", 0, "peak_load_kw"), 11.0, True),
+    (("facilities", 0, "value_of_lost_load"), 8.0, True),
+    (("facilities", 0, "profile"), "unitload2", True),
+    (("pv", "profile"), "sun2", True),
+    (("pv", "peak_kw"), 6.0, True),
+    (("training", "episodes"), 6, False),
+    (("training", "alpha"), [0.5, 0.2], False),
+    (("training", "epsilon"), [1.0, 0.4], False),
+    (("training", "gamma"), 0.8, False),
+    (("metamodel", "replications"), 5, False),
+]
+UNHASHED_KEYS = {("profiles_dir",), ("metamodel", "path")}
+
+
+def load_in(directory, doc):
+    """Load `doc` from its own directory, beside identical copies of every
+    profile it may name."""
+    directory.mkdir()
+    return load_config(str(write_workspace(directory, doc, dict.fromkeys(["unitload", "sun", "unitload2", "sun2"], 1.0))))
+
+
+class TestConfigIdentity:
+    @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+    def test_bundled_hashes_are_pinned(self, name):
+        cfg = load_config(name)
+        assert (cfg.config_hash, cfg.planning_hash) == BUNDLED_HASHES[name]
+
+    def test_every_key_but_the_unhashed_ones_has_an_edit(self):
+        assert {path for path, _, _ in HASHED_EDITS} == set(leaf_paths(full_doc())) - UNHASHED_KEYS
+
+    @pytest.mark.parametrize("path, value, planning", HASHED_EDITS, ids=lambda x: "/".join(map(str, x))
+                             if isinstance(x, tuple) else None)
+    def test_editing_a_key_changes_the_hash(self, tmp_path, path, value, planning):
+        before = load_in(tmp_path / "before", full_doc())
+        doc = full_doc()
+        target = doc
+        for key in path[:-2 if path[-1] == "type" else -1]:
+            target = target[key]
+        target[path[-2] if path[-1] == "type" else path[-1]] = value
+        after = load_in(tmp_path / "after", doc)
+        assert after.config_hash != before.config_hash
+        assert (after.planning_hash != before.planning_hash) == planning
+
+    @pytest.mark.parametrize("edit", [lambda d: d["metamodel"].update(path="elsewhere/mm.csv"),
+                                      lambda d: d.update(profiles_dir="../copies"),
+                                      lambda d: d["outage_model"].pop("shift_hours"),
+                                      lambda d: d.update(training={})],
+                             ids=["metamodel-path", "profiles_dir", "shift_hours-default", "training-defaults"])
+    def test_unhashed_keys_and_spelled_out_defaults_change_neither_hash(self, tmp_path, edit):
+        doc = full_doc()
+        doc["training"] = {"episodes": 1_000_000, "alpha": [0.5, 0.01], "epsilon": [1.0, 0.05], "gamma": 1.0}
+        before = load_in(tmp_path / "before", doc)
+        edit(doc)
+        (tmp_path / "copies").mkdir()
+        write_workspace(tmp_path / "copies")
+        after = load_in(tmp_path / "after", doc)
+        assert (after.config_hash, after.planning_hash) == (before.config_hash, before.planning_hash)

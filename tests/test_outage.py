@@ -318,9 +318,11 @@ class TestCaidiFit:
         with pytest.raises(FitError, match="no regular years at or below"):
             fit_from_caidi(self.SERIES, severe_threshold_hours=0.5, base_frequency=1.2)
 
-    def test_extra_hours_clamped_at_zero(self):
+    def test_class_mean_below_the_shift_raises(self):
         series = CaidiSeries(years=(("a", 0.4), ("b", 11.0)))
-        m = fit_from_caidi(series, severe_threshold_hours=10.0, base_frequency=1.0, shift=1.0)
+        with pytest.raises(FitError, match=r"regular mean CAIDI 0.4 h is below the minimum duration \(shift\) 1.0 h"):
+            fit_from_caidi(series, severe_threshold_hours=10.0, base_frequency=1.0, shift=1.0)
+        m = fit_from_caidi(series, severe_threshold_hours=10.0, base_frequency=1.0, shift=0.4)
         assert m.regular_duration_rate == 0.0
 
     def test_rejects_bad_threshold(self):

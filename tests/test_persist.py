@@ -221,3 +221,30 @@ class TestMappedLoad:
         with pytest.raises(ArtifactMismatchError) as info:
             persist.load_container(target)
         assert str(info.value) == message
+
+
+class TestJson:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_write_refuses_a_non_finite_number_and_leaves_nothing(self, tmp_path, value):
+        target = tmp_path / "d.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            persist.write_json(target, {"x": [1.0, value]})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_read_refuses_the_non_standard_constants(self, tmp_path, constant):
+        target = tmp_path / "d.json"
+        target.write_text(f'{{"x": {constant}}}')
+        assert persist.read_json(target) is None
+
+    @pytest.mark.parametrize("body", [b"{", b"\xff\xfe{}", b""])
+    def test_read_returns_none_for_a_file_that_is_not_json(self, tmp_path, body):
+        target = tmp_path / "d.json"
+        target.write_bytes(body)
+        assert persist.read_json(target) is None
+
+    def test_round_trip(self, tmp_path):
+        target = tmp_path / "d.json"
+        doc = {"b": [1, 2.5, None, True], "a": {"s": "t"}}
+        persist.write_json(target, doc)
+        assert persist.read_json(target) == doc

@@ -810,6 +810,7 @@ class TestQTablePersistence:
             '[[null, "<f8", [1]]]',
             '[["values", "<f4", [1]], ["values", "<f4", [1]]]',
             '[["values", "|S0", [1]]]',
+            '[["values", ",f8", [1]]]',
         ],
     )
     def test_malformed_array_entries(self, tmp_path, arrays):
