@@ -9,6 +9,7 @@ directory recording config hash, seed and artifact paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -95,6 +96,8 @@ def _update_manifest(out_dir: Path, kind: str, artifact: Path, config_hash: str 
     manifest_path = out_dir / MANIFEST_NAME
     manifest = RunManifest.load(manifest_path) if manifest_path.exists() else RunManifest()
     manifest.tool_version = outageplan.__version__
+    # an artifact removed since an earlier command is no longer part of the run
+    manifest.entries = [e for e in manifest.entries if Path(e.path).exists()]
     manifest.record(kind, artifact, config_hash, seed)
     manifest.validate()
     manifest.save(manifest_path)
@@ -202,6 +205,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.label is not None and ("/" in args.label or "\0" in args.label):
+        raise OutagePlanError(f"--label names a file, so it cannot hold '/' or NUL, got {args.label!r}")
     cfg = load_config(args.config)
     out_dir = _out_dir(args)
     qtable = QTable.load(args.qtable, expect_config_hash=cfg.config_hash)
@@ -273,7 +278,9 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="outageplan",
         description="Microgrid storage expansion planning under competing grid-outage models",

@@ -8,6 +8,8 @@ outage model, training and metamodel sections so that two configs which
 differ only in the outage model can be recognized as the same planning
 problem. Each section's keys are declared once, in a table of the kind each
 value is read as; the hashed document is built from what those tables read.
+A profile is parsed only from bytes with the digest its config recorded,
+once per process for each digest.
 
 Documents load with libyaml's safe loader when PyYAML was built with it,
 and unknown keys are rejected at every level, so a misspelt section fails
@@ -16,6 +18,9 @@ instead of silently falling back to defaults.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import io
 import math
 from dataclasses import replace
 from importlib import resources
@@ -172,9 +177,27 @@ def read_profile_csv(path) -> np.ndarray:
     `hour,value`, an hour out of sequence, a non-finite or negative value.
     """
     with open(path) as fh:
-        header = fh.readline()
-        lines = [line for line in fh.read().split("\n") if line]
-    if header.rstrip("\n") != "hour,value_kw":
+        return _parse_profile(fh.read(), path)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_profile(digest: str, path: Path) -> np.ndarray:
+    """`read_profile_csv` of the file at `path` while its bytes have sha256
+    `digest`, parsed once per process and read-only; ConfigError once they
+    no longer have it."""
+    data = path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise ConfigError(f"{path}: profile changed after the config was loaded")
+    # decoded as open() in text mode decodes it
+    values = _parse_profile(io.TextIOWrapper(io.BytesIO(data)).read(), path)
+    values.setflags(write=False)
+    return values
+
+
+def _parse_profile(text: str, path) -> np.ndarray:
+    header, _, body = text.partition("\n")
+    lines = [line for line in body.split("\n") if line]
+    if header != "hour,value_kw":
         raise ConfigError(f"{path}: expected CSV header 'hour,value_kw'")
     rows, bad = persist.parse_csv_rows(lines[:HOURS_PER_YEAR], _PROFILE_ROW)
     hours, values = rows["hour"], rows["value_kw"]
@@ -269,7 +292,8 @@ class AppConfig:
         raw_path = metamodel.get("path")
         self.metamodel_path = None if raw_path is None else (base_dir / str(raw_path)).resolve()
 
-        self._profile_cache: dict[str, np.ndarray] = {}
+        names = sorted({f.profile for f in self.facilities} | {self.pv_profile})
+        self._profile_digests = {name: persist.sha256_of_file(self._profile_path(name)) for name in names}
         semantic = {
             "horizon": self.horizon,
             "period_length_years": self.period_length_years,
@@ -278,7 +302,7 @@ class AppConfig:
             "outage_model": outage_model_to_config(self.outage_model),
             "facilities": facilities,
             "pv": pv,
-            "profiles": self._profile_digests(),
+            "profiles": self._profile_digests,
             "training": training,
             "metamodel": {"replications": self.metamodel_replications},
         }
@@ -293,13 +317,8 @@ class AppConfig:
         return path
 
     def _profile(self, name: str) -> np.ndarray:
-        if name not in self._profile_cache:
-            self._profile_cache[name] = read_profile_csv(self._profile_path(name))
-        return self._profile_cache[name]
-
-    def _profile_digests(self) -> dict[str, str]:
-        names = sorted({f.profile for f in self.facilities} | {self.pv_profile})
-        return {name: persist.sha256_of_file(self._profile_path(name)) for name in names}
+        """The profile's values, parsed from the bytes that `config_hash` names."""
+        return _shared_profile(self._profile_digests[name], self._profile_path(name))
 
     # -- derived objects -------------------------------------------------
 

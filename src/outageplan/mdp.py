@@ -21,6 +21,7 @@ index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -117,6 +118,9 @@ class StateCodec:
     and at most t installs exist, which makes the reachable set a simple
     product; each period's block of codes is built as one numpy outer sum
     over its price combos and cap indices, in ascending code order.
+
+    Its arrays are read-only: one codec serves every environment of the same
+    shape in a process (`PlanningEnv`).
     """
 
     def __init__(self, horizon: int, ladder_sizes: Sequence[int], n_units: int, n_levels: int):
@@ -163,6 +167,9 @@ class StateCodec:
                 np.arange(self.cap_count_at(t)),
                 out=block.reshape(len(combos), -1),
             )
+        for a in (self.ladder_sizes, self.cap_array, self.price_strides, self.cap_next, self.state_codes,
+                  *self.period_combos):
+            a.setflags(write=False)
 
     def _cap_next_table(self) -> np.ndarray:
         """cap_next[c, 0] = c; cap_next[c, 1 + j] is the index of multiset c
@@ -211,6 +218,13 @@ class StateCodec:
         per_period.append(len(terminal_combos) * self.cap_count_at(self.horizon))
         total = int(sum(per_period))
         return Census(per_period=per_period, total=total, nonterminal=self.n_states)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_codec(horizon: int, ladder_sizes: tuple[int, ...], n_units: int, n_levels: int) -> StateCodec:
+    """The one StateCodec of these arguments in this process: every
+    PlanningEnv of the same shape shares it."""
+    return StateCodec(horizon=horizon, ladder_sizes=ladder_sizes, n_units=n_units, n_levels=n_levels)
 
 
 @dataclass
@@ -262,12 +276,7 @@ class PlanningEnv:
         self.levels_kwh = tuple(float(lv) for lv in levels_kwh)
         self.outage_model = outage_model
         self.unit_names = tuple(names)
-        self.codec = StateCodec(
-            horizon=horizon,
-            ladder_sizes=[len(e.chain) for e in catalog],
-            n_units=len(catalog),
-            n_levels=len(self.levels_kwh),
-        )
+        self.codec = _shared_codec(horizon, tuple(len(e.chain) for e in catalog), len(catalog), len(self.levels_kwh))
         self.action_labels = ("do-nothing",) + tuple(
             f"install {name} {level:g} kWh" for name in self.unit_names for level in self.levels_kwh
         )

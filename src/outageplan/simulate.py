@@ -18,6 +18,8 @@ a hard error, never an extrapolation.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -399,50 +401,69 @@ class CostTable:
         """Read a table written by `save`. Blank lines are skipped; the first
         offending line decides the error, checked in the order: cell count,
         numbers, kWh finite and >= 0, cost and stderr finite and >= 0, a
-        portfolio seen on an earlier line."""
+        portfolio seen on an earlier line.
+
+        The file's text is parsed once per process: every load of the same
+        text returns a table of its own, with its own `meta`, around the same
+        read-only arrays."""
         with open(path) as fh:
-            first = fh.readline().rstrip("\n")
-            columns = fh.readline().rstrip("\n").split(",")
-            body = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=3) if line.strip()]
-        if not first.startswith(METAMODEL_MAGIC):
-            raise ArtifactMismatchError(f"{path}: not a cost table file")
-        try:
-            meta = json.loads(first[len(METAMODEL_MAGIC):])
-        except json.JSONDecodeError:
-            meta = None
-        if not isinstance(meta, dict):
-            raise ArtifactMismatchError(f"{path}: cost table header is not a JSON object")
-        if len(columns) < 3 or columns[-2:] != ["cost", "stderr"] or any(c[:4] != "cap_" for c in columns[:-2]):
-            raise ArtifactMismatchError(f"{path}: unexpected cost table columns {columns}")
-        units = tuple(c[len("cap_"):] for c in columns[:-2])
-        lines = [line for _, line in body]
-        rows, bad = persist.parse_csv_rows(lines, np.dtype([("", np.float64)] * len(columns)))
-        values = rows.view(np.float64).reshape(len(rows), len(columns))
-        kwh, cost, stderr = values[:, :-2] + 0.0, values[:, -2], values[:, -1]
-        bad_kwh = ~((kwh >= 0.0) & (kwh < math.inf)).all(axis=1)
-        bad_cost = ~((cost >= 0.0) & (cost < math.inf) & (stderr >= 0.0) & (stderr < math.inf))
-        hits = np.flatnonzero(bad_kwh | bad_cost | (row_lookup(kwh, kwh) != np.arange(len(kwh))))
-        if hits.size:
-            row = hits[0]
-            where, key = f"{path}:{body[row][0]}", tuple(kwh[row].tolist())
-            if bad_kwh[row]:
-                raise ArtifactMismatchError(f"{where}: installed kWh must be finite and >= 0, got {key}")
-            if bad_cost[row]:
-                raise ArtifactMismatchError(f"{where}: cost and stderr must be finite and >= 0, "
-                                            f"got {cost[row].item()}, {stderr[row].item()}")
-            raise ArtifactMismatchError(f"{where}: duplicate portfolio {key}")
-        if bad is not None:
-            cells = lines[bad].split(",")
-            where = f"{path}:{body[bad][0]}"
-            if len(cells) != len(columns):
-                raise ArtifactMismatchError(f"{where}: row has {len(cells)} cells, expected {len(columns)}")
-            raise ArtifactMismatchError(f"{where}: cells must be numbers, got {cells!r}")
+            shared = _parse_cost_table(fh.read(), str(path))
+        meta = shared.meta
         if expect_config_hash is not None and meta.get("config_hash") != expect_config_hash:
             raise ArtifactMismatchError(
                 f"{path}: cost table was built for config {meta.get('config_hash')!r}, "
                 f"active config is {expect_config_hash!r}"
             )
-        return cls(units=units, kwh=kwh, cost=cost, stderr=stderr, meta=meta)
+        table = copy.copy(shared)
+        table.meta = copy.deepcopy(meta)
+        return table
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_cost_table(text: str, path: str) -> CostTable:
+    """The table in the text of a cost table file, its arrays read-only;
+    `path` names the file in errors."""
+    # the padding gives a one-line file the empty column line readline would
+    first, columns, *body = text.split("\n") + [""]
+    columns = columns.split(",")
+    body = [(lineno, line.strip()) for lineno, line in enumerate(body, start=3) if line.strip()]
+    if not first.startswith(METAMODEL_MAGIC):
+        raise ArtifactMismatchError(f"{path}: not a cost table file")
+    try:
+        meta = json.loads(first[len(METAMODEL_MAGIC):])
+    except json.JSONDecodeError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise ArtifactMismatchError(f"{path}: cost table header is not a JSON object")
+    if len(columns) < 3 or columns[-2:] != ["cost", "stderr"] or any(c[:4] != "cap_" for c in columns[:-2]):
+        raise ArtifactMismatchError(f"{path}: unexpected cost table columns {columns}")
+    units = tuple(c[len("cap_"):] for c in columns[:-2])
+    lines = [line for _, line in body]
+    rows, bad = persist.parse_csv_rows(lines, np.dtype([("", np.float64)] * len(columns)))
+    values = rows.view(np.float64).reshape(len(rows), len(columns))
+    kwh, cost, stderr = values[:, :-2] + 0.0, values[:, -2], values[:, -1]
+    bad_kwh = ~((kwh >= 0.0) & (kwh < math.inf)).all(axis=1)
+    bad_cost = ~((cost >= 0.0) & (cost < math.inf) & (stderr >= 0.0) & (stderr < math.inf))
+    hits = np.flatnonzero(bad_kwh | bad_cost | (row_lookup(kwh, kwh) != np.arange(len(kwh))))
+    if hits.size:
+        row = hits[0]
+        where, key = f"{path}:{body[row][0]}", tuple(kwh[row].tolist())
+        if bad_kwh[row]:
+            raise ArtifactMismatchError(f"{where}: installed kWh must be finite and >= 0, got {key}")
+        if bad_cost[row]:
+            raise ArtifactMismatchError(f"{where}: cost and stderr must be finite and >= 0, "
+                                        f"got {cost[row].item()}, {stderr[row].item()}")
+        raise ArtifactMismatchError(f"{where}: duplicate portfolio {key}")
+    if bad is not None:
+        cells = lines[bad].split(",")
+        where = f"{path}:{body[bad][0]}"
+        if len(cells) != len(columns):
+            raise ArtifactMismatchError(f"{where}: row has {len(cells)} cells, expected {len(columns)}")
+        raise ArtifactMismatchError(f"{where}: cells must be numbers, got {cells!r}")
+    table = CostTable(units=units, kwh=kwh, cost=cost, stderr=stderr, meta=meta)
+    for a in (table.kwh, table.cost, table.stderr):
+        a.setflags(write=False)
+    return table
 
 
 def build_metamodel(

@@ -365,6 +365,15 @@ class TestErrorPaths:
         assert err == f"outageplan-error: {profiles / 'hospital.csv'}: non-finite value at hour 3\n"
         assert not (out / "metamodel.csv").exists()
 
+    @pytest.mark.parametrize("label", ["sub/x", "../../escape", "a\0b"])
+    def test_evaluate_label_that_is_not_a_file_name(self, pipeline, tmp_path, capsys, label):
+        argv = ["evaluate", "--config", "tiny", "--qtable", str(pipeline / "qtable.bin"),
+                "--trajectory", str(TINY_TRAJECTORY), "--label", label, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("outageplan-error: --label ") and err.count("\n") == 1, err
+        assert list(tmp_path.rglob("*")) == []
+
     def test_train_without_a_c_compiler(self, pipeline, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
@@ -476,6 +485,14 @@ class TestManifest:
         manifest.record("qtable", tmp_path / "gone.bin", None, None)
         with pytest.raises(OutagePlanError, match="missing artifact"):
             manifest.validate()
+
+    def test_a_removed_artifact_leaves_the_manifest(self, tmp_path, capsys):
+        assert main(["plotdata", "--config", "tiny-superposed", "--out", str(tmp_path)]) == 0
+        (tmp_path / "duration_pmf.csv").unlink()
+        assert main(["fit", "--caidi", str(CAIDI), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        manifest = RunManifest.load(tmp_path / MANIFEST_NAME)
+        assert [(e.kind, e.path) for e in manifest.entries] == [("outage-model", str(tmp_path / "outage_model.yaml"))]
 
     def test_save_load_round_trip(self, tmp_path):
         manifest = RunManifest()

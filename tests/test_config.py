@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import outageplan.config as config_module
 from outageplan import persist
 from outageplan.config import (
     BUNDLED_CONFIGS,
@@ -611,6 +612,30 @@ class TestDerivedObjects:
         after = load_config(str(p))
         assert before.config_hash != after.config_hash
         assert before.planning_hash != after.planning_hash
+
+    def test_a_profile_edited_after_the_load_is_refused(self, tmp_path):
+        p = write_workspace(tmp_path)
+        cfg = load_config(str(p))
+        (tmp_path / "unitload.csv").write_text(constant_profile(1.0).replace("4000,1.0", "4000,1.5", 1))
+        with pytest.raises(ConfigError, match="unitload.csv: profile changed after the config was loaded"):
+            cfg.microgrid()
+        assert load_config(str(p)).microgrid().profiles.demand.max() == pytest.approx(2 * 10.0)
+
+    def test_configs_sharing_profiles_parse_each_once(self, monkeypatch):
+        parsed = []
+        real = config_module._parse_profile
+        monkeypatch.setattr(config_module, "_parse_profile", lambda text, path: parsed.append(path) or real(text, path))
+        config_module._shared_profile.cache_clear()
+        grids = [load_config(name).microgrid() for name in ("casestudy-single", "casestudy-superposed")]
+        assert len(parsed) == len(set(parsed)) == 4
+        assert grids[0].profiles.demand.tobytes() == grids[1].profiles.demand.tobytes()
+
+    def test_shared_profile_values_are_read_only(self):
+        cfg = load_config("tiny")
+        values = cfg._profile(cfg.pv_profile)
+        assert values is load_config("tiny-superposed")._profile(cfg.pv_profile)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
 
 
 BUNDLED_HASHES = {

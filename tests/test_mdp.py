@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outageplan import _kernels
+from outageplan.config import load_config
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.evaluate import PriceTrajectory, rollout
 from outageplan.mdp import PlanningEnv, PriceChain, StateCodec, UnitCatalogEntry, row_index, unique_rows
@@ -361,6 +362,20 @@ class TestStateCodec:
         codec = StateCodec(horizon=2, ladder_sizes=[3, 2, 4], n_units=3, n_levels=1)
         digits = itertools.product(range(3), range(2), range(4))
         assert [codec.price_combo(d) for d in digits] == list(range(codec.p_full))
+
+    def test_one_codec_serves_every_environment_of_its_shape(self):
+        # the two case-study configs differ only in the outage model
+        codec = load_config("casestudy-single").env().codec
+        assert load_config("casestudy-superposed").env().codec is codec
+        assert make_env().codec is make_env().codec
+        assert make_env(horizon=2).codec is not make_env().codec
+
+    def test_codec_arrays_are_read_only(self):
+        codec = make_env().codec
+        for a in (codec.state_codes, codec.cap_next, codec.cap_array, codec.ladder_sizes, codec.price_strides,
+                  *codec.period_combos):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 class TestPlanningEnv:

@@ -703,6 +703,38 @@ class TestCostTable:
         with pytest.raises(ArtifactMismatchError, match="was built for config"):
             CostTable.load(p, expect_config_hash="somethingelse")
 
+    def test_loads_of_one_text_share_read_only_arrays(self, tmp_path):
+        p = tmp_path / "t.csv"
+        self._table(tmp_path).save(p)
+        a, b = CostTable.load(p), CostTable.load(p, expect_config_hash="deadbeef")
+        assert a is not b and a.meta is not b.meta and a.meta["outage_model"] is not b.meta["outage_model"]
+        assert a.cost is b.cost
+        for array in (a.kwh, a.cost, a.stderr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        a.meta["outage_model"]["rate"] = 0.0
+        assert CostTable.load(p).meta == b.meta != a.meta
+        with pytest.raises(ArtifactMismatchError, match="was built for config"):
+            CostTable.load(p, expect_config_hash="somethingelse")
+
+    def test_a_rewritten_file_loads_its_new_values(self, tmp_path):
+        p = tmp_path / "t.csv"
+        table = self._table(tmp_path)
+        table.save(p)
+        before = CostTable.load(p).cost.copy()
+        sim.CostTable(table.units, table.kwh, table.cost + 1.0, table.stderr, table.meta).save(p)
+        assert CostTable.load(p).cost.tolist() == (before + 1.0).tolist()
+
+    def test_the_parse_memo_is_bounded(self, tmp_path):
+        limit = sim._parse_cost_table.cache_info().maxsize
+        assert limit is not None
+        table = self._table(tmp_path)
+        for i in range(limit + 2):
+            p = tmp_path / f"t{i}.csv"
+            sim.CostTable(table.units, table.kwh, table.cost + i, table.stderr, table.meta).save(p)
+            assert CostTable.load(p).cost[0] == table.cost[0] + i
+        assert sim._parse_cost_table.cache_info().currsize <= limit
+
     def test_load_rejects_foreign_file(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("cap_u,cost,stderr\n0.0,1.0,0.0\n")
