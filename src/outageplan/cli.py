@@ -1,8 +1,11 @@
 """Command line pipeline: fit, metamodel, train, evaluate, compare, plotdata.
 
-Every command exits 0 only after its outputs are written and validated;
-failures print one machine-parsable line ``outageplan-error: <message>`` to
-stderr and exit nonzero. Each run appends to a manifest in the output
+Every command exits 0 only after its outputs are written; `metamodel`,
+`train` and `evaluate` also read back the metamodel table, the Q-table and
+the policy trace they wrote, while `convergence.csv`, `comparison.json`,
+`duration_pmf.csv` and `outage_model.yaml` are not read back. Failures
+print one machine-parsable line ``outageplan-error: <message>`` to stderr
+and exit nonzero. Each run appends to a manifest in the output
 directory recording config hash, seed and artifact paths.
 """
 
@@ -60,11 +63,6 @@ class RunManifest:
             ManifestEntry(kind=kind, path=str(path), config_hash=config_hash, seed=seed, created_utc=created)
         )
 
-    def validate(self) -> None:
-        for entry in self.entries:
-            if not Path(entry.path).exists():
-                raise OutagePlanError(f"manifest lists missing artifact: {entry.path}")
-
     def save(self, path: Path) -> None:
         entries = [asdict(e) for e in self.entries]
         doc = {"format": "outageplan-manifest", "tool_version": self.tool_version, "entries": entries}
@@ -99,7 +97,6 @@ def _update_manifest(out_dir: Path, kind: str, artifact: Path, config_hash: str 
     # an artifact removed since an earlier command is no longer part of the run
     manifest.entries = [e for e in manifest.entries if Path(e.path).exists()]
     manifest.record(kind, artifact, config_hash, seed)
-    manifest.validate()
     manifest.save(manifest_path)
 
 

@@ -81,13 +81,6 @@ class UnitCatalogEntry:
         return self.storage.name
 
 
-@dataclass
-class Census:
-    per_period: list[int]
-    total: int
-    nonterminal: int
-
-
 def row_index(state_codes: np.ndarray, code: int) -> int:
     """Row of a state code in an ascending code array (a codec's state_codes
     or a Q-table's); KeyError when the code is not there."""
@@ -209,15 +202,6 @@ class StateCodec:
         for t, combos in enumerate(self.period_combos):
             base[t, combos] = self.block_starts[t] + np.arange(len(combos)) * self.cap_count_at(t)
         return base
-
-    def census(self) -> Census:
-        per_period = []
-        for t in range(self.horizon):
-            per_period.append(len(self.period_combos[t]) * self.cap_count_at(t))
-        terminal_combos = self._bounded_price_combos(self.horizon)
-        per_period.append(len(terminal_combos) * self.cap_count_at(self.horizon))
-        total = int(sum(per_period))
-        return Census(per_period=per_period, total=total, nonterminal=self.n_states)
 
 
 @functools.lru_cache(maxsize=8)

@@ -3,9 +3,11 @@
 Every artifact written by this package must hash identically across runs
 for a fixed seed, so formats here avoid timestamps, dict-order dependence
 and locale-dependent float text. Binary containers store one canonical
-JSON header line followed by raw little-endian array bytes. Every artifact
-is written through `atomic_write`, so a reader sees either the previous
-file or the complete new one, never a partial write.
+JSON header line followed by raw little-endian array bytes. A container's
+arrays, their order, dtypes and ranks are fixed by its caller's schema, and
+the loader accepts no other layout. Every artifact is written through
+`atomic_write`, so a reader sees either the previous file or the complete
+new one, never a partial write.
 """
 
 from __future__ import annotations
@@ -92,53 +94,58 @@ def read_json(path) -> Any:
         return None
 
 
-def save_container(path, meta: dict, arrays: dict[str, np.ndarray], dtypes: dict[str, str] | None = None) -> None:
-    """Write named arrays plus a metadata dict as one self-describing file.
+def save_container(path, meta: dict, arrays: dict[str, np.ndarray], schema: dict[str, tuple[str, int]]) -> None:
+    """Write `meta` and the arrays `schema` lists as one self-describing file.
 
-    An array named in `dtypes` is stored as that dtype, which it must cast
-    to safely; any other keeps its own dtype, little-endian. The bytes are
-    converted and written a block of at most 1 MiB at a time, so no
-    full-size copy of a C-contiguous array is made."""
-    dtypes = dtypes or {}
-    # a 0-d array is stored with shape (1,)
-    arrays = {name: np.atleast_1d(arr) for name, arr in arrays.items()}
-    stored = {}
-    for name, arr in arrays.items():
-        dtype = np.dtype(dtypes.get(name, arr.dtype)).newbyteorder("<")
-        if not np.can_cast(arr.dtype, dtype, "safe"):
-            raise ValueError(f"array {name!r} of dtype {arr.dtype} cannot be stored as {dtype}")
-        stored[name] = dtype
-    manifest = [[name, stored[name].str, list(arr.shape)] for name, arr in arrays.items()]
+    `schema` maps each array name, in file order, to its stored
+    little-endian dtype string and its rank. `arrays` must hold exactly
+    those names, each of that rank and safely castable to that dtype;
+    otherwise ValueError, and nothing is written. The bytes are converted
+    and written a block of at most 1 MiB at a time, so no full-size copy of
+    a C-contiguous array is made."""
+    if arrays.keys() != schema.keys():
+        raise ValueError(f"arrays {list(arrays)} differ from the schema's {list(schema)}")
+    for name, (dtype, ndim) in schema.items():
+        if arrays[name].ndim != ndim:
+            raise ValueError(f"array {name!r} must be {ndim}-D, got {arrays[name].ndim}-D")
+        if not np.can_cast(arrays[name].dtype, dtype, "safe"):
+            raise ValueError(f"array {name!r} of dtype {arrays[name].dtype} cannot be stored as {np.dtype(dtype)}")
+    manifest = [[name, dtype, list(arrays[name].shape)] for name, (dtype, _) in schema.items()]
     header = canonical_json({"magic": CONTAINER_MAGIC, "meta": meta, "arrays": manifest})
     with atomic_write(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
-        for name, arr in arrays.items():
-            flat, step = arr.reshape(-1), max(_BLOCK_BYTES // stored[name].itemsize, 1)
+        for name, (dtype, _) in schema.items():
+            flat, step = arrays[name].reshape(-1), max(_BLOCK_BYTES // np.dtype(dtype).itemsize, 1)
             for start in range(0, flat.size, step):
                 # one expression, so a block is freed before the next exists
-                fh.write(np.ascontiguousarray(flat[start : start + step], dtype=stored[name]).view(np.uint8))
+                fh.write(np.ascontiguousarray(flat[start : start + step], dtype=dtype).view(np.uint8))
 
 
-def _array_specs(path, header: dict) -> list[tuple[str, np.dtype, tuple[int, ...]]]:
+def _checked_specs(path, header: dict, schema: dict[str, tuple[str, int]]) -> list[tuple[str, np.dtype, tuple]]:
+    """Name, dtype and shape of each array the header lists, if it lists
+    exactly the schema's arrays: their names in order, each with the
+    schema's dtype string and a shape of the schema's rank."""
     try:
-        specs = [(name, np.dtype(dtype_str), tuple(shape)) for name, dtype_str, shape in header["arrays"]]
-    # numpy parses a comma-separated dtype string as Python source, so a
-    # malformed one such as ",i8" raises SyntaxError
-    except (KeyError, TypeError, ValueError, SyntaxError) as exc:
+        listed = [(name, dtype, tuple(shape)) for name, dtype, shape in header.get("arrays")]
+    except (TypeError, ValueError) as exc:
         raise ArtifactMismatchError(f"{path}: malformed container header") from exc
-    names = [name for name, _, _ in specs]
-    for name, dtype, shape in specs:
-        if (type(name) is not str or names.count(name) > 1 or dtype.hasobject or dtype.itemsize == 0
-                or not all(type(n) is int and n >= 0 for n in shape)):
+    names = [name for name, _, _ in listed]
+    if names != list(schema):
+        raise ArtifactMismatchError(f"{path}: holds arrays {names}, expected {list(schema)}")
+    for (name, dtype, shape), (want, ndim) in zip(listed, schema.values()):
+        if dtype != want or len(shape) != ndim:
+            raise ArtifactMismatchError(f"{path}: array {name!r} must be {ndim}-D {want}, got {len(shape)}-D {dtype}")
+        if not all(type(n) is int and n >= 0 for n in shape):
             raise ArtifactMismatchError(f"{path}: malformed container entry for array {name!r}")
-    return specs
+    return [(name, np.dtype(dtype), shape) for name, dtype, shape in listed]
 
 
-def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container written by `save_container`. The payload must hold
-    exactly the arrays the header lists: a truncated file, trailing bytes or
-    a malformed header raise ArtifactMismatchError.
+def load_container(path, schema: dict[str, tuple[str, int]]) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container written by `save_container` with the same `schema`.
+    The header must list exactly the schema's arrays, and the payload must
+    hold exactly those arrays: a truncated file, trailing bytes or a
+    malformed or foreign header raise ArtifactMismatchError.
 
     The file is memory-mapped read-only and each array is a view of the map
     at its offset, so loading copies nothing and a page is read only when it
@@ -158,7 +165,7 @@ def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise ArtifactMismatchError(f"{path}: not an outageplan container")
         if not isinstance(header.get("meta"), dict):
             raise ArtifactMismatchError(f"{path}: malformed container header")
-        specs = _array_specs(path, header)
+        specs = _checked_specs(path, header, schema)
         # the header is a JSON object, so the file is not empty and maps
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     offset = len(header_line)

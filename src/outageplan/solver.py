@@ -48,7 +48,8 @@ _QTABLE_FIELDS = {
     "codec": (dict,),
     "action_labels": (list,),
 }
-# dtype string and rank of each stored array
+# the container schema of qtable.bin: each array, named as its QTable
+# attribute, with its stored dtype string and rank, in file order
 _QTABLE_ARRAYS = {"state_codes": ("<i8", 1), "values": ("<f8", 2), "visits": ("<i8", 2)}
 
 
@@ -164,20 +165,16 @@ class QTable:
             "codec": self.codec_meta,
             "action_labels": list(self.action_labels),
         }
-        persist.save_container(
-            path,
-            meta,
-            {"state_codes": self.state_codes, "values": self.values, "visits": self.visits},
-            dtypes={name: dtype for name, (dtype, _) in _QTABLE_ARRAYS.items()},
-        )
+        persist.save_container(path, meta, {name: getattr(self, name) for name in _QTABLE_ARRAYS}, _QTABLE_ARRAYS)
 
     @classmethod
     def load(cls, path, expect_config_hash: str | None = None) -> "QTable":
         """Read a table written by `save`. The arrays are read-only views of
-        the mapped file (`persist.load_container`). A meta field of the wrong
-        kind, an array missing or of another dtype, rank or shape, or a label
-        count that differs from the column count raises ArtifactMismatchError."""
-        meta, arrays = persist.load_container(path)
+        the mapped file, whose layout `persist.load_container` checks against
+        `_QTABLE_ARRAYS`. A meta field of the wrong kind, arrays whose
+        lengths differ, or a label count that differs from the column count
+        raises ArtifactMismatchError."""
+        meta, arrays = persist.load_container(path, _QTABLE_ARRAYS)
         if meta.get("format") != QTABLE_FORMAT:
             raise ArtifactMismatchError(f"{path}: not a Q-table file")
         persist.check_fields(meta, _QTABLE_FIELDS, str(path))
@@ -186,16 +183,6 @@ class QTable:
                 f"{path}: Q-table was trained for config {meta.get('config_hash')!r}, "
                 f"active config is {expect_config_hash!r}"
             )
-        if arrays.keys() != _QTABLE_ARRAYS.keys():
-            raise ArtifactMismatchError(
-                f"{path}: Q-table holds arrays {sorted(arrays)}, expected {sorted(_QTABLE_ARRAYS)}"
-            )
-        for name, (dtype, ndim) in _QTABLE_ARRAYS.items():
-            if arrays[name].dtype.str != dtype or arrays[name].ndim != ndim:
-                raise ArtifactMismatchError(
-                    f"{path}: Q-table array {name!r} must be {ndim}-D {dtype}, "
-                    f"got {arrays[name].ndim}-D {arrays[name].dtype.str}"
-                )
         codes, values, visits = arrays["state_codes"], arrays["values"], arrays["visits"]
         labels = meta["action_labels"]
         if visits.shape != values.shape or len(codes) != len(values) or len(labels) != values.shape[1]:
@@ -374,12 +361,11 @@ def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> Exac
 def value_iteration(env: PlanningEnv, gamma: float = 1.0, max_states: int = 2_000_000) -> ExactSolution:
     """Optimal values over the full reachable state space.
 
-    Refuses instances whose census exceeds max_states.
+    Refuses instances that store more than max_states non-terminal states.
     """
-    census = env.codec.census()
-    if census.total > max_states:
+    if env.codec.n_states > max_states:
         raise ValueError(
-            f"state space has {census.total} states, above the enumeration cap {max_states}"
+            f"state space has {env.codec.n_states} states, above the enumeration cap {max_states}"
         )
     return _backward(env, gamma, None)
 

@@ -33,7 +33,7 @@ from outageplan.errors import OutagePlanError
 from outageplan.evaluate import PolicyTrace, PriceTrajectory
 from outageplan.outage import CaidiSeries
 from outageplan.simulate import CostTable
-from outageplan.solver import QTable
+from outageplan.solver import _QTABLE_ARRAYS, QTable
 
 from conftest import cost_table
 
@@ -159,7 +159,7 @@ class TestLoaderFuzz:
         path.write_bytes(text.encode() + b"\n" + payload[: data.draw(st.sampled_from([len(payload), 7, 0]))])
         argv = ["evaluate", "--config", "tiny", "--qtable", str(path),
                 "--trajectory", str(work / "trajectory.csv"), "--out", str(work / "cli")]
-        check(persist.load_container, path, argv)
+        check(lambda p: persist.load_container(p, _QTABLE_ARRAYS), path, argv)
 
     @FUZZ
     @given(data=st.data())

@@ -260,20 +260,17 @@ class TestStateCodec:
         assert env.capacity_of(double_small) == env.capacity_of(one_big)
 
     def test_tiny_census(self):
-        census = make_env().codec.census()
-        assert census.per_period == [1, 20, 60, 140]
-        assert census.nonterminal == 81
-        assert census.total == 221
+        codec = make_env().codec
+        assert codec.block_starts == [0, 1, 21]
+        assert codec.n_states == 81
 
     def test_large_census_formula(self):
         codec = StateCodec(horizon=4, ladder_sizes=[4, 4, 4, 4], n_units=4, n_levels=3)
-        census = codec.census()
         want = [
             (t + 1) ** 4 * sum(math.comb(11 + k, k) for k in range(t + 1)) for t in range(4)
         ]
-        assert census.per_period[:4] == want
-        assert census.nonterminal == 124060
-        assert census.per_period[4] == 4**4 * 1820 == 465920
+        assert list(np.diff(codec.block_starts + [codec.n_states])) == want
+        assert codec.n_states == 124060
         assert codec.c_full == 1820
         assert codec.p_full == 256
 
@@ -286,12 +283,11 @@ class TestStateCodec:
         codec = env.codec
         ladders = [len(e.chain) for e in env.catalog]
         frontier = {(0, (0,) * len(ladders), ())}
-        nonterminal, terminal = set(), set()
+        nonterminal = set()
         while frontier:
             nxt = set()
             for t, idx, installs in frontier:
                 if t == env.horizon:
-                    terminal.add((t, idx, installs))
                     continue
                 nonterminal.add((t, idx, installs))
                 grown = [installs] + [tuple(sorted(installs + (j,))) for j in range(codec.n_options)]
@@ -303,7 +299,6 @@ class TestStateCodec:
             for t, idx, installs in nonterminal
         )
         assert codes == list(codec.state_codes)
-        assert len(terminal) == codec.census().per_period[-1]
 
     @pytest.mark.parametrize("ladders", [[2, 2], [3, 2, 4], [4, 1]])
     def test_row_base_plus_cap_index_is_the_sorted_row(self, ladders):

@@ -1,8 +1,9 @@
 """Atomic artifact writes, which leave the previous file intact on failure,
-memory-mapped container loads, and Q-table saves that widen the visit
-counts to their stored dtype."""
+memory-mapped container loads that accept only their schema's layout, and
+Q-table saves that widen the visit counts to their stored dtype."""
 
 import builtins
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from outageplan.cli import RunManifest, main
 from outageplan.errors import ArtifactMismatchError
 from outageplan.evaluate import ComparisonReport, PolicyTrace, write_plot_csv
 from outageplan.simulate import CostTable
-from outageplan.solver import ConvergencePoint, QTable, write_convergence_csv
+from outageplan.solver import _QTABLE_ARRAYS, ConvergencePoint, QTable, write_convergence_csv
 
 
 CAIDI = Path(outageplan.__file__).parent / "data" / "caidi" / "psegli_caidi.csv"
@@ -60,7 +61,7 @@ def failing_writes(monkeypatch):
 
 WRITERS = {
     "metamodel.csv": lambda p: CostTable(units=("u",), kwh=[[0.0]], cost=[1.0], stderr=[0.5], meta={"seed": 1}).save(p),
-    "qtable.bin": lambda p: persist.save_container(p, {"k": 1}, {"a": np.arange(5.0)}),
+    "qtable.bin": lambda p: persist.save_container(p, {"k": 1}, {"a": np.arange(5.0)}, {"a": ("<f8", 1)}),
     "convergence.csv": lambda p: write_convergence_csv([ConvergencePoint(1, 0.5, -2.0)], p),
     "trace.json": lambda p: PolicyTrace(
         rows=(), config_hash="c", planning_hash="p", outage_model={}, trajectory={}, totals={}
@@ -181,8 +182,9 @@ class TestQTableSave:
 class TestMappedLoad:
     def test_loaded_arrays_are_read_only(self, tmp_path):
         target = tmp_path / "c.bin"
-        persist.save_container(target, {}, {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(3)})
-        _, arrays = persist.load_container(target)
+        schema = {"a": ("<f8", 2), "b": ("<i8", 1)}
+        persist.save_container(target, {}, {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(3)}, schema)
+        _, arrays = persist.load_container(target, schema)
         for arr in arrays.values():
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -203,8 +205,9 @@ class TestMappedLoad:
     )
     def test_round_trip(self, tmp_path, arrays):
         target = tmp_path / "c.bin"
-        persist.save_container(target, {"k": [1]}, arrays)
-        meta, loaded = persist.load_container(target)
+        schema = {name: (arr.dtype.str, arr.ndim) for name, arr in arrays.items()}
+        persist.save_container(target, {"k": [1]}, arrays, schema)
+        meta, loaded = persist.load_container(target, schema)
         assert meta == {"k": [1]}
         assert list(loaded) == list(arrays)
         for name, arr in arrays.items():
@@ -214,13 +217,55 @@ class TestMappedLoad:
     @pytest.mark.parametrize("edit, payload", [("truncated", 47), ("extended", 49)])
     def test_payload_length_must_match_the_header(self, tmp_path, edit, payload):
         target = tmp_path / "c.bin"
-        persist.save_container(target, {}, {"a": np.arange(4.0), "b": np.arange(2)})
+        schema = {"a": ("<f8", 1), "b": ("<i8", 1)}
+        persist.save_container(target, {}, {"a": np.arange(4.0), "b": np.arange(2)}, schema)
         data = target.read_bytes()
         target.write_bytes(data[:-1] if edit == "truncated" else data + b"\0")
         message = f"{target}: payload is {payload} bytes, header lists arrays of 48 bytes"
         with pytest.raises(ArtifactMismatchError) as info:
-            persist.load_container(target)
+            persist.load_container(target, schema)
         assert str(info.value) == message
+
+
+class TestSchema:
+    def test_a_saved_qtable_lists_its_arrays_in_schema_order(self, tmp_path):
+        small_qtable(-1.0).save(tmp_path / "qtable.bin")
+        header = json.loads((tmp_path / "qtable.bin").read_bytes().partition(b"\n")[0])
+        assert header["arrays"] == [["state_codes", "<i8", [3]], ["values", "<f8", [3, 2]], ["visits", "<i8", [3, 2]]]
+        assert [name for name, _, _ in header["arrays"]] == list(_QTABLE_ARRAYS)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a[1].__setitem__(1, "<f4"), "array 'values' must be 2-D <f8, got 2-D <f4"),
+            (lambda a: a.reverse(), "holds arrays ['visits', 'values', 'state_codes'], expected"),
+            (lambda a: a.pop(), "holds arrays ['state_codes', 'values'], expected"),
+            (lambda a: a.append(["more", "<f8", [0]]), "holds arrays ['state_codes', 'values', 'visits', 'more']"),
+            (lambda a: a[1].__setitem__(2, [6]), "array 'values' must be 2-D <f8, got 1-D <f8"),
+        ],
+        ids=["values-f4", "reordered", "missing", "extra", "wrong-rank"],
+    )
+    def test_load_rejects_any_other_layout(self, tmp_path, edit, message):
+        target = tmp_path / "qtable.bin"
+        small_qtable(-1.0).save(target)
+        line, _, payload = target.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        edit(header["arrays"])
+        target.write_bytes(persist.canonical_json(header).encode() + b"\n" + payload)
+        with pytest.raises(ArtifactMismatchError) as info:
+            QTable.load(target)
+        assert str(info.value).startswith(f"{target}: {message}")
+
+    def test_save_refuses_a_wrong_rank(self, tmp_path):
+        with pytest.raises(ValueError, match="array 'a' must be 2-D, got 1-D"):
+            persist.save_container(tmp_path / "c.bin", {}, {"a": np.arange(3.0)}, {"a": ("<f8", 2)})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("arrays", [{}, {"a": np.arange(3.0), "b": np.arange(3.0)}], ids=["missing", "extra"])
+    def test_save_refuses_other_arrays(self, tmp_path, arrays):
+        with pytest.raises(ValueError, match="differ from the schema's"):
+            persist.save_container(tmp_path / "c.bin", {}, arrays, {"a": ("<f8", 1)})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJson:

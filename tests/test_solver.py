@@ -219,6 +219,11 @@ class TestExactSolver:
         with pytest.raises(ValueError, match="above the enumeration cap"):
             value_iteration(env, max_states=10)
 
+    def test_cap_counts_only_stored_states(self):
+        # the terminal states are never stored, so they do not count
+        env = mini_env()
+        assert value_iteration(env, max_states=env.codec.n_states).values.shape[0] == env.codec.n_states
+
     def test_requires_metamodel(self):
         env = PlanningEnv(horizon=1, catalog=(unit("a", (10.0,), 0.5),), levels_kwh=(1.0,))
         with pytest.raises(RuntimeError, match="attach a metamodel"):
@@ -798,44 +803,45 @@ class TestQTablePersistence:
             QTable.load(p)
 
     @pytest.mark.parametrize(
-        "arrays",
+        "arrays, message",
         [
-            '"nope"',
-            '[["values", "<f8"]]',
-            '[["values", "no-such-dtype", [1]]]',
-            '[["values", "|O", [1]]]',
-            '[["values", "<f8", [-1]]]',
-            '[["values", "<f8", ["8"]]]',
-            '[[["values"], "<f8", [1]]]',
-            '[[null, "<f8", [1]]]',
-            '[["values", "<f4", [1]], ["values", "<f4", [1]]]',
-            '[["values", "|S0", [1]]]',
-            '[["values", ",f8", [1]]]',
+            ('"nope"', "malformed container header"),
+            ('[["values", "<f8"]]', "malformed container header"),
+            ('[["values", "no-such-dtype", [1]]]', "array 'values' must be 1-D <f8, got 1-D no-such-dtype"),
+            ('[["values", "|O", [1]]]', "array 'values' must be 1-D <f8, got 1-D |O"),
+            ('[["values", "<f8", [-1]]]', "malformed container entry for array 'values'"),
+            ('[["values", "<f8", ["8"]]]', "malformed container entry for array 'values'"),
+            ('[[["values"], "<f8", [1]]]', "holds arrays [['values']], expected ['values']"),
+            ('[[null, "<f8", [1]]]', "holds arrays [None], expected ['values']"),
+            ('[["values", "<f4", [1]], ["values", "<f4", [1]]]', "holds arrays ['values', 'values'], expected ['values']"),
+            ('[["values", "|S0", [1]]]', "array 'values' must be 1-D <f8, got 1-D |S0"),
+            ('[["values", ",f8", [1]]]', "array 'values' must be 1-D <f8, got 1-D ,f8"),
         ],
     )
-    def test_malformed_array_entries(self, tmp_path, arrays):
+    def test_malformed_array_entries(self, tmp_path, arrays, message):
         p = tmp_path / "c.bin"
         p.write_bytes(b'{"magic": "OPAC1", "meta": {}, "arrays": ' + arrays.encode() + b"}\n" + bytes(8))
-        with pytest.raises(ArtifactMismatchError, match="malformed container"):
-            persist.load_container(p)
+        with pytest.raises(ArtifactMismatchError) as info:
+            persist.load_container(p, {"values": ("<f8", 1)})
+        assert str(info.value) == f"{p}: {message}"
 
     def test_container_layout(self, tmp_path):
-        # header line, then each array's little-endian bytes in order
+        # header line, then each array's little-endian bytes in schema order
         arrays = {
             "grid": np.arange(6.0).reshape(2, 3),
             "empty": np.zeros((0, 3)),
-            "scalar": np.array(7, dtype=np.int64),
             "big_endian": np.arange(3, dtype=">i4"),
             "strided": np.arange(10.0)[::3],
         }
+        schema = {"grid": ("<f8", 2), "empty": ("<f8", 2), "big_endian": ("<i4", 1), "strided": ("<f8", 1)}
         p = tmp_path / "c.bin"
-        persist.save_container(p, {"k": 1}, arrays)
-        little = {name: np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")) for name, a in arrays.items()}
+        persist.save_container(p, {"k": 1}, arrays, schema)
+        little = {name: np.ascontiguousarray(a, dtype=schema[name][0]) for name, a in arrays.items()}
         manifest = [[name, a.dtype.str, list(a.shape)] for name, a in little.items()]
         header = persist.canonical_json({"magic": persist.CONTAINER_MAGIC, "meta": {"k": 1}, "arrays": manifest})
         want = header.encode() + b"\n" + b"".join(a.tobytes() for a in little.values())
         assert p.read_bytes() == want
-        meta, loaded = persist.load_container(p)
+        meta, loaded = persist.load_container(p, schema)
         assert meta == {"k": 1}
         assert list(loaded) == list(arrays)
         for name, a in little.items():
