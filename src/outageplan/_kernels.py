@@ -10,8 +10,9 @@ and their order are those of a plain scalar loop over the arrays, which
 The C source is compiled with the system's `cc` on first use into
 `${XDG_CACHE_HOME:-~/.cache}/outageplan/`, under a name keyed by the source's
 sha256 and the platform, and loaded through ctypes at the first `train` call.
-A case-study episode, uniform draws included, takes 0.65-0.8 µs on a 2-vCPU
-Intel Xeon VM with numpy 2.4 and gcc 12; compiling takes about 0.1 s, once.
+A case-study episode, uniform draws included, takes 0.35-0.76 µs on a 2-vCPU
+Intel Xeon VM with numpy 2.4 and gcc 12, as the VM's speed drifts over hours;
+compiling takes about 0.1 s, once.
 Islanding dispatch is vectorised numpy in `outageplan.simulate.dispatch_spans`.
 """
 
@@ -109,9 +110,9 @@ def _episode_loop():
 def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
     """One chunk of epsilon-greedy Q-learning episodes, updating `q`
     (float64) and `visits` (int32) in place; returns (largest |update|,
-    summed return, number of Q-values that left [q_lower, 0]). An episode
-    adds at most one visit to a pair, so int32 counts hold 2^31 - 1
-    episodes.
+    summed return, number of Q-values that left [q_lower, 0], number of
+    pairs first visited in the chunk). An episode adds at most one visit to
+    a pair, so int32 counts hold 2^31 - 1 episodes.
 
     Per step the stream supplies: explore uniform, action uniform (drawn
     whether or not the step explores), then one uniform per unit for the
@@ -142,12 +143,12 @@ def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
     cap_next = np.ascontiguousarray(tables.cap_next, np.int64)
     invest = np.ascontiguousarray(tables.invest, np.float64)
     cost_of_cap = np.ascontiguousarray(tables.cost_of_cap, np.float64)
-    out, violations = np.zeros(2), np.zeros(1, np.int64)
+    out, counts = np.zeros(2), np.zeros(2, np.int64)
     loop(
         q.ctypes.data, visits.ctypes.data, tables.n_actions, steps[0], tables.horizon, n_units,
         uniforms.ctypes.data, alphas.ctypes.data, epsilons.ctypes.data, row_base.ctypes.data,
         tables.p_full, tops.ctypes.data, strides.ctypes.data, advance_prob.ctypes.data,
         cap_next.ctypes.data, invest.ctypes.data, cost_of_cap.ctypes.data,
-        float(gamma), float(tables.q_lower), out.ctypes.data, violations.ctypes.data,
+        float(gamma), float(tables.q_lower), out.ctypes.data, counts.ctypes.data,
     )
-    return float(out[0]), float(out[1]), int(violations[0])
+    return float(out[0]), float(out[1]), int(counts[0]), int(counts[1])

@@ -90,13 +90,16 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _update_manifest(out_dir: Path, kind: str, artifact: Path, config_hash: str | None, seed: int | None) -> None:
+def _update_manifest(out_dir: Path, artifacts: dict[str, Path], config_hash: str | None, seed: int | None) -> None:
+    """Record each artifact under its kind, in order, with one read and one
+    rewrite of the manifest."""
     manifest_path = out_dir / MANIFEST_NAME
     manifest = RunManifest.load(manifest_path) if manifest_path.exists() else RunManifest()
     manifest.tool_version = outageplan.__version__
     # an artifact removed since an earlier command is no longer part of the run
     manifest.entries = [e for e in manifest.entries if Path(e.path).exists()]
-    manifest.record(kind, artifact, config_hash, seed)
+    for kind, artifact in artifacts.items():
+        manifest.record(kind, artifact, config_hash, seed)
     manifest.save(manifest_path)
 
 
@@ -127,7 +130,7 @@ def cmd_fit(args) -> int:
         target = out_dir / "outage_model.yaml"
         with persist.atomic_write(target) as fh:
             fh.write(snippet)
-        _update_manifest(out_dir, "outage-model", target, None, None)
+        _update_manifest(out_dir, {"outage-model": target}, None, None)
         print(f"wrote {target}")
     return 0
 
@@ -152,7 +155,7 @@ def cmd_metamodel(args) -> int:
     target = out_dir / "metamodel.csv"
     table.save(target)
     CostTable.load(target, expect_config_hash=cfg.config_hash)
-    _update_manifest(out_dir, "metamodel", target, cfg.config_hash, args.seed)
+    _update_manifest(out_dir, {"metamodel": target}, cfg.config_hash, args.seed)
     print(f"portfolios: {len(table)}  replications: {replications}")
     print(f"wrote {target}")
     return 0
@@ -191,8 +194,7 @@ def cmd_train(args) -> int:
     QTable.load(qtable_path, expect_config_hash=cfg.config_hash)
     convergence_path = out_dir / "convergence.csv"
     write_convergence_csv(result.convergence, convergence_path)
-    _update_manifest(out_dir, "qtable", qtable_path, cfg.config_hash, args.seed)
-    _update_manifest(out_dir, "convergence", convergence_path, cfg.config_hash, args.seed)
+    _update_manifest(out_dir, {"qtable": qtable_path, "convergence": convergence_path}, cfg.config_hash, args.seed)
     final = result.convergence[-1]
     print(f"final epoch: max |dQ| = {final.max_q_delta:.6g}, mean return = {final.mean_return:.6g}")
     print(f"coverage: {result.pairs_visited} of {result.qtable.visits.size} (state, action) pairs")
@@ -213,12 +215,16 @@ def cmd_evaluate(args) -> int:
         raise ArtifactMismatchError(f"{args.qtable}: Q-table rows do not match the states of the active config")
     if qtable.action_labels != env.action_labels:
         raise ArtifactMismatchError(f"{args.qtable}: Q-table columns do not match the actions of the active config")
+    try:
+        policy = qtable.greedy_policy()
+    except ValueError as exc:
+        raise ArtifactMismatchError(f"{args.qtable}: Q-table {exc}") from None
     metamodel_path = _resolve_metamodel(cfg, args.metamodel, out_dir)
     exact_return = None
     if metamodel_path is not None:
         table = CostTable.load(metamodel_path, expect_config_hash=cfg.config_hash)
         env.attach_metamodel(table)
-        exact_return = policy_value(env, qtable.greedy_policy(), gamma=cfg.training.gamma)
+        exact_return = policy_value(env, policy, gamma=cfg.training.gamma)
     trace = ev.rollout(
         qtable,
         env,
@@ -230,7 +236,7 @@ def cmd_evaluate(args) -> int:
     target = out_dir / (f"trace-{args.label}.json" if args.label else "trace.json")
     trace.save(target)
     ev.PolicyTrace.load(target)
-    _update_manifest(out_dir, f"trace{'-' + args.label if args.label else ''}", target, cfg.config_hash, qtable.seed)
+    _update_manifest(out_dir, {f"trace{'-' + args.label if args.label else ''}": target}, cfg.config_hash, qtable.seed)
     for row in trace.rows:
         state = ",".join(str(x) for x in row.state)
         print(f"period {row.period}: ({state}) -> {row.action}")
@@ -249,7 +255,7 @@ def cmd_compare(args) -> int:
     out_dir = _out_dir(args)
     target = out_dir / "comparison.json"
     report.save(target)
-    _update_manifest(out_dir, "comparison", target, None, None)
+    _update_manifest(out_dir, {"comparison": target}, None, None)
     print(report.format_text())
     print(f"wrote {target}")
     return 0
@@ -269,7 +275,7 @@ def cmd_plotdata(args) -> int:
     out_dir = _out_dir(args)
     target = out_dir / "duration_pmf.csv"
     ev.write_plot_csv(rows, target)
-    _update_manifest(out_dir, "duration-pmf", target, cfg.config_hash, None)
+    _update_manifest(out_dir, {"duration-pmf": target}, cfg.config_hash, None)
     print(f"rows: {len(rows)} (durations {rows[0][0]:g} .. {rows[-1][0]:g} h)")
     print(f"wrote {target}")
     return 0

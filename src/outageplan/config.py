@@ -9,7 +9,9 @@ differ only in the outage model can be recognized as the same planning
 problem. Each section's keys are declared once, in a table of the kind each
 value is read as; the hashed document is built from what those tables read.
 A profile is parsed only from bytes with the digest its config recorded,
-once per process for each digest.
+once per process for each digest. A config file is parsed once per process
+for each path and text, and built again once a profile it names no longer
+holds the bytes its hash covers.
 
 Documents load with libyaml's safe loader when PyYAML was built with it,
 and unknown keys are rejected at every level, so a misspelt section fails
@@ -18,6 +20,7 @@ instead of silently falling back to defaults.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import io
@@ -66,6 +69,11 @@ _TRAINING_DEFAULTS = {"episodes": 1_000_000, "alpha": [0.5, 0.01], "epsilon": [1
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _PROFILE_ROW = np.dtype([("hour", np.int64), ("value_kw", np.float64)])
+
+# The configs load_config built, by (path, resolved directory, YAML text),
+# least recently used first; at most _CONFIGS_MAX of them.
+_CONFIGS: dict[tuple[str, Path, str], AppConfig] = {}
+_CONFIGS_MAX = 16
 
 
 def _data_root():
@@ -227,7 +235,6 @@ class AppConfig:
             raise ConfigError(f"{source}: config document must be a mapping")
         _reject_unknown_keys(doc, TOP_LEVEL_KEYS, source)
         self.source = source
-        self._base_dir = base_dir
         try:
             self.horizon = _number(doc["horizon"], f"{source}: horizon", int)
             self.period_length_years = _number(
@@ -293,7 +300,8 @@ class AppConfig:
         self.metamodel_path = None if raw_path is None else (base_dir / str(raw_path)).resolve()
 
         names = sorted({f.profile for f in self.facilities} | {self.pv_profile})
-        self._profile_digests = {name: persist.sha256_of_file(self._profile_path(name)) for name in names}
+        self._profile_bytes = {name: self._profile_path(name).read_bytes() for name in names}
+        self._profile_digests = {name: hashlib.sha256(data).hexdigest() for name, data in self._profile_bytes.items()}
         semantic = {
             "horizon": self.horizon,
             "period_length_years": self.period_length_years,
@@ -315,6 +323,13 @@ class AppConfig:
         if not path.is_file():
             raise ConfigError(f"profile {name!r} not found at {path}")
         return path
+
+    def _profiles_unchanged(self) -> bool:
+        """Whether every profile file still holds the bytes the hashes cover."""
+        try:
+            return all(self._profile_path(name).read_bytes() == data for name, data in self._profile_bytes.items())
+        except (OSError, ConfigError):
+            return False
 
     def _profile(self, name: str) -> np.ndarray:
         """The profile's values, parsed from the bytes that `config_hash` names."""
@@ -356,14 +371,29 @@ class AppConfig:
 
 
 def load_config(path_or_name: str) -> AppConfig:
-    """Load a config from a YAML path, or a bundled config by name."""
+    """Load a config from a YAML path, or a bundled config by name. Each call
+    returns its own shallow copy of the config `_shared_config` holds."""
     path = Path(path_or_name)
     if not path.is_file() and "/" not in str(path_or_name) and not str(path_or_name).endswith(".yaml"):
         path = bundled_config_path(str(path_or_name))
     if not path.is_file():
         raise ConfigError(f"config file not found: {path_or_name}")
-    try:
-        doc = yaml.load(path.read_text(), Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    return AppConfig(doc=doc, base_dir=path.parent, source=str(path))
+    return copy.copy(_shared_config(str(path), path.parent.resolve(), path.read_text()))
+
+
+def _shared_config(source: str, base_dir: Path, text: str) -> AppConfig:
+    """The config in the YAML `text` of the file `source` in `base_dir`,
+    built once per process while its profiles keep their bytes. A build
+    that fails is not kept, so it fails again on the next call."""
+    key = (source, base_dir, text)
+    cfg = _CONFIGS.pop(key, None)
+    if cfg is None or not cfg._profiles_unchanged():
+        try:
+            doc = yaml.load(text, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{source}: invalid YAML: {exc}") from exc
+        cfg = AppConfig(doc=doc, base_dir=base_dir, source=source)
+    _CONFIGS[key] = cfg
+    if len(_CONFIGS) > _CONFIGS_MAX:
+        del _CONFIGS[next(iter(_CONFIGS))]
+    return cfg

@@ -44,14 +44,6 @@ def sha256_of_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def sha256_of_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 @contextmanager
 def atomic_write(path, mode: str = "w", **open_kwargs) -> Iterator[IO]:
     """Open a new temp file beside `path` for writing ("w" or "wb" mode) and

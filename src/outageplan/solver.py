@@ -8,7 +8,7 @@ updates the Q-table in place. What training holds in memory is the table,
 float64 values and int32 visit counts in one anonymous mapping that is
 unmapped when the table is dropped, plus one uniforms buffer of a chunk's
 size that every chunk refills. The case study's 4,000,000 episodes per
-config train in 2.7-3.1 s on a 2-vCPU VM.
+config train in 1.4-3.0 s on a 2-vCPU VM, whose speed drifts over hours.
 The exact solver is one backward induction over the stored states with the
 factorized price-chain expectation: over every action it gives the optimum
 the learned policy is judged against, and over one action per state the
@@ -103,13 +103,28 @@ def schedule_at(schedule: TrainingSchedule, episode: int | np.ndarray) -> tuple:
 
 
 def greedy_policy(values: np.ndarray) -> np.ndarray:
-    """First-maximum action per row of an action-value table. The argmax goes
-    a block of rows at a time because numpy copies an unaligned array, as a
-    loaded table's values are, before reducing it."""
+    """First-maximum action per row of an action-value table; ValueError
+    naming the first row whose maximum is not finite. numpy's argmax picks a
+    row's first NaN, so reading the value at each argmax catches every NaN,
+    every +inf and every row of -inf.
+
+    The argmax goes a block of rows at a time. An unaligned table, as a
+    loaded one is, is copied block by block into one aligned buffer first,
+    which numpy would otherwise do itself inside each reduction."""
     policy = np.empty(len(values), np.int64)
+    row_starts = np.arange(min(len(values), _ARGMAX_ROWS)) * values.shape[1]
+    buffer = None if values.flags.aligned else np.empty((len(row_starts), values.shape[1]))
     for start in range(0, len(values), _ARGMAX_ROWS):
         rows = slice(start, start + _ARGMAX_ROWS)
-        np.argmax(values[rows], axis=1, out=policy[rows])
+        block = values[rows]
+        if buffer is not None:
+            block = buffer[:len(block)]
+            block[...] = values[rows]
+        np.argmax(block, axis=1, out=policy[rows])
+        best = block.reshape(-1)[row_starts[:len(block)] + policy[rows]]
+        if not np.isfinite(best).all():
+            bad = np.flatnonzero(~np.isfinite(best))[0]
+            raise ValueError(f"row {start + bad} of the action values has the non-finite maximum {float(best[bad])}")
     return policy
 
 
@@ -246,12 +261,12 @@ def train(
     q, visits = _zeroed_tables(tables.state_codes.shape[0], tables.n_actions)
     draws = np.empty((min(CONVERGENCE_EPOCH, schedule.episodes), tables.horizon, 2 + n_units))
     log: list[ConvergencePoint] = []
-    done = 0
+    done = pairs_visited = 0
     while done < schedule.episodes:
         m = min(CONVERGENCE_EPOCH, schedule.episodes - done)
         alphas, epsilons = schedule_at(schedule, np.arange(done, done + m))
         uniforms = rng.random(out=draws[:m])
-        max_delta, total_return, violations = qlearn_chunk(
+        max_delta, total_return, violations, first_visits = qlearn_chunk(
             q, visits, tables, schedule.gamma, uniforms, alphas, epsilons
         )
         if violations:
@@ -260,6 +275,7 @@ def train(
                 "rewards or schedule are inconsistent"
             )
         done += m
+        pairs_visited += first_visits
         log.append(
             ConvergencePoint(episode=done, max_q_delta=float(max_delta), mean_return=float(total_return) / m)
         )
@@ -278,7 +294,7 @@ def train(
             "n_actions": tables.n_actions,
         },
     )
-    return TrainResult(qtable=qtable, convergence=log, pairs_visited=int(np.count_nonzero(visits)))
+    return TrainResult(qtable=qtable, convergence=log, pairs_visited=pairs_visited)
 
 
 def write_convergence_csv(points: Sequence[ConvergencePoint], path) -> None:
@@ -354,7 +370,7 @@ def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> Exac
         else:
             q_t += gamma * _price_expectation(env, v_next)[rows, cap2]
         v_next = np.zeros((codec.p_full, c_count))
-        v_next[combos] = q_t.max(axis=2)
+        v_next[combos] = q_t.max(axis=2) if policy is None else q_t[:, :, 0]
     return ExactSolution(values, float(v_next[0, 0]))
 
 

@@ -14,7 +14,7 @@ from outageplan.cli import MANIFEST_NAME, OUT_DIR_ENV, RunManifest, main
 from outageplan.config import outage_model_from_config
 from outageplan.errors import OutagePlanError
 from outageplan.outage import SuperposedModel
-from outageplan.solver import _QTABLE_ARRAYS
+from outageplan.solver import _QTABLE_ARRAYS, QTable
 
 DATA = Path(outageplan.__file__).parent / "data"
 CAIDI = DATA / "caidi" / "psegli_caidi.csv"
@@ -281,6 +281,23 @@ class TestErrorPaths:
         assert err.startswith(f"outageplan-error: {path}: ") and err.count("\n") == 1, err
         assert message in err
 
+    @pytest.mark.parametrize("metamodel", [False, True], ids=["without-metamodel", "with-metamodel"])
+    def test_evaluate_rejects_a_nan_action_value(self, pipeline, tmp_path, capsys, metamodel):
+        table = QTable.load(pipeline / "qtable.bin")
+        table.values = np.array(table.values)
+        table.values[0] = np.nan
+        path = tmp_path / "qtable.bin"
+        table.save(path)
+        argv = ["evaluate", "--config", "tiny", "--qtable", str(path), "--trajectory", str(TINY_TRAJECTORY),
+                "--out", str(tmp_path)]
+        if metamodel:
+            argv += ["--metamodel", str(pipeline / "metamodel.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"outageplan-error: {path}: Q-table row 0 of the action values has the non-finite maximum nan\n"
+        assert captured.out == ""
+        assert not (tmp_path / "trace.json").exists()
+
     def _train_on_edited_metamodel(self, pipeline, tmp_path, capsys, edit):
         lines = (pipeline / "metamodel.csv").read_text().splitlines()
         path = tmp_path / "metamodel.csv"
@@ -488,6 +505,21 @@ class TestManifest:
         capsys.readouterr()
         manifest = RunManifest.load(tmp_path / MANIFEST_NAME)
         assert [(e.kind, e.path) for e in manifest.entries] == [("outage-model", str(tmp_path / "outage_model.yaml"))]
+
+    def test_train_reads_and_rewrites_the_manifest_once(self, pipeline, tmp_path, capsys, monkeypatch):
+        argv = ["train", "--config", "tiny", "--episodes", "10", "--metamodel", str(pipeline / "metamodel.csv"),
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        calls = []
+        load, save = RunManifest.load.__func__, RunManifest.save
+        monkeypatch.setattr(RunManifest, "load", classmethod(lambda cls, path: calls.append("load") or load(cls, path)))
+        monkeypatch.setattr(RunManifest, "save", lambda self, path: calls.append("save") or save(self, path))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == ["load", "save"]
+        manifest = load(RunManifest, tmp_path / MANIFEST_NAME)
+        assert [(e.kind, e.path, e.seed) for e in manifest.entries] == [
+            ("qtable", str(tmp_path / "qtable.bin"), 0), ("convergence", str(tmp_path / "convergence.csv"), 0)]
 
     def test_save_load_round_trip(self, tmp_path):
         manifest = RunManifest()

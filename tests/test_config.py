@@ -638,6 +638,84 @@ class TestDerivedObjects:
             values[0] = 1.0
 
 
+class TestConfigMemo:
+    def test_a_repeat_load_does_not_parse_the_yaml_again(self, tmp_path, monkeypatch):
+        p = write_workspace(tmp_path)
+        parsed = []
+        real = yaml.load
+        monkeypatch.setattr(yaml, "load", lambda *args, **kwargs: parsed.append(args) or real(*args, **kwargs))
+        first, second = load_config(str(p)), load_config(str(p))
+        assert len(parsed) == 1
+        assert first is not second
+        assert (first.config_hash, first.planning_hash) == (second.config_hash, second.planning_hash)
+
+    def test_editing_the_yaml_changes_the_hash(self, tmp_path):
+        p = write_workspace(tmp_path)
+        before = load_config(str(p))
+        doc = base_doc()
+        doc["horizon"] = 3
+        p.write_text(yaml.safe_dump(doc))
+        after = load_config(str(p))
+        assert (before.horizon, after.horizon) == (2, 3)
+        assert before.config_hash != after.config_hash
+
+    def test_editing_a_profile_rebuilds_the_config_once(self, tmp_path, monkeypatch):
+        p = write_workspace(tmp_path)
+        before = load_config(str(p))
+        (tmp_path / "sun.csv").write_text(constant_profile(2.0))
+        parsed = []
+        real = yaml.load
+        monkeypatch.setattr(yaml, "load", lambda *args, **kwargs: parsed.append(args) or real(*args, **kwargs))
+        after, again = load_config(str(p)), load_config(str(p))
+        assert len(parsed) == 1
+        assert before.config_hash != after.config_hash == again.config_hash
+        assert after.microgrid().profiles.pv.max() == pytest.approx(5.0)
+
+    def test_one_text_in_two_directories_gives_two_configs(self, tmp_path, monkeypatch):
+        for name, value in (("a", 1.0), ("b", 2.0)):
+            (tmp_path / name).mkdir()
+            write_workspace(tmp_path / name, profiles={"unitload": value, "sun": 1.0})
+        assert (tmp_path / "a" / "config.yaml").read_text() == (tmp_path / "b" / "config.yaml").read_text()
+        configs = []
+        for name in "ab":
+            monkeypatch.chdir(tmp_path / name)
+            configs.append(load_config("config.yaml"))
+        a, b = configs
+        assert (a.profiles_dir, b.profiles_dir) == ((tmp_path / "a").resolve(), (tmp_path / "b").resolve())
+        assert a.config_hash != b.config_hash
+
+    def test_a_failed_load_fails_again(self, tmp_path):
+        doc = base_doc()
+        doc["horizon"] = 0
+        p = write_workspace(tmp_path, doc)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="horizon must be >= 1"):
+                load_config(str(p))
+
+    def test_a_profile_removed_after_a_load_fails_every_later_load(self, tmp_path):
+        p = write_workspace(tmp_path)
+        load_config(str(p))
+        (tmp_path / "sun.csv").unlink()
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="profile 'sun' not found"):
+                load_config(str(p))
+
+    def test_an_attribute_set_on_one_load_does_not_reach_the_next(self):
+        first = load_config("tiny")
+        first.horizon, first.config_hash = 99, "edited"
+        second = load_config("tiny")
+        assert (second.horizon, second.config_hash) == (3, BUNDLED_HASHES["tiny"][0])
+
+    def test_the_memo_stays_within_its_bound(self, tmp_path):
+        p = write_workspace(tmp_path)
+        for horizon in range(1, config_module._CONFIGS_MAX + 3):
+            doc = base_doc()
+            doc["horizon"] = horizon
+            p.write_text(yaml.safe_dump(doc))
+            assert load_config(str(p)).horizon == horizon
+        assert len(config_module._CONFIGS) == config_module._CONFIGS_MAX
+
+
 BUNDLED_HASHES = {
     "tiny": ("1a840132ac91eaf5b0a5c6442a18a6ca0985e46475ee42e718c3db27bd0645de",
              "9fc646cf7326106e25b485ea97eaa580c4dab726ff83b1d05c0b17895d0769fe"),

@@ -25,6 +25,8 @@ from outageplan.solver import (
     _price_expectation,
     QTable,
     TrainingSchedule,
+    _ARGMAX_ROWS,
+    greedy_policy,
     policy_value,
     schedule_at,
     train,
@@ -414,6 +416,35 @@ class TestTraining:
             res.qtable.index_of(terminal)
 
 
+def unaligned(a):
+    """A read-only copy of `a` at an address 3 mod 8, as a loaded Q-table's values."""
+    return np.frombuffer(b"\0" * 3 + a.tobytes(), a.dtype, offset=3).reshape(a.shape)
+
+
+class TestGreedyPolicy:
+    @pytest.mark.parametrize("layout", [np.asarray, unaligned], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize(
+        "row, shown",
+        [([0.0, math.nan, 1.0], "nan"), ([-1.0, math.inf, 0.0], "inf"), ([-math.inf] * 3, "-inf")],
+        ids=["nan", "plus-inf", "all-minus-inf"],
+    )
+    def test_a_row_without_a_finite_maximum_is_refused(self, row, shown, layout):
+        values = np.zeros((_ARGMAX_ROWS + 5, 3))
+        values[-2] = row
+        with pytest.raises(ValueError, match=f"^row {len(values) - 2} of the action values has the non-finite maximum {shown}$"):
+            greedy_policy(layout(values))
+
+    def test_an_unaligned_table_gives_the_first_maximum(self):
+        values = np.random.default_rng(3).choice([0.0, -0.0, -1.0, -2.5], size=(2 * _ARGMAX_ROWS + 7, 13))
+        table = unaligned(values)
+        assert not table.flags.aligned
+        assert greedy_policy(table).tolist() == np.argmax(values, axis=1).tolist()
+
+    def test_minus_inf_beside_a_finite_maximum_is_allowed(self):
+        values = np.array([[-math.inf, -1.0, -math.inf], [-2.0, -2.0, -math.inf]])
+        assert greedy_policy(values).tolist() == [1, 0]
+
+
 def qlearn_chunk_oracle(
     q,
     visits,
@@ -579,10 +610,9 @@ def named_env(name):
 
 
 def exact(returned):
-    """(max |update|, summed return, violations) of each chunk, exactly; the
-    oracle also returns its first-visit count, which `train` reads from the
-    visit table instead."""
-    return [(float(d).hex(), float(r).hex(), int(v)) for d, r, v, *_ in returned]
+    """(max |update|, summed return, violations, first visits) of each
+    chunk, exactly."""
+    return [(float(d).hex(), float(r).hex(), int(v), int(n)) for d, r, v, n in returned]
 
 
 class TestKernelParity:
@@ -615,7 +645,7 @@ class TestKernelParity:
         assert [p.episode for p in res.convergence] == [CONVERGENCE_EPOCH, CONVERGENCE_EPOCH + 1500]
         sizes = [CONVERGENCE_EPOCH, 1500]
         assert res.pairs_visited == sum(n for *_, n in want) == np.count_nonzero(want_visits)
-        for point, (max_delta, total_return, _, _), m in zip(res.convergence, want, sizes):
+        for point, (max_delta, total_return, *_), m in zip(res.convergence, want, sizes):
             assert point.max_q_delta.hex() == float(max_delta).hex()
             assert point.mean_return.hex() == (float(total_return) / m).hex()
 
