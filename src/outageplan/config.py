@@ -228,7 +228,8 @@ def _parse_profile(text: str, path) -> np.ndarray:
 
 
 class AppConfig:
-    """A fully validated configuration plus its identity hashes."""
+    """A fully validated configuration plus its identity hashes and the
+    profile bytes they cover."""
 
     def __init__(self, doc: dict, base_dir: Path, source: str):
         if not isinstance(doc, dict):
