@@ -10,9 +10,6 @@ and their order are those of a plain scalar loop over the arrays, which
 The C source is compiled with the system's `cc` on first use into
 `${XDG_CACHE_HOME:-~/.cache}/outageplan/`, under a name keyed by the source's
 sha256 and the platform, and loaded through ctypes at the first `train` call.
-A case-study episode, uniform draws included, takes 0.35-0.76 µs on a 2-vCPU
-Intel Xeon VM with numpy 2.4 and gcc 12, as the VM's speed drifts over hours;
-compiling takes about 0.1 s, once.
 Islanding dispatch is vectorised numpy in `outageplan.simulate.dispatch_spans`.
 """
 

@@ -12,13 +12,11 @@ import csv
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from outageplan import persist
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.mdp import PlanningEnv
 from outageplan.outage import SingleModel, SuperposedModel, duration_support, outage_model_to_config
-from outageplan.solver import QTable
+from outageplan.solver import QTable, first_max
 
 TRACE_FORMAT = "outageplan-trace"
 
@@ -178,8 +176,9 @@ def rollout(
     """Greedy rollout with prices forced to the trajectory. Deterministic.
 
     Walks the codec from capacity multiset 0; a state the table does not
-    hold raises KeyError. Each row's state is (period, price per unit in $,
-    installed kWh per unit), whole numbers as ints.
+    hold raises KeyError, and one whose greedy action value is not finite
+    ValueError, as `greedy_policy` does. Each row's state is (period, price
+    per unit in $, installed kWh per unit), whole numbers as ints.
     """
     codec = env.codec
     cap = 0
@@ -188,12 +187,12 @@ def rollout(
     for t, price_idx in enumerate(trajectory.indices_for(env)):
         code = (t * codec.p_full + codec.price_combo(price_idx)) * codec.c_full + cap
         # first maximum wins: do-nothing, then unit-major, level-minor
-        a = int(np.argmax(qtable.values[qtable.index_of(code)]))
+        row = qtable.index_of(code)
+        a = int(first_max(qtable.values[row : row + 1], row)[0])
         prices = [e.chain.values[i] for e, i in zip(env.catalog, price_idx)]
         cells = [t] + prices + env.installed_kwh[cap].tolist()
         if a:
-            unit, level = divmod(a - 1, len(env.levels_kwh))
-            row_unit, row_level = env.unit_names[unit], env.levels_kwh[level]
+            row_unit, row_level = env.unit_names[codec.option_unit[a - 1]], env.levels_kwh[codec.option_level[a - 1]]
             if first_invest is None:
                 first_invest = t + 1
         else:

@@ -112,6 +112,9 @@ class StateCodec:
     product; each period's block of codes is built as one numpy outer sum
     over its price combos and cap indices, in ascending code order.
 
+    It decodes once for every consumer: `digits` splits a price combo into
+    ladder indices, `option_unit` and `option_level` split an install option
+    into its unit and level, and `row_base` maps (period, combo) to a row.
     Its arrays are read-only: one codec serves every environment of the same
     shape in a process (`PlanningEnv`).
     """
@@ -141,18 +144,25 @@ class StateCodec:
         for u in range(n_units - 2, -1, -1):
             self.price_strides[u] = self.price_strides[u + 1] * self.ladder_sizes[u + 1]
         self.p_full = int(np.prod(self.ladder_sizes))
+        # digits[p, u] is unit u's ladder index in price combo p
+        self.digits = np.arange(self.p_full)[:, None] // self.price_strides % self.ladder_sizes
+        # install option j is (unit, level) = (option_unit[j], option_level[j])
+        self.option_unit, self.option_level = np.divmod(np.arange(self.n_options), n_levels)
 
         self.n_actions = 1 + self.n_options
         self.cap_next = self._cap_next_table()
 
-        self.period_combos = [self._bounded_price_combos(t) for t in range(horizon)]
+        self.period_combos = [np.flatnonzero((self.digits <= t).all(axis=1)) for t in range(horizon)]
         sizes = [len(combos) * self.cap_count_at(t) for t, combos in enumerate(self.period_combos)]
         self.block_starts = [sum(sizes[:t]) for t in range(horizon)]
         self.n_states = sum(sizes)
+        # state (t, p, c) is row row_base[t, p] + c; -1 marks a combo unreachable at t
+        self.row_base = np.full((horizon, self.p_full), -1, dtype=np.int64)
         # Filled block by block in place: a concatenation would leave a
         # block-sized hole in the heap beside this long-lived array.
         self.state_codes = np.empty(self.n_states, dtype=np.int64)
         for t, combos in enumerate(self.period_combos):
+            self.row_base[t, combos] = self.block_starts[t] + np.arange(len(combos)) * self.cap_count_at(t)
             # combos ascend, so each period's block is already in code order
             block = self.state_codes[self.block_starts[t] : self.block_starts[t] + sizes[t]]
             np.add(
@@ -160,8 +170,8 @@ class StateCodec:
                 np.arange(self.cap_count_at(t)),
                 out=block.reshape(len(combos), -1),
             )
-        for a in (self.ladder_sizes, self.cap_array, self.price_strides, self.cap_next, self.state_codes,
-                  *self.period_combos):
+        for a in (self.ladder_sizes, self.cap_array, self.price_strides, self.digits, self.option_unit,
+                  self.option_level, self.cap_next, self.row_base, self.state_codes, *self.period_combos):
             a.setflags(write=False)
 
     def _cap_next_table(self) -> np.ndarray:
@@ -179,29 +189,11 @@ class StateCodec:
         table[grow, 1:] = row_lookup(self.cap_array, grown).reshape(len(grow), n_options)
         return table
 
-    def _bounded_price_combos(self, period: int) -> np.ndarray:
-        ranges = [range(min(period, int(n) - 1) + 1) for n in self.ladder_sizes]
-        combos = [
-            int(sum(d * s for d, s in zip(digits, self.price_strides)))
-            for digits in itertools.product(*ranges)
-        ]
-        return np.array(combos, dtype=np.int64)
-
     def cap_count_at(self, period: int) -> int:
         return self._cap_prefix[min(period, self.horizon) + 1]
 
     def price_combo(self, price_idx: Sequence[int]) -> int:
         return int(sum(int(d) * int(s) for d, s in zip(price_idx, self.price_strides)))
-
-    def row_base(self) -> np.ndarray:
-        """Row index of (t, p, cap index 0) by period and price combo, -1 where
-        the combo is unreachable at t; state (t, p, c) is row row_base[t, p] + c,
-        because each period's block lists its combos in ascending order with
-        cap_count_at(t) rows each."""
-        base = np.full((self.horizon, self.p_full), -1, dtype=np.int64)
-        for t, combos in enumerate(self.period_combos):
-            base[t, combos] = self.block_starts[t] + np.arange(len(combos)) * self.cap_count_at(t)
-        return base
 
 
 @functools.lru_cache(maxsize=8)
@@ -262,7 +254,8 @@ class PlanningEnv:
         self.unit_names = tuple(names)
         self.codec = _shared_codec(horizon, tuple(len(e.chain) for e in catalog), len(catalog), len(self.levels_kwh))
         self.action_labels = ("do-nothing",) + tuple(
-            f"install {name} {level:g} kWh" for name in self.unit_names for level in self.levels_kwh
+            f"install {self.unit_names[u]} {self.levels_kwh[l]:g} kWh"
+            for u, l in zip(self.codec.option_unit.tolist(), self.codec.option_level.tolist())
         )
         self.installed_kwh = self._installed_kwh_table()
         self._cost_of_cap: np.ndarray | None = None
@@ -274,16 +267,15 @@ class PlanningEnv:
         Added position by position in multiset order from 0.0, so every
         unit's sum is the same float sequence as adding its installs one by
         one: the metamodel grid, its lookups and every reward share it.
+        A position adds one row of `option_kwh`, 0.0 but at its install's
+        unit, and adding 0.0 leaves a sum of positive levels as it is.
         """
         codec = self.codec
-        n_levels = len(self.levels_kwh)
-        levels = np.array(self.levels_kwh)
+        option_kwh = np.zeros((codec.n_options + 1, len(self.catalog)))
+        option_kwh[np.arange(codec.n_options), codec.option_unit] = np.array(self.levels_kwh)[codec.option_level]
         kwh = np.zeros((codec.c_full, len(self.catalog)))
         for options in codec.cap_array.T:
-            rows = np.flatnonzero(options < codec.n_options)
-            unit, level = np.divmod(options[rows], n_levels)
-            # each multiset adds at most one install per position
-            kwh[rows, unit] += levels[level]
+            kwh += option_kwh[options]
         return kwh
 
     def capacity_of(self, cap: int) -> dict[str, float]:
@@ -318,13 +310,9 @@ class PlanningEnv:
         """Investment cost by (price combo, action): level kWh times the
         acting unit's ladder value at the combo's digit."""
         codec = self.codec
+        prices = np.stack([np.array(e.chain.values)[codec.digits[:, u]] for u, e in enumerate(self.catalog)], axis=1)
         invest = np.zeros((codec.p_full, codec.n_actions))
-        digits = np.arange(codec.p_full)[:, None] // codec.price_strides % codec.ladder_sizes
-        for u, entry in enumerate(self.catalog):
-            ladder = np.array(entry.chain.values)
-            for l, level in enumerate(self.levels_kwh):
-                a = 1 + u * len(self.levels_kwh) + l
-                invest[:, a] = level * ladder[digits[:, u]]
+        invest[:, 1:] = np.array(self.levels_kwh)[codec.option_level] * prices[:, codec.option_unit]
         return invest
 
     def kernel_tables(self) -> KernelTables:
@@ -334,7 +322,7 @@ class PlanningEnv:
         worst = self.horizon * (float(invest.max()) + float(self._cost_of_cap.max()))
         return KernelTables(
             state_codes=self.codec.state_codes,
-            row_base=self.codec.row_base(),
+            row_base=self.codec.row_base,
             cap_next=self.codec.cap_next,
             invest=invest,
             cost_of_cap=self._cost_of_cap,

@@ -165,10 +165,15 @@ def dispatch_spans(
     serves first, storage covers the residual unit by unit up to its power
     and remaining-energy limits, and the pool goes to classes in descending
     value-of-lost-load order. Returns (cost, unserved): cost[s, p] in $ and
-    unserved[c, s, p] in kWh for facility class c.
+    unserved[c, s, p] in kWh for facility class c; ValueError naming the
+    first span whose length is not a whole number of hours >= 0.
     """
     start_hours = np.asarray(start_hours, dtype=np.int64)
-    n_hours = np.asarray(n_hours, dtype=np.int64)
+    hours = np.asarray(n_hours)
+    bad = np.flatnonzero(~(np.isfinite(hours) & (np.floor(hours) == hours) & (hours >= 0)))
+    if bad.size:
+        raise ValueError(f"span {bad[0]} lasts {hours[bad[0]].item()!r} h; a span lasts whole hours >= 0")
+    n_hours = hours.astype(np.int64, copy=False)
     kwh = _portfolio_kwh(portfolios, specs)
     deliverable0 = np.empty(kwh.T.shape)
     power_cap = np.empty(kwh.T.shape)

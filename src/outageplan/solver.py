@@ -7,15 +7,14 @@ episode loop is compiled C that walks the prices from those uniforms and
 updates the Q-table in place. What training holds in memory is the table,
 float64 values and int32 visit counts in one anonymous mapping that is
 unmapped when the table is dropped, plus one uniforms buffer of a chunk's
-size that every chunk refills. The case study's 4,000,000 episodes per
-config train in 1.4-3.0 s on a 2-vCPU VM, whose speed drifts over hours.
-The exact solver is one backward induction over the stored states with the
-factorized price-chain expectation: over every action it gives the optimum
-the learned policy is judged against, and over one action per state the
-value of a fixed policy, so the optimum's greedy policy replays its value
-bit for bit. The terminal values are zero, so the last period takes no
-expectation. Its action values sit on the codec's rows like a Q-table's,
-and one first-maximum argmax gives the greedy policy of either.
+size that every chunk refills. The exact solver is one backward induction
+over the stored states with the factorized price-chain expectation: over
+every action it gives the optimum the learned policy is judged against, and
+over one action per state the value of a fixed policy, so the optimum's
+greedy policy replays its value bit for bit. The terminal values are zero,
+so the last period takes no expectation. Its action values sit on the
+codec's rows like a Q-table's, and one first-maximum argmax gives the
+greedy policy of either.
 """
 
 from __future__ import annotations
@@ -102,29 +101,33 @@ def schedule_at(schedule: TrainingSchedule, episode: int | np.ndarray) -> tuple:
     return alpha, epsilon
 
 
-def greedy_policy(values: np.ndarray) -> np.ndarray:
-    """First-maximum action per row of an action-value table; ValueError
-    naming the first row whose maximum is not finite. numpy's argmax picks a
-    row's first NaN, so reading the value at each argmax catches every NaN,
-    every +inf and every row of -inf.
+def first_max(block: np.ndarray, first_row: int, out: np.ndarray | None = None) -> np.ndarray:
+    """First-maximum action per row of `block`, rows first_row onward of an
+    action-value table; ValueError naming the first table row whose maximum
+    is not finite. numpy's argmax picks a row's first NaN, so reading the
+    value at each argmax catches every NaN, every +inf and every row of -inf."""
+    out = np.argmax(block, axis=1, out=out)
+    bad = np.flatnonzero(~np.isfinite(block.reshape(-1)[np.arange(0, block.size, block.shape[1]) + out]))
+    if bad.size:
+        row, best = first_row + bad[0], float(block[bad[0], out[bad[0]]])
+        raise ValueError(f"row {row} of the action values has the non-finite maximum {best}")
+    return out
 
-    The argmax goes a block of rows at a time. An unaligned table, as a
-    loaded one is, is copied block by block into one aligned buffer first,
-    which numpy would otherwise do itself inside each reduction."""
+
+def greedy_policy(values: np.ndarray) -> np.ndarray:
+    """`first_max` of every row of an action-value table, a block of rows at
+    a time. An unaligned table, as a loaded one is, is copied block by block
+    into one aligned buffer first, which numpy would otherwise do itself
+    inside each reduction."""
     policy = np.empty(len(values), np.int64)
-    row_starts = np.arange(min(len(values), _ARGMAX_ROWS)) * values.shape[1]
-    buffer = None if values.flags.aligned else np.empty((len(row_starts), values.shape[1]))
+    buffer = None if values.flags.aligned else np.empty((min(len(values), _ARGMAX_ROWS), values.shape[1]))
     for start in range(0, len(values), _ARGMAX_ROWS):
         rows = slice(start, start + _ARGMAX_ROWS)
         block = values[rows]
         if buffer is not None:
             block = buffer[:len(block)]
             block[...] = values[rows]
-        np.argmax(block, axis=1, out=policy[rows])
-        best = block.reshape(-1)[row_starts[:len(block)] + policy[rows]]
-        if not np.isfinite(best).all():
-            bad = np.flatnonzero(~np.isfinite(best))[0]
-            raise ValueError(f"row {start + bad} of the action values has the non-finite maximum {float(best[bad])}")
+        first_max(block, start, out=policy[rows])
     return policy
 
 
@@ -388,7 +391,14 @@ def value_iteration(env: PlanningEnv, gamma: float = 1.0, max_states: int = 2_00
 
 def policy_value(env: PlanningEnv, policy: np.ndarray, gamma: float = 1.0) -> float:
     """Exact expected return of a fixed policy given per-row action indices
-    aligned with the codec's state enumeration."""
-    if policy.shape != (env.codec.n_states,):
-        raise ValueError(f"policy must have shape ({env.codec.n_states},)")
+    aligned with the codec's state enumeration. ValueError for a policy that
+    is not integer, or naming the first row whose action is outside [0, n_actions)."""
+    codec = env.codec
+    if policy.shape != (codec.n_states,):
+        raise ValueError(f"policy must have shape ({codec.n_states},)")
+    if policy.dtype.kind not in "iu":
+        raise ValueError(f"policy must hold integer action indices, not {policy.dtype}")
+    bad = np.flatnonzero((policy < 0) | (policy >= codec.n_actions))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} of the policy holds action {policy[bad[0]]}, outside [0, {codec.n_actions})")
     return _backward(env, gamma, policy).expected_return()

@@ -62,7 +62,7 @@ def scripted_qtable(env, wanted):
     codec = env.codec
     values = np.zeros((codec.n_states, codec.n_actions))
     for (t, idx, installs), action_idx in wanted.items():
-        values[codec.row_base()[t, codec.price_combo(idx)] + codec.cap_sets.index(installs), action_idx] = 1.0
+        values[codec.row_base[t, codec.price_combo(idx)] + codec.cap_sets.index(installs), action_idx] = 1.0
     return QTable(
         state_codes=codec.state_codes.copy(),
         values=values,
@@ -208,9 +208,19 @@ class TestRollout:
         full = scripted_qtable(env, {})
         # drop the do-nothing path's second state: prices (1, 1), nothing installed
         keep = np.ones(len(full.state_codes), dtype=bool)
-        keep[env.codec.row_base()[1, env.codec.price_combo((1, 1))]] = False
+        keep[env.codec.row_base[1, env.codec.price_combo((1, 1))]] = False
         table = QTable(full.state_codes[keep], full.values[keep], full.visits[keep], full.action_labels, "cfg", {}, 0, {})
         with pytest.raises(KeyError, match="not a reachable non-terminal state"):
+            rollout(table, env, traj, config_hash="c", planning_hash="p")
+
+    def test_a_state_without_a_finite_maximum_is_refused(self, tmp_path):
+        env = make_env()
+        traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))
+        table = scripted_qtable(env, {})
+        # the do-nothing path's second state, named by its table row
+        row = int(env.codec.row_base[1, env.codec.price_combo((1, 1))])
+        table.values[row] = np.nan
+        with pytest.raises(ValueError, match=f"^row {row} of the action values has the non-finite maximum nan$"):
             rollout(table, env, traj, config_hash="c", planning_hash="p")
 
     def test_save_load_round_trip(self, tmp_path):

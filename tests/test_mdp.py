@@ -303,7 +303,7 @@ class TestStateCodec:
     @pytest.mark.parametrize("ladders", [[2, 2], [3, 2, 4], [4, 1]])
     def test_row_base_plus_cap_index_is_the_sorted_row(self, ladders):
         codec = StateCodec(horizon=3, ladder_sizes=ladders, n_units=len(ladders), n_levels=2)
-        base = codec.row_base()
+        base = codec.row_base
         for row, code in enumerate(codec.state_codes):
             tp, cap = divmod(int(code), codec.c_full)
             t, p = divmod(tp, codec.p_full)
@@ -335,7 +335,7 @@ class TestStateCodec:
         assert codec.n_states == len(want.state_codes)
         assert codec.block_starts == want.block_starts
         assert codec.cap_next.tobytes() == want.cap_next.tobytes()
-        assert codec.row_base().tobytes() == want.row_base.tobytes()
+        assert codec.row_base.tobytes() == want.row_base.tobytes()
         # non-integer levels make the sum order visible in the last bits
         for c, cap in enumerate(codec.cap_sets):
             want_kwh = installed_kwh_oracle(cap, len(ladder_sizes), env.levels_kwh)
@@ -365,10 +365,18 @@ class TestStateCodec:
         assert make_env().codec is make_env().codec
         assert make_env(horizon=2).codec is not make_env().codec
 
+    @pytest.mark.parametrize("ladders, n_levels", [([3, 2, 4], 2), ([4, 1], 3), ([1], 1)])
+    def test_decode_tables_invert_the_packing(self, ladders, n_levels):
+        codec = StateCodec(horizon=2, ladder_sizes=ladders, n_units=len(ladders), n_levels=n_levels)
+        assert (codec.digits @ codec.price_strides).tolist() == list(range(codec.p_full))
+        assert ((codec.digits >= 0) & (codec.digits < codec.ladder_sizes)).all()
+        assert (codec.option_unit * n_levels + codec.option_level).tolist() == list(range(codec.n_options))
+        assert ((codec.option_level >= 0) & (codec.option_level < n_levels)).all()
+
     def test_codec_arrays_are_read_only(self):
         codec = make_env().codec
         for a in (codec.state_codes, codec.cap_next, codec.cap_array, codec.ladder_sizes, codec.price_strides,
-                  *codec.period_combos):
+                  codec.digits, codec.option_unit, codec.option_level, codec.row_base, *codec.period_combos):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
@@ -407,7 +415,7 @@ class TestPlanningEnv:
         env = make_env()
         codec = env.codec
         assert codec.state_codes[0] == 0
-        assert codec.row_base()[0, 0] == 0
+        assert codec.row_base[0, 0] == 0
         assert codec.cap_sets[0] == ()
         assert env.capacity_of(0) == {"alpha": 0.0, "beta": 0.0}
         assert compiled_episode(env, [0, 0, 0], [[0.99, 0.99]] * 3)[0] == (0, (0, 0), ())

@@ -260,6 +260,21 @@ class TestDispatch:
             with pytest.raises(ConfigError, match="installed kWh >= 0"):
                 dispatch_spans([0], [1], [[kwh]], specs, grid)
 
+    @pytest.mark.parametrize("lengths, shown", [([2, -3], "-3"), ([2.5], "2.5"), ([1.0, math.nan], "nan"), ([math.inf], "inf")],
+                             ids=["negative", "fractional", "nan", "inf"])
+    def test_span_lengths_must_be_whole_hours(self, lengths, shown):
+        # a negative span would cost nothing and a fractional one would be truncated
+        grid = flat_grid([(10.0, 1.0)])
+        specs, pf = one_unit(0.0, 1.0)
+        with pytest.raises(ValueError, match=rf"^span {len(lengths) - 1} lasts {shown} h; a span lasts whole hours >= 0$"):
+            dispatch_spans([0] * len(lengths), lengths, [pf], specs, grid)
+
+    def test_whole_float_span_lengths_are_hours(self):
+        grid = flat_grid([(10.0, 1.0)])
+        specs, pf = one_unit(0.0, 1.0)
+        whole, integer = dispatch_spans([0], [2.0], [pf], specs, grid), dispatch_spans([0], [2], [pf], specs, grid)
+        assert whole[0].tobytes() == integer[0].tobytes()
+
 
 class TestDispatchParity:
     @given(case=dispatch_cases())

@@ -162,7 +162,7 @@ class TestExactSolver:
         codec = env.codec
         for state in ((1, (1, 0), (2,)), (1, (0, 1), ()), (1, (1, 1), (1,))):
             t, idx, installs = state
-            row = codec.row_base()[t, codec.price_combo(idx)] + codec.cap_sets.index(installs)
+            row = codec.row_base[t, codec.price_combo(idx)] + codec.cap_sets.index(installs)
             got = sol.values[row].max()
             assert got == pytest.approx(expectimax(env, state, memo=memo), abs=1e-9)
 
@@ -258,6 +258,20 @@ class TestExactSolver:
         env = mini_env()
         with pytest.raises(ValueError, match="policy must have shape"):
             policy_value(env, np.zeros(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("action", [-1, 5], ids=["negative", "n-actions"])
+    def test_policy_value_rejects_an_action_out_of_range(self, action):
+        # numpy would read -1 as the last action and n_actions as an IndexError
+        env = mini_env()
+        policy = np.zeros(env.codec.n_states, dtype=np.int64)
+        policy[3] = action
+        with pytest.raises(ValueError, match=rf"^row 3 of the policy holds action {action}, outside \[0, 5\)$"):
+            policy_value(env, policy)
+
+    def test_policy_value_rejects_a_float_policy(self):
+        env = mini_env()
+        with pytest.raises(ValueError, match="^policy must hold integer action indices, not float64$"):
+            policy_value(env, np.zeros(env.codec.n_states))
 
 
 def value_iteration_oracle(env, gamma):
