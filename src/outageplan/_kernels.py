@@ -3,7 +3,8 @@
 All randomness is pre-drawn by the caller, so a fixed seed reproduces every
 result bit for bit. The episode loop is C (`_qloop.c`): it reads each step's
 explore, action and price draws from the chunk's uniforms, walks the price
-digits itself and updates `q` and `visits` in place. Its float operations
+digits itself and updates the stored Q-table rows in place, appending a
+state's row to the store at its first update. Its float operations
 and their order are those of a plain scalar loop over the arrays, which
 `tests/test_solver.py` keeps as the reference.
 
@@ -96,7 +97,7 @@ def _episode_loop():
             raise BuildError(f"cannot load the compiled Q-learning loop {path}: {exc}; delete it to rebuild") from exc
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         fn.argtypes = [
-            ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
+            ptr, ptr, ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
             f64, f64, ptr, ptr,
         ]
         fn.restype = None
@@ -104,12 +105,16 @@ def _episode_loop():
     return _loop
 
 
-def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
-    """One chunk of epsilon-greedy Q-learning episodes, updating `q`
-    (float64) and `visits` (int32) in place; returns (largest |update|,
-    summed return, number of Q-values that left [q_lower, 0], number of
-    pairs first visited in the chunk). An episode adds at most one visit to
-    a pair, so int32 counts hold 2^31 - 1 episodes.
+def qlearn_chunk(q, visits, slots, n_used, tables, gamma, uniforms, alphas, epsilons):
+    """One chunk of epsilon-greedy Q-learning episodes over a store of the
+    Q-table rows that exist, updating `q` (float64) and `visits` (int32),
+    both (store rows, n_actions), and the int32 slot map `slots` in place.
+    `slots[s]` is the store row of Q-table row s, or -1 while s has never
+    been updated; the first `n_used` store rows are in use and the rest must
+    be zero. Returns (largest |update|, summed return, number of Q-values
+    that left [q_lower, 0], number of pairs first visited in the chunk, store
+    rows in use after it). An episode adds at most one visit to a pair, so
+    int32 counts hold 2^31 - 1 episodes.
 
     Per step the stream supplies: explore uniform, action uniform (drawn
     whether or not the step explores), then one uniform per unit for the
@@ -119,16 +124,26 @@ def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
     # loaded Q-table is a read-only, possibly unaligned view of its file)
     if q.dtype != np.float64 or visits.dtype != np.int32 or not (q.flags.carray and visits.flags.carray):
         raise ValueError("q and visits must be C-contiguous, aligned, writable float64 and int32 arrays")
-    rows = (tables.state_codes.shape[0], tables.n_actions)
-    if q.shape != rows or visits.shape != rows:
-        raise ValueError(f"q and visits must have shape {rows}")
-    # the C loop reads these by episode, period and unit with no bounds checks
+    if q.ndim != 2 or q.shape[1] != tables.n_actions or visits.shape != q.shape:
+        raise ValueError(f"q and visits must have shape (store rows, {tables.n_actions})")
+    # the C loop indexes the store through the slot map with no bounds checks
+    rows = tables.state_codes.shape[0]
+    if slots.dtype != np.int32 or not slots.flags.carray or slots.shape != (rows,):
+        raise ValueError(f"slots must be a C-contiguous, aligned, writable int32 array of shape ({rows},)")
+    if not 0 <= n_used <= len(q):
+        raise ValueError(f"n_used {n_used} is outside [0, {len(q)}], the store's row count")
+    if slots.min() < -1 or slots.max() >= n_used:
+        bad = np.flatnonzero((slots < -1) | (slots >= n_used))[0]
+        raise ValueError(f"slot {slots[bad]} of row {bad} is outside [-1, {n_used})")
     n_units = len(tables.ladder_sizes)
     steps = uniforms.shape[:1] + (tables.horizon, 2 + n_units)
     if uniforms.dtype != np.float64 or not (uniforms.flags.c_contiguous and uniforms.flags.aligned) or uniforms.shape != steps:
         raise ValueError(f"uniforms must be a C-contiguous, aligned float64 array of shape (episodes, {steps[1]}, {steps[2]})")
     if np.shape(alphas) != steps[:1] or np.shape(epsilons) != steps[:1]:
         raise ValueError("alphas and epsilons must hold one entry per episode of uniforms")
+    needed = min(rows - n_used, steps[0] * tables.horizon)
+    if len(q) - n_used < needed:
+        raise ValueError(f"the store has {len(q) - n_used} free rows; this chunk may append {needed}")
     loop = _episode_loop()
 
     alphas = np.ascontiguousarray(alphas, np.float64)
@@ -140,12 +155,12 @@ def qlearn_chunk(q, visits, tables, gamma, uniforms, alphas, epsilons):
     cap_next = np.ascontiguousarray(tables.cap_next, np.int64)
     invest = np.ascontiguousarray(tables.invest, np.float64)
     cost_of_cap = np.ascontiguousarray(tables.cost_of_cap, np.float64)
-    out, counts = np.zeros(2), np.zeros(2, np.int64)
+    out, counts, used = np.zeros(2), np.zeros(2, np.int64), np.array([n_used], np.int64)
     loop(
-        q.ctypes.data, visits.ctypes.data, tables.n_actions, steps[0], tables.horizon, n_units,
-        uniforms.ctypes.data, alphas.ctypes.data, epsilons.ctypes.data, row_base.ctypes.data,
+        q.ctypes.data, visits.ctypes.data, slots.ctypes.data, used.ctypes.data, tables.n_actions, steps[0],
+        tables.horizon, n_units, uniforms.ctypes.data, alphas.ctypes.data, epsilons.ctypes.data, row_base.ctypes.data,
         tables.p_full, tops.ctypes.data, strides.ctypes.data, advance_prob.ctypes.data,
         cap_next.ctypes.data, invest.ctypes.data, cost_of_cap.ctypes.data,
         float(gamma), float(tables.q_lower), out.ctypes.data, counts.ctypes.data,
     )
-    return float(out[0]), float(out[1]), int(counts[0]), int(counts[1])
+    return float(out[0]), float(out[1]), int(counts[0]), int(counts[1]), int(used[0])

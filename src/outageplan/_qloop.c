@@ -1,14 +1,19 @@
 /* The episode loop of outageplan._kernels.qlearn_chunk.
  *
  * Plays n_episodes epsilon-greedy Q-learning episodes of `horizon` steps,
- * updating q and the visit counts (both (rows, n_actions), row-major) in
- * place. A state holds its period, so an episode adds at most one visit to
- * a pair and the caller bounds the counts by its episode budget. All
- * randomness comes from `uniforms`, (n_episodes, horizon, 2 + n_units)
- * row-major: per step the explore uniform, the action uniform (read only
- * when the step explores) and one uniform per unit for the price walk. Each
- * unit's price digit advances one rung when its uniform is below the unit's
- * advance_prob and stops at the ladder top; state (t, p, c) is Q-table row
+ * updating q and the visit counts in place. Those hold only the Q-table rows
+ * that exist: both are (store rows, n_actions), row-major, and slots[s] is
+ * the store row of Q-table row s, or -1 while row s has never been updated.
+ * A state's row is appended at store row *n_used at its first update, so
+ * the store rows from *n_used on must be zero; a next state that was never
+ * updated reads as the max of an all-zero row, 0.0. A state holds its
+ * period, so an episode adds at most one visit to a pair and the caller
+ * bounds the counts by its episode budget. All randomness comes from
+ * `uniforms`, (n_episodes, horizon, 2 + n_units) row-major: per step the
+ * explore uniform, the action uniform (read only when the step explores)
+ * and one uniform per unit for the price walk. Each unit's price digit
+ * advances one rung when its uniform is below the unit's advance_prob and
+ * stops at the ladder top; state (t, p, c) is Q-table row
  * row_base[t * p_full + p] + c, with p = sum of digit * stride.
  *
  * The float operations and their order are those of the scalar reference
@@ -16,7 +21,8 @@
  * (-ffp-contract=off) and without -ffast-math, so every value rounds as it
  * does there. Writes the largest |update| and the summed return to out[0]
  * and out[1], the number of Q-values that left [q_lower, 1e-9] to counts[0]
- * and the number of pairs whose visit count left zero to counts[1].
+ * and the number of pairs whose visit count left zero to counts[1], and the
+ * store's new row count to *n_used.
  */
 #include <math.h>
 #include <stdint.h>
@@ -31,7 +37,8 @@ static int64_t first_max(const double *row, int64_t n)
     return best;
 }
 
-void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
+void qlearn_episodes(double *q, int32_t *visits, int32_t *slots,
+                     int64_t *n_used, int64_t n_actions,
                      int64_t n_episodes, int64_t horizon, int64_t n_units,
                      const double *uniforms, const double *alphas,
                      const double *epsilons, const int64_t *row_base,
@@ -43,16 +50,18 @@ void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
 {
     const int64_t width = 2 + n_units;
     double max_delta = 0.0, total_return = 0.0;
-    int64_t violations = 0, first_visits = 0;
+    int64_t violations = 0, first_visits = 0, used = *n_used;
     int64_t digits[n_units];
     for (int64_t e = 0; e < n_episodes; e++) {
         const double *draws = uniforms + e * horizon * width;
         double alpha = alphas[e], epsilon = epsilons[e], ep_return = 0.0;
-        int64_t p = 0, c = 0, s = row_base[0];
+        int64_t p = 0, c = 0, s = row_base[0], slot = slots[s];
         for (int64_t u = 0; u < n_units; u++)
             digits[u] = 0;
         for (int64_t t = 0; t < horizon; t++, draws += width) {
-            double *row = q + s * n_actions;
+            if (slot < 0)
+                slots[s] = (int32_t)(slot = used++);
+            double *row = q + slot * n_actions;
             int64_t a;
             if (draws[0] < epsilon) {
                 /* Any draw outside [0, 1) still names a real action. */
@@ -64,7 +73,7 @@ void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
             int64_t c2 = cap_next[c * n_actions + a];
             double r = -invest[p * n_actions + a] - cost_of_cap[c2];
             double target = r;
-            int64_t s2 = 0;
+            int64_t s2 = 0, slot2 = -1;
             if (t + 1 < horizon) {
                 for (int64_t u = 0; u < n_units; u++)
                     if (digits[u] < tops[u] && draws[2 + u] < advance_prob[u]) {
@@ -72,13 +81,18 @@ void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
                         p += strides[u];
                     }
                 s2 = row_base[(t + 1) * p_full + p] + c2;
-                const double *row2 = q + s2 * n_actions;
-                target = r + gamma * row2[first_max(row2, n_actions)];
+                double next = 0.0;
+                slot2 = slots[s2];
+                if (slot2 >= 0) {
+                    const double *row2 = q + slot2 * n_actions;
+                    next = row2[first_max(row2, n_actions)];
+                }
+                target = r + gamma * next;
             }
             double step = alpha * (target - row[a]);
             double q_new = row[a] + step;
             row[a] = q_new;
-            if (visits[s * n_actions + a]++ == 0)
+            if (visits[slot * n_actions + a]++ == 0)
                 first_visits++;
             if (fabs(step) > max_delta)
                 max_delta = fabs(step);
@@ -86,6 +100,7 @@ void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
                 violations++;
             ep_return += r;
             s = s2;
+            slot = slot2;
             c = c2;
         }
         total_return += ep_return;
@@ -94,4 +109,5 @@ void qlearn_episodes(double *q, int32_t *visits, int64_t n_actions,
     out[1] = total_return;
     counts[0] = violations;
     counts[1] = first_visits;
+    *n_used = used;
 }

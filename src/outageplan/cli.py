@@ -190,14 +190,15 @@ def cmd_train(args) -> int:
     print(f"episodes: {schedule.episodes}  backend: {_kernels.ACTIVE_BACKEND}")
     result: TrainResult = train(env, schedule, config_hash=cfg.config_hash)
     qtable_path = out_dir / "qtable.bin"
-    result.qtable.save(qtable_path)
+    result.save(qtable_path)
     QTable.load(qtable_path, expect_config_hash=cfg.config_hash)
     convergence_path = out_dir / "convergence.csv"
     write_convergence_csv(result.convergence, convergence_path)
     _update_manifest(out_dir, {"qtable": qtable_path, "convergence": convergence_path}, cfg.config_hash, args.seed)
     final = result.convergence[-1]
     print(f"final epoch: max |dQ| = {final.max_q_delta:.6g}, mean return = {final.mean_return:.6g}")
-    print(f"coverage: {result.pairs_visited} of {result.qtable.visits.size} (state, action) pairs")
+    pairs = len(result.state_codes) * len(result.header["action_labels"])
+    print(f"coverage: {result.pairs_visited} of {pairs} (state, action) pairs")
     print(f"wrote {qtable_path}")
     print(f"wrote {convergence_path}")
     return 0

@@ -86,15 +86,39 @@ def read_json(path) -> Any:
         return None
 
 
-def save_container(path, meta: dict, arrays: dict[str, np.ndarray], schema: dict[str, tuple[str, int]]) -> None:
+class StoredRows:
+    """A 2-D array held as the rows that exist: row i is `store[slots[i]]`,
+    and all zeros where `slots[i]` is -1. `save_container` writes it a block
+    of rows at a time, so the whole array is never built."""
+
+    ndim = 2
+
+    def __init__(self, slots: np.ndarray, store: np.ndarray):
+        self.slots = slots
+        self.store = store
+        self.shape = (len(slots), store.shape[1])
+        self.dtype = store.dtype
+
+    def take(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Rows start .. start + len(out) of the array, written into `out`,
+        which may be of a wider dtype."""
+        slots = self.slots[start : start + len(out)]
+        stored = np.flatnonzero(slots >= 0)
+        out.fill(0)
+        out[stored] = np.take(self.store, slots[stored], axis=0)
+        return out
+
+
+def save_container(path, meta: dict, arrays: dict, schema: dict[str, tuple[str, int]]) -> None:
     """Write `meta` and the arrays `schema` lists as one self-describing file.
 
     `schema` maps each array name, in file order, to its stored
     little-endian dtype string and its rank. `arrays` must hold exactly
-    those names, each of that rank and safely castable to that dtype;
-    otherwise ValueError, and nothing is written. The bytes are converted
-    and written a block of at most 1 MiB at a time, so no full-size copy of
-    a C-contiguous array is made."""
+    those names, each an ndarray or a `StoredRows` of that rank and safely
+    castable to that dtype; otherwise ValueError, and nothing is written.
+    The bytes are converted and written a block of at most 1 MiB at a time,
+    so no full-size copy of a C-contiguous array is made, and a `StoredRows`
+    is gathered block by block into one reused buffer."""
     if arrays.keys() != schema.keys():
         raise ValueError(f"arrays {list(arrays)} differ from the schema's {list(schema)}")
     for name, (dtype, ndim) in schema.items():
@@ -108,7 +132,15 @@ def save_container(path, meta: dict, arrays: dict[str, np.ndarray], schema: dict
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
         for name, (dtype, _) in schema.items():
-            flat, step = arrays[name].reshape(-1), max(_BLOCK_BYTES // np.dtype(dtype).itemsize, 1)
+            array = arrays[name]
+            if isinstance(array, StoredRows):
+                rows, width = array.shape
+                step = max(_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(width, 1)), 1)
+                buffer = np.empty((min(step, rows), width), dtype)
+                for start in range(0, rows, step):
+                    fh.write(array.take(start, buffer[: rows - start]).view(np.uint8))
+                continue
+            flat, step = array.reshape(-1), max(_BLOCK_BYTES // np.dtype(dtype).itemsize, 1)
             for start in range(0, flat.size, step):
                 # one expression, so a block is freed before the next exists
                 fh.write(np.ascontiguousarray(flat[start : start + step], dtype=dtype).view(np.uint8))
@@ -172,6 +204,26 @@ def load_container(path, schema: dict[str, tuple[str, int]]) -> tuple[dict, dict
         arrays[name] = np.frombuffer(mapped, dtype=dtype, count=count, offset=offset).reshape(shape)
         offset += dtype.itemsize * count
     return header["meta"], arrays
+
+
+def release_pages(view: np.ndarray, stop: int) -> None:
+    """Drop this process's copy of every whole memory page in the first
+    `stop` bytes of `view`, a C-contiguous array that `load_container`
+    returned, with `madvise(MADV_DONTNEED)`. The map is read-only and shared,
+    so nothing is lost: a dropped page is read again from the file when it
+    is next touched."""
+    if not hasattr(mmap, "MADV_DONTNEED"):
+        return
+    mapping = view.base
+    while isinstance(mapping, (np.ndarray, memoryview)):
+        mapping = mapping.obj if isinstance(mapping, memoryview) else mapping.base
+    if not isinstance(mapping, mmap.mmap):
+        raise ValueError("release_pages needs an array that load_container mapped")
+    start = view.ctypes.data - np.frombuffer(mapping, np.uint8).ctypes.data
+    first = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
+    last = (start + stop) // mmap.PAGESIZE * mmap.PAGESIZE
+    if last > first:
+        mapping.madvise(mmap.MADV_DONTNEED, first, last - first)
 
 
 def check_fields(doc: Any, fields: dict[str, tuple[type, ...]], where: str) -> dict:

@@ -166,9 +166,16 @@ def dispatch_spans(
     and remaining-energy limits, and the pool goes to classes in descending
     value-of-lost-load order. Returns (cost, unserved): cost[s, p] in $ and
     unserved[c, s, p] in kWh for facility class c; ValueError naming the
-    first span whose length is not a whole number of hours >= 0.
+    first span whose start is not a whole hour in [0, 8760) or whose length
+    is not a whole number of hours >= 0.
     """
-    start_hours = np.asarray(start_hours, dtype=np.int64)
+    starts = np.asarray(start_hours)
+    in_year = (starts >= 0) & (starts < HOURS_PER_YEAR)
+    bad = np.flatnonzero(~(np.isfinite(starts) & (np.floor(starts) == starts) & in_year))
+    if bad.size:
+        raise ValueError(f"span {bad[0]} starts at hour {starts[bad[0]].item()!r}; "
+                         f"a span starts at a whole hour in [0, {HOURS_PER_YEAR})")
+    start_hours = starts.astype(np.int64, copy=False)
     hours = np.asarray(n_hours)
     bad = np.flatnonzero(~(np.isfinite(hours) & (np.floor(hours) == hours) & (hours >= 0)))
     if bad.size:

@@ -4,17 +4,24 @@ Training runs in chunks of up to 10^4 episodes: the uniform stream for a
 chunk is drawn up front from one PCG64 generator and handed to the episode
 kernel, so a fixed seed reproduces training bit-for-bit. The kernel's
 episode loop is compiled C that walks the prices from those uniforms and
-updates the Q-table in place. What training holds in memory is the table,
-float64 values and int32 visit counts in one anonymous mapping that is
-unmapped when the table is dropped, plus one uniforms buffer of a chunk's
-size that every chunk refills. The exact solver is one backward induction
-over the stored states with the factorized price-chain expectation: over
-every action it gives the optimum the learned policy is judged against, and
-over one action per state the value of a fixed policy, so the optimum's
-greedy policy replays its value bit for bit. The terminal values are zero,
-so the last period takes no expectation. Its action values sit on the
-codec's rows like a Q-table's, and one first-maximum argmax gives the
-greedy policy of either.
+updates the Q-table in place. Training holds only the rows it updates: an
+int32 slot map from codec row to store row, and a store of float64 values
+and int32 visit counts in one anonymous mapping, sized for the rows the
+budget can reach and unmapped when the result is dropped; a row never
+updated is all zeros and is not stored. It also holds one uniforms buffer
+of a chunk's size that every chunk refills. `qtable.bin` is written from
+the store a block of rows at a time, and the dense table is built only when
+asked for. A loaded table's greedy scan gives back the pages of the mapped
+file it has read, so `evaluate` holds about one block of them.
+
+The exact solver is one backward induction over the stored states with the
+factorized price-chain expectation: over every action it gives the optimum
+the learned policy is judged against, and over one action per state the
+value of a fixed policy, so the optimum's greedy policy replays its value
+bit for bit. The terminal values are zero, so the last period takes no
+expectation. Its action values sit on the codec's rows like a Q-table's,
+and one first-maximum argmax gives the greedy policy of either. It fills
+each period a block of price combos at a time.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ CONVERGENCE_EPOCH = 10_000
 # an int32 visit count; a state holds its period, so an episode adds at
 # most one visit to any (state, action) pair
 MAX_EPISODES = 2**31 - 1
-# rows per block of the greedy argmax, about 0.85 MB of a 13-action table
-_ARGMAX_ROWS = 8192
+# rows per block of the greedy argmax and of each backward-induction period,
+# about 0.85 MB of a 13-action table
+_BLOCK_ROWS = 8192
 
 QTABLE_FORMAT = "outageplan-qtable"
 
@@ -114,20 +122,24 @@ def first_max(block: np.ndarray, first_row: int, out: np.ndarray | None = None) 
     return out
 
 
-def greedy_policy(values: np.ndarray) -> np.ndarray:
+def greedy_policy(values: np.ndarray, release: bool = False) -> np.ndarray:
     """`first_max` of every row of an action-value table, a block of rows at
     a time. An unaligned table, as a loaded one is, is copied block by block
     into one aligned buffer first, which numpy would otherwise do itself
-    inside each reduction."""
+    inside each reduction. With `release`, `values` is a table that
+    `persist.load_container` mapped, and the file pages of each scanned
+    block are given back, so the scan holds about one block of them."""
     policy = np.empty(len(values), np.int64)
-    buffer = None if values.flags.aligned else np.empty((min(len(values), _ARGMAX_ROWS), values.shape[1]))
-    for start in range(0, len(values), _ARGMAX_ROWS):
-        rows = slice(start, start + _ARGMAX_ROWS)
+    buffer = None if values.flags.aligned else np.empty((min(len(values), _BLOCK_ROWS), values.shape[1]))
+    for start in range(0, len(values), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         block = values[rows]
         if buffer is not None:
             block = buffer[:len(block)]
             block[...] = values[rows]
         first_max(block, start, out=policy[rows])
+        if release:
+            persist.release_pages(values, values[:rows.stop].nbytes)
     return policy
 
 
@@ -166,24 +178,18 @@ class QTable:
         self.schedule = dict(schedule)
         self.seed = seed
         self.codec_meta = dict(codec_meta)
+        # set by `load`: values is a read-only view of the mapped file
+        self._mapped = False
 
     def index_of(self, code: int) -> int:
         return row_index(self.state_codes, code)
 
     def greedy_policy(self) -> np.ndarray:
-        return greedy_policy(self.values)
+        return greedy_policy(self.values, release=self._mapped)
 
     def save(self, path) -> None:
-        meta = {
-            "format": QTABLE_FORMAT,
-            "version": 1,
-            "config_hash": self.config_hash,
-            "schedule": self.schedule,
-            "seed": self.seed,
-            "codec": self.codec_meta,
-            "action_labels": list(self.action_labels),
-        }
-        persist.save_container(path, meta, {name: getattr(self, name) for name in _QTABLE_ARRAYS}, _QTABLE_ARRAYS)
+        _save_qtable(path, {name: getattr(self, name) for name in _QTABLE_ARRAYS}, self.action_labels,
+                     self.config_hash, self.schedule, self.seed, self.codec_meta)
 
     @classmethod
     def load(cls, path, expect_config_hash: str | None = None) -> "QTable":
@@ -210,7 +216,7 @@ class QTable:
             )
         if not all(isinstance(label, str) for label in labels):
             raise ArtifactMismatchError(f"{path}: field 'action_labels' must hold strings")
-        return cls(
+        table = cls(
             state_codes=codes,
             values=values,
             visits=visits,
@@ -220,14 +226,54 @@ class QTable:
             seed=meta["seed"],
             codec_meta=meta["codec"],
         )
+        table._mapped = True
+        return table
 
 
-@dataclass
+def _save_qtable(path, arrays: dict, action_labels, config_hash, schedule, seed, codec_meta) -> None:
+    """Write a Q-table file from its arrays (ndarrays or `persist.StoredRows`)
+    and the fields its header records."""
+    meta = {
+        "format": QTABLE_FORMAT,
+        "version": 1,
+        "config_hash": config_hash,
+        "schedule": schedule,
+        "seed": seed,
+        "codec": codec_meta,
+        "action_labels": list(action_labels),
+    }
+    persist.save_container(path, meta, arrays, _QTABLE_ARRAYS)
+
+
 class TrainResult:
-    qtable: QTable
-    convergence: list[ConvergencePoint]
-    # (state, action) pairs with a nonzero visit count
-    pairs_visited: int
+    """What `train` learned. `values` and `visits` hold the Q-table rows
+    training updated, as `persist.StoredRows` over the codec's rows; a row
+    never updated is zero. `save` writes `qtable.bin` from them, and
+    `qtable` is the dense table, built the first time it is asked for."""
+
+    def __init__(self, state_codes: np.ndarray, values: persist.StoredRows, visits: persist.StoredRows,
+                 header: dict, convergence: list[ConvergencePoint], pairs_visited: int):
+        self.state_codes = state_codes
+        self.values = values
+        self.visits = visits
+        # the Q-table's other fields: action_labels, config_hash, schedule, seed, codec_meta
+        self.header = header
+        self.convergence = convergence
+        # (state, action) pairs with a nonzero visit count
+        self.pairs_visited = pairs_visited
+        self._qtable: QTable | None = None
+
+    @property
+    def qtable(self) -> QTable:
+        if self._qtable is None:
+            values, visits = _zeroed_tables(*self.values.shape)
+            self._qtable = QTable(self.state_codes, self.values.take(0, values), self.visits.take(0, visits),
+                                  **self.header)
+        return self._qtable
+
+    def save(self, path) -> None:
+        arrays = {"state_codes": self.state_codes, "values": self.values, "visits": self.visits}
+        _save_qtable(path, arrays, **self.header)
 
 
 def _zeroed_tables(rows: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +281,9 @@ def _zeroed_tables(rows: int, n_actions: int) -> tuple[np.ndarray, np.ndarray]:
     n_actions), as two views of one private anonymous mapping.
 
     The mapping is unmapped when the last view goes, so a dropped table's
-    memory returns to the OS instead of staying in the malloc heap."""
+    memory returns to the OS instead of staying in the malloc heap, where a
+    later command would still hold it. A page is faulted in only when
+    written, so a training store holds the rows it has appended."""
     n = rows * n_actions
     buf = mmap.mmap(-1, 8 * n + 4 * n, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_HUGEPAGE"):
@@ -261,16 +309,19 @@ def train(
     tables = env.kernel_tables()
     rng = np.random.Generator(np.random.PCG64(schedule.seed))
     n_units = len(env.catalog)
-    q, visits = _zeroed_tables(tables.state_codes.shape[0], tables.n_actions)
+    rows = tables.state_codes.shape[0]
+    # an episode updates one row per period, so it appends at most horizon rows
+    q, visits = _zeroed_tables(min(rows, schedule.episodes * tables.horizon), tables.n_actions)
+    slots = np.full(rows, -1, np.int32)
     draws = np.empty((min(CONVERGENCE_EPOCH, schedule.episodes), tables.horizon, 2 + n_units))
     log: list[ConvergencePoint] = []
-    done = pairs_visited = 0
+    done = pairs_visited = n_used = 0
     while done < schedule.episodes:
         m = min(CONVERGENCE_EPOCH, schedule.episodes - done)
         alphas, epsilons = schedule_at(schedule, np.arange(done, done + m))
         uniforms = rng.random(out=draws[:m])
-        max_delta, total_return, violations, first_visits = qlearn_chunk(
-            q, visits, tables, schedule.gamma, uniforms, alphas, epsilons
+        max_delta, total_return, violations, first_visits, n_used = qlearn_chunk(
+            q, visits, slots, n_used, tables, schedule.gamma, uniforms, alphas, epsilons
         )
         if violations:
             raise RuntimeError(
@@ -282,22 +333,26 @@ def train(
         log.append(
             ConvergencePoint(episode=done, max_q_delta=float(max_delta), mean_return=float(total_return) / m)
         )
-    qtable = QTable(
-        state_codes=tables.state_codes.copy(),
-        values=q,
-        visits=visits,
-        action_labels=env.action_labels,
-        config_hash=config_hash,
-        schedule=asdict(schedule),
-        seed=schedule.seed,
-        codec_meta={
+    header = {
+        "action_labels": env.action_labels,
+        "config_hash": config_hash,
+        "schedule": asdict(schedule),
+        "seed": schedule.seed,
+        "codec_meta": {
             "horizon": tables.horizon,
             "p_full": tables.p_full,
             "c_full": tables.c_full,
             "n_actions": tables.n_actions,
         },
+    }
+    return TrainResult(
+        state_codes=tables.state_codes.copy(),
+        values=persist.StoredRows(slots, q),
+        visits=persist.StoredRows(slots, visits),
+        header=header,
+        convergence=log,
+        pairs_visited=pairs_visited,
     )
-    return TrainResult(qtable=qtable, convergence=log, pairs_visited=pairs_visited)
 
 
 def write_convergence_csv(points: Sequence[ConvergencePoint], path) -> None:
@@ -344,7 +399,8 @@ def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> Exac
     policy every state takes every action and its row holds all action
     values; with one action per codec row each state takes only its own,
     and its row holds that action's value. Each period's values are written
-    in place through a (combos, C_t, actions) view of its block of rows.
+    in place through a (combos, C_t, actions) view of its block of rows, a
+    block of price combos at a time, so every gather is of one block.
 
     The next-period values stay on the full price grid, which the price
     expectation needs, and are zero at combos that no stored state reaches:
@@ -359,21 +415,26 @@ def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> Exac
     for t in range(env.horizon - 1, -1, -1):
         combos = codec.period_combos[t]
         c_count = codec.cap_count_at(t)
-        block = slice(codec.block_starts[t], codec.block_starts[t] + len(combos) * c_count)
-        q_t = values[block].reshape(len(combos), c_count, -1)
-        if policy is None:
-            acts = np.arange(codec.n_actions)[None, None, :]
-        else:
-            acts = policy[block].reshape(len(combos), c_count, 1)
-        rows = combos[:, None, None]
-        cap2 = codec.cap_next[np.arange(c_count)[None, :, None], acts]
-        np.subtract(-invest[rows, acts], cost_of_cap[cap2], out=q_t)
-        if t == env.horizon - 1:
-            q_t += 0.0  # the terminal value is zero; this turns -0.0 into +0.0 as its expectation would
-        else:
-            q_t += gamma * _price_expectation(env, v_next)[rows, cap2]
+        period = slice(codec.block_starts[t], codec.block_starts[t] + len(combos) * c_count)
+        q_period = values[period].reshape(len(combos), c_count, -1)
+        expectation = None if t == env.horizon - 1 else _price_expectation(env, v_next)
         v_next = np.zeros((codec.p_full, c_count))
-        v_next[combos] = q_t.max(axis=2) if policy is None else q_t[:, :, 0]
+        step = max(_BLOCK_ROWS // c_count, 1)
+        for first in range(0, len(combos), step):
+            part = slice(first, first + step)
+            q_t = q_period[part]
+            if policy is None:
+                acts = np.arange(codec.n_actions)[None, None, :]
+            else:
+                acts = policy[period].reshape(len(combos), c_count, 1)[part]
+            rows = combos[part, None, None]
+            cap2 = codec.cap_next[np.arange(c_count)[None, :, None], acts]
+            np.subtract(-invest[rows, acts], cost_of_cap[cap2], out=q_t)
+            if expectation is None:
+                q_t += 0.0  # the terminal value is zero; this turns -0.0 into +0.0 as its expectation would
+            else:
+                q_t += gamma * expectation[rows, cap2]
+            v_next[combos[part]] = q_t.max(axis=2) if policy is None else q_t[:, :, 0]
     return ExactSolution(values, float(v_next[0, 0]))
 
 

@@ -148,7 +148,9 @@ def compiled_episode(env, actions, price_uniforms):
     uniforms[0, :, 2:] = price_uniforms
     q = np.zeros((len(tables.state_codes), tables.n_actions))
     visits = np.zeros(q.shape, np.int32)
-    _kernels.qlearn_chunk(q, visits, tables, 1.0, uniforms, np.zeros(1), np.ones(1))
+    # every row already in the store, at its own row, so visits is dense
+    slots = np.arange(len(q), dtype=np.int32)
+    _kernels.qlearn_chunk(q, visits, slots, len(q), tables, 1.0, uniforms, np.zeros(1), np.ones(1))
     rows, taken = np.nonzero(visits)  # rows ascend with the period
     assert taken.tolist() == list(actions)
     states = []

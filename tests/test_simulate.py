@@ -269,6 +269,17 @@ class TestDispatch:
         with pytest.raises(ValueError, match=rf"^span {len(lengths) - 1} lasts {shown} h; a span lasts whole hours >= 0$"):
             dispatch_spans([0] * len(lengths), lengths, [pf], specs, grid)
 
+    @pytest.mark.parametrize("starts, shown", [([5, 100.9], "100.9"), ([-1], "-1"), ([0, 3, 8760], "8760"),
+                                               ([math.nan], "nan")],
+                             ids=["fractional", "negative", "past-the-year", "nan"])
+    def test_span_starts_must_be_whole_hours_of_the_year(self, starts, shown):
+        # a fractional start was truncated and a negative or past-the-year one
+        # wrapped, so hour 100.9 cost what hour 100 does and -1 what 8759 does
+        grid = flat_grid([(10.0, 1.0)])
+        specs, pf = one_unit(0.0, 1.0)
+        with pytest.raises(ValueError, match=rf"^span {len(starts) - 1} starts at hour {shown}; a span starts at a whole hour in \[0, 8760\)$"):
+            dispatch_spans(starts, [3] * len(starts), [pf], specs, grid)
+
     def test_whole_float_span_lengths_are_hours(self):
         grid = flat_grid([(10.0, 1.0)])
         specs, pf = one_unit(0.0, 1.0)

@@ -4,9 +4,11 @@ import ctypes
 import functools
 import itertools
 import math
+import mmap
 import re
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 
@@ -25,7 +27,7 @@ from outageplan.solver import (
     _price_expectation,
     QTable,
     TrainingSchedule,
-    _ARGMAX_ROWS,
+    _BLOCK_ROWS,
     greedy_policy,
     policy_value,
     schedule_at,
@@ -443,16 +445,54 @@ class TestGreedyPolicy:
         ids=["nan", "plus-inf", "all-minus-inf"],
     )
     def test_a_row_without_a_finite_maximum_is_refused(self, row, shown, layout):
-        values = np.zeros((_ARGMAX_ROWS + 5, 3))
+        values = np.zeros((_BLOCK_ROWS + 5, 3))
         values[-2] = row
         with pytest.raises(ValueError, match=f"^row {len(values) - 2} of the action values has the non-finite maximum {shown}$"):
             greedy_policy(layout(values))
 
     def test_an_unaligned_table_gives_the_first_maximum(self):
-        values = np.random.default_rng(3).choice([0.0, -0.0, -1.0, -2.5], size=(2 * _ARGMAX_ROWS + 7, 13))
+        values = np.random.default_rng(3).choice([0.0, -0.0, -1.0, -2.5], size=(2 * _BLOCK_ROWS + 7, 13))
         table = unaligned(values)
         assert not table.flags.aligned
         assert greedy_policy(table).tolist() == np.argmax(values, axis=1).tolist()
+
+    @staticmethod
+    def mapped_rss_kb(path):
+        """Resident kB of this process's maps of `path`, from /proc/self/smaps."""
+        rss, inside = 0, False
+        with open("/proc/self/smaps") as fh:
+            for line in fh:
+                fields = line.split()
+                if re.match(r"^[0-9a-f]+-[0-9a-f]+ ", line):
+                    inside = fields[-1] == str(path)
+                elif inside and fields[0] == "Rss:":
+                    rss += int(fields[1])
+        return rss
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no MADV_DONTNEED")
+    @pytest.mark.parametrize("nan_row", [None, 3 * _BLOCK_ROWS - 2], ids=["finite", "nan-in-the-last-block"])
+    def test_a_loaded_table_releases_its_pages_and_keeps_its_policy(self, tmp_path, nan_row):
+        values = np.random.default_rng(8).choice([0.0, -0.0, -1.0, -2.5], size=(3 * _BLOCK_ROWS, 13))
+        if nan_row is not None:
+            values[nan_row, 4] = math.nan
+        table = QTable(np.arange(len(values)), values, np.zeros(values.shape, np.int64), [str(a) for a in range(13)],
+                       None, {}, 0, {})
+        table.save(tmp_path / "q.bin")
+        loaded = QTable.load(tmp_path / "q.bin")
+        if nan_row is None:
+            want = table.greedy_policy()
+            assert loaded.greedy_policy().tolist() == want.tolist() == np.argmax(values, axis=1).tolist()
+        else:
+            with pytest.raises(ValueError, match=f"^row {nan_row} of the action values has the non-finite maximum nan$"):
+                loaded.greedy_policy()
+        if sys.platform == "linux":
+            # of the file's 2.6 MB of values at most the block the scan stopped
+            # in stays resident, plus the pages the kernel maps around a fault
+            assert self.mapped_rss_kb(tmp_path / "q.bin") * 1024 < values[:_BLOCK_ROWS].nbytes + (128 << 10)
+        # a released page is read back from the file: a second scan sees the same table
+        assert np.array_equal(loaded.values, values, equal_nan=True)
+        if nan_row is None:
+            assert loaded.greedy_policy().tolist() == want.tolist()
 
     def test_minus_inf_beside_a_finite_maximum_is_allowed(self):
         values = np.array([[-math.inf, -1.0, -math.inf], [-2.0, -2.0, -math.inf]])
@@ -555,12 +595,20 @@ def qlearn_chunk_oracle(
 
 def run_chunks(kernel, env, schedule, epoch):
     """Train's chunk loop with a given chunk kernel and epoch length; the
-    schedule formula is written out as the reference for `schedule_at`."""
+    schedule formula is written out as the reference for `schedule_at`.
+    The oracle updates a dense table; the compiled kernel updates a store of
+    the rows it appends, sized as `train` sizes it, which is then laid out
+    on the codec's rows. Returns the dense values and visits and each
+    chunk's (max |update|, summed return, violations, first visits)."""
     tables = env.kernel_tables()
     rng = np.random.Generator(np.random.PCG64(schedule.seed))
-    q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
+    rows = (tables.state_codes.shape[0], tables.n_actions)
+    q = np.zeros(rows)
     # the oracle counts in int64, the compiled loop in int32
-    visits = np.zeros_like(q, dtype=np.int64 if kernel is qlearn_chunk_oracle else np.int32)
+    visits = np.zeros(rows, dtype=np.int64 if kernel is qlearn_chunk_oracle else np.int32)
+    store = (min(rows[0], schedule.episodes * tables.horizon), tables.n_actions)
+    store_q, store_visits = np.zeros(store), np.zeros(store, np.int32)
+    slots, n_used = np.full(rows[0], -1, np.int32), 0
     returned = []
     done = 0
     while done < schedule.episodes:
@@ -577,9 +625,16 @@ def run_chunks(kernel, env, schedule, epoch):
                 tables.p_full, tables.c_full, schedule.gamma, uniforms, alphas, epsilons, tables.q_lower,
             )
         else:
-            out = kernel(q, visits, tables, schedule.gamma, uniforms, alphas, epsilons)
-        returned.append(out)
+            *out, n_used = kernel(
+                store_q, store_visits, slots, n_used, tables, schedule.gamma, uniforms, alphas, epsilons
+            )
+        returned.append(tuple(out))
         done += m
+    if kernel is not qlearn_chunk_oracle:
+        touched = np.flatnonzero(slots >= 0)
+        assert sorted(slots[touched].tolist()) == list(range(n_used))
+        q[touched], visits[touched] = store_q[slots[touched]], store_visits[slots[touched]]
+        assert not store_q[n_used:].any() and not store_visits[n_used:].any()
     return q, visits, returned
 
 
@@ -663,6 +718,35 @@ class TestKernelParity:
             assert point.max_q_delta.hex() == float(max_delta).hex()
             assert point.mean_return.hex() == (float(total_return) / m).hex()
 
+    @pytest.mark.parametrize("name", ["tiny", "tiny-zero-cost"])
+    def test_a_next_state_never_updated_reads_as_zero(self, name):
+        # on a fresh store an episode's first visits append one row per
+        # step, so every step but the last reads a next state that no
+        # update has reached: a row the store does not hold
+        env = named_env(name)
+        tables = env.kernel_tables()
+        rows = (tables.state_codes.shape[0], tables.n_actions)
+        uniforms = np.random.default_rng(4).random((1, tables.horizon, 2 + len(env.catalog)))
+        alphas, epsilons = np.full(1, 0.5), np.full(1, 0.3)
+        want_q, want_visits = np.zeros(rows), np.zeros(rows, np.int64)
+        want = qlearn_chunk_oracle(
+            want_q, want_visits, tables.state_codes, tables.cap_next, tables.invest, tables.cost_of_cap,
+            tables.ladder_sizes, tables.price_strides, tables.advance_prob, tables.horizon,
+            tables.p_full, tables.c_full, 1.0, uniforms, alphas, epsilons, tables.q_lower,
+        )
+        store = (tables.horizon, tables.n_actions)
+        q, visits, slots = np.zeros(store), np.zeros(store, np.int32), np.full(rows[0], -1, np.int32)
+        *got, n_used = _kernels.qlearn_chunk(q, visits, slots, 0, tables, 1.0, uniforms, alphas, epsilons)
+        assert n_used == tables.horizon
+        touched = np.flatnonzero(slots >= 0)
+        # rows ascend with the period, and each period's row was appended in turn
+        assert slots[touched].tolist() == list(range(tables.horizon))
+        dense_q, dense_visits = np.zeros(rows), np.zeros(rows, np.int64)
+        dense_q[touched], dense_visits[touched] = q, visits
+        assert dense_q.tobytes() == want_q.tobytes()
+        assert dense_visits.tobytes() == want_visits.tobytes()
+        assert exact([tuple(got)]) == exact([want])
+
 
 def strict_scan(row):
     """Index of the first maximum under a strict `>` scan, as the C loop
@@ -701,11 +785,16 @@ class TestTies:
             tables.ladder_sizes, tables.price_strides, tables.advance_prob, tables.horizon,
             tables.p_full, tables.c_full, gamma, uniforms, alphas, epsilons, tables.q_lower,
         )
+        # every row already in the store, at its own row
         got_q, got_visits = start.copy(), np.zeros(start.shape, dtype=np.int32)
-        got = _kernels.qlearn_chunk(got_q, got_visits, tables, gamma, uniforms, alphas, epsilons)
+        slots = np.arange(len(start), dtype=np.int32)
+        *got, n_used = _kernels.qlearn_chunk(
+            got_q, got_visits, slots, len(start), tables, gamma, uniforms, alphas, epsilons
+        )
+        assert n_used == len(start) and slots.tolist() == list(range(len(start)))
         assert got_q.tobytes() == want_q.tobytes()
         assert got_visits.astype(np.int64).tobytes() == want_visits.tobytes()
-        assert exact([got]) == exact([want])
+        assert exact([tuple(got)]) == exact([want])
         assert np.signbit(got_q[got_q == 0.0]).any()
 
 
@@ -733,14 +822,53 @@ class TestChunkInputs:
         tables = env.kernel_tables()
         q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
         visits = np.zeros(q.shape, np.int32)
+        slots = np.full(len(q), -1, np.int32)
         uniforms = np.random.default_rng(0).random((6, tables.horizon, 2 + len(env.catalog)))
         alphas, epsilons = np.full(6, 0.5), np.full(6, 0.5)
         bad_visits, *bad = self.BAD[case](visits, uniforms, alphas, epsilons)
         with pytest.raises(ValueError, match="q and visits must be|uniforms must be|alphas and epsilons must"):
-            _kernels.qlearn_chunk(q, bad_visits, tables, 1.0, *bad)
-        assert not q.any() and not visits.any() and not bad_visits.any()
-        _kernels.qlearn_chunk(q, visits, tables, 1.0, uniforms, alphas, epsilons)
+            _kernels.qlearn_chunk(q, bad_visits, slots, 0, tables, 1.0, *bad)
+        assert not q.any() and not visits.any() and not bad_visits.any() and (slots == -1).all()
+        _kernels.qlearn_chunk(q, visits, slots, 0, tables, 1.0, uniforms, alphas, epsilons)
         assert visits.sum() == 6 * tables.horizon
+
+    # (slots, n_used, store rows) made from a valid map of 3 rows in use and
+    # the rows one chunk may append, and the refusal, whose {free} and
+    # {chunk} are filled in
+    STORE = {
+        "int64 slot map": (lambda s, chunk: (s.astype(np.int64), 3, 3 + chunk), "slots must be"),
+        "a slot map a row short": (lambda s, chunk: (s[:-1].copy(), 3, 3 + chunk), "slots must be"),
+        "a slot below -1": (lambda s, chunk: (np.where(s == 1, -2, s).astype(np.int32), 3, 3 + chunk),
+                            r"slot -2 of row 1 is outside \[-1, 3\)"),
+        "a slot past n_used": (lambda s, chunk: (s, 2, 3 + chunk), r"slot 2 of row 2 is outside \[-1, 2\)"),
+        "n_used above the store": (lambda s, chunk: (s, 3 + chunk + 1, 3 + chunk),
+                                   "outside .*the store's row count"),
+        "a store a row short": (lambda s, chunk: (s, 3, 3 + chunk - 1),
+                                "has {free} free rows; this chunk may append {chunk}$"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STORE))
+    def test_refuses_a_store_the_c_loop_could_overrun(self, case):
+        env = mini_env()
+        tables = env.kernel_tables()
+        rows, episodes = tables.state_codes.shape[0], 2
+        chunk = min(rows - 3, episodes * tables.horizon)
+        valid = np.full(rows, -1, np.int32)
+        valid[:3] = [0, 1, 2]
+        make, message = self.STORE[case]
+        slots, n_used, store_rows = make(valid.copy(), chunk)
+        message = message.format(free=store_rows - n_used, chunk=chunk)
+        q, visits = np.zeros((store_rows, tables.n_actions)), np.zeros((store_rows, tables.n_actions), np.int32)
+        uniforms = np.random.default_rng(0).random((episodes, tables.horizon, 2 + len(env.catalog)))
+        alphas, epsilons = np.full(episodes, 0.5), np.full(episodes, 0.5)
+        before = slots.copy()
+        with pytest.raises(ValueError, match=message):
+            _kernels.qlearn_chunk(q, visits, slots, n_used, tables, 1.0, uniforms, alphas, epsilons)
+        assert not q.any() and not visits.any() and np.array_equal(slots, before)
+        # the same chunk runs on the valid store
+        q, visits = np.zeros((3 + chunk, tables.n_actions)), np.zeros((3 + chunk, tables.n_actions), np.int32)
+        *_, n_used = _kernels.qlearn_chunk(q, visits, valid, 3, tables, 1.0, uniforms, alphas, epsilons)
+        assert 3 < n_used <= 3 + chunk and visits.sum() == episodes * tables.horizon
 
 
 class TestBuild:
@@ -821,6 +949,18 @@ class TestQTablePersistence:
         assert loaded.seed == 6
         assert loaded.codec_meta["horizon"] == 2
 
+    @pytest.mark.parametrize("name, episodes", [("tiny", 2000), ("casestudy-single", 2000), ("casestudy-single", 20_000)])
+    def test_the_stored_rows_write_the_dense_tables_bytes(self, tmp_path, name, episodes):
+        res = train(metamodel_env(name), TrainingSchedule(episodes=episodes, seed=1), config_hash="cafe01")
+        res.save(tmp_path / "stored.bin")
+        res.qtable.save(tmp_path / "dense.bin")
+        assert (tmp_path / "stored.bin").read_bytes() == (tmp_path / "dense.bin").read_bytes()
+        # the store holds the rows training updated and nothing else
+        assert len(res.values.store) == min(len(res.state_codes), episodes * metamodel_env(name).horizon)
+        touched = np.flatnonzero(res.qtable.visits.any(axis=1))
+        assert np.array_equal(touched, np.flatnonzero(res.values.slots >= 0))
+        assert res.pairs_visited == np.count_nonzero(res.qtable.visits)
+
     def test_config_hash_mismatch(self, tmp_path):
         env = mini_env()
         res = train(env, TrainingSchedule(episodes=500, seed=0), config_hash="aaa")
@@ -899,7 +1039,8 @@ class TestQTablePersistence:
         tables = env.kernel_tables()
         uniforms = np.zeros((1, tables.horizon, 2 + len(env.catalog)))
         with pytest.raises(ValueError, match="aligned, writable"):
-            _kernels.qlearn_chunk(loaded.values, loaded.visits, tables, 1.0, uniforms, np.ones(1), np.ones(1))
+            _kernels.qlearn_chunk(loaded.values, loaded.visits, np.full(len(loaded.values), -1, np.int32), 0, tables,
+                                  1.0, uniforms, np.ones(1), np.ones(1))
 
     def test_index_of_unknown_code(self):
         env = mini_env()
