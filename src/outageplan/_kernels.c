@@ -1,0 +1,266 @@
+/* The compiled kernels behind outageplan._kernels: the Q-learning episode
+ * loop, islanding dispatch and the greedy row scan. Each indexes its arrays
+ * without bounds checks; the Python wrapper of each checks every shape,
+ * dtype and index range first.
+ *
+ * Build without FMA contraction (-ffp-contract=off) and without
+ * -ffast-math, so every value rounds as in the reference loops the tests
+ * keep.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+#define HOURS_PER_YEAR 8760
+
+/* The double at p, which need not be 8-byte aligned: a loaded Q-table is a
+ * view of its file at any offset. */
+static double at(const unsigned char *p)
+{
+    double x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+
+/* Index of the first maximum of the n doubles from row, under a strict `>`
+ * scan. */
+static int64_t first_max(const void *row, int64_t n)
+{
+    const unsigned char *bytes = row;
+    int64_t best = 0;
+    double top = at(bytes);
+    for (int64_t j = 1; j < n; j++) {
+        double x = at(bytes + j * sizeof(double));
+        if (x > top) {
+            top = x;
+            best = j;
+        }
+    }
+    return best;
+}
+
+/* numpy's minimum of a and b wherever b is not NaN (a NaN a is the
+ * result); one minsd, where testing b for NaN as well made dispatch take
+ * 1.7 times as long. */
+static double minimum(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+/* The episode loop of qlearn_chunk.
+ *
+ * Plays n_episodes epsilon-greedy Q-learning episodes of `horizon` steps,
+ * updating q and the visit counts in place. Those hold only the Q-table rows
+ * that exist: both are (store rows, n_actions), row-major, and slots[s] is
+ * the store row of Q-table row s, or -1 while row s has never been updated.
+ * A state's row is appended at store row *n_used at its first update, so
+ * the store rows from *n_used on must be zero; a next state that was never
+ * updated reads as the max of an all-zero row, 0.0. A state holds its
+ * period, so an episode adds at most one visit to a pair and the caller
+ * bounds the counts by its episode budget. All randomness comes from
+ * `uniforms`, (n_episodes, horizon, 2 + n_units) row-major: per step the
+ * explore uniform, the action uniform (read only when the step explores)
+ * and one uniform per unit for the price walk. Each unit's price digit
+ * advances one rung when its uniform is below the unit's advance_prob and
+ * stops at the ladder top; state (t, p, c) is Q-table row
+ * row_base[t * p_full + p] + c, with p = sum of digit * stride.
+ *
+ * The float operations and their order are those of the scalar reference
+ * loop in tests/test_solver.py. Writes the largest |update| and the summed
+ * return to out[0] and out[1], the number of Q-values that left
+ * [q_lower, 1e-9] to counts[0] and the number of pairs whose visit count
+ * left zero to counts[1], and the store's new row count to *n_used.
+ */
+void qlearn_episodes(double *q, int32_t *visits, int32_t *slots,
+                     int64_t *n_used, int64_t n_actions,
+                     int64_t n_episodes, int64_t horizon, int64_t n_units,
+                     const double *uniforms, const double *alphas,
+                     const double *epsilons, const int64_t *row_base,
+                     int64_t p_full, const int64_t *tops,
+                     const int64_t *strides, const double *advance_prob,
+                     const int64_t *cap_next, const double *invest,
+                     const double *cost_of_cap, double gamma, double q_lower,
+                     double *out, int64_t *counts)
+{
+    const int64_t width = 2 + n_units;
+    double max_delta = 0.0, total_return = 0.0;
+    int64_t violations = 0, first_visits = 0, used = *n_used;
+    int64_t digits[n_units];
+    for (int64_t e = 0; e < n_episodes; e++) {
+        const double *draws = uniforms + e * horizon * width;
+        double alpha = alphas[e], epsilon = epsilons[e], ep_return = 0.0;
+        int64_t p = 0, c = 0, s = row_base[0], slot = slots[s];
+        for (int64_t u = 0; u < n_units; u++)
+            digits[u] = 0;
+        for (int64_t t = 0; t < horizon; t++, draws += width) {
+            if (slot < 0)
+                slots[s] = (int32_t)(slot = used++);
+            double *row = q + slot * n_actions;
+            int64_t a;
+            if (draws[0] < epsilon) {
+                /* Any draw outside [0, 1) still names a real action. */
+                double x = draws[1] * (double)n_actions;
+                a = x >= 0.0 && x < (double)n_actions ? (int64_t)x : n_actions - 1;
+            } else {
+                a = first_max(row, n_actions);
+            }
+            int64_t c2 = cap_next[c * n_actions + a];
+            double r = -invest[p * n_actions + a] - cost_of_cap[c2];
+            double target = r;
+            int64_t s2 = 0, slot2 = -1;
+            if (t + 1 < horizon) {
+                for (int64_t u = 0; u < n_units; u++)
+                    if (digits[u] < tops[u] && draws[2 + u] < advance_prob[u]) {
+                        digits[u]++;
+                        p += strides[u];
+                    }
+                s2 = row_base[(t + 1) * p_full + p] + c2;
+                double next = 0.0;
+                slot2 = slots[s2];
+                if (slot2 >= 0) {
+                    const double *row2 = q + slot2 * n_actions;
+                    next = row2[first_max(row2, n_actions)];
+                }
+                target = r + gamma * next;
+            }
+            double step = alpha * (target - row[a]);
+            double q_new = row[a] + step;
+            row[a] = q_new;
+            if (visits[slot * n_actions + a]++ == 0)
+                first_visits++;
+            if (fabs(step) > max_delta)
+                max_delta = fabs(step);
+            if (!(q_lower <= q_new && q_new <= 1e-9))
+                violations++;
+            ep_return += r;
+            s = s2;
+            slot = slot2;
+            c = c2;
+        }
+        total_return += ep_return;
+    }
+    out[0] = max_delta;
+    out[1] = total_return;
+    counts[0] = violations;
+    counts[1] = first_visits;
+    *n_used = used;
+}
+
+/* One hour of every portfolio of a span: PV is the pool, each unit in turn
+ * draws min(power cap, energy left, deficit), nothing once the deficit is
+ * covered, and the pool serves the classes in dispatch order, their loads
+ * and VoLLs in loads and volls. Adds pair p's cost to span_cost[p] and,
+ * with keep, its unserved kWh of class c to span_unserved[c * pairs + p].
+ * Every unit updates the pool and the deficit, with no early exit: a unit
+ * that draws nothing leaves both unchanged. Inlined with keep a constant,
+ * so the loop that drops the unserved kWh does not test for them. */
+static inline __attribute__((always_inline)) void
+dispatch_hour(int64_t n_portfolios, int64_t n_units, int64_t n_classes,
+              const double *power_cap, double *left, double sun,
+              double shortfall, const double *loads, const double *volls,
+              const int64_t *class_order, double *span_cost,
+              double *span_unserved, int64_t pairs, int keep)
+{
+    for (int64_t p = 0; p < n_portfolios; p++) {
+        double *energy = left + p * n_units;
+        const double *cap = power_cap + p * n_units;
+        double pool = sun, deficit = shortfall, pair_cost = span_cost[p];
+        for (int64_t u = 0; u < n_units; u++) {
+            double draw = minimum(minimum(cap[u], energy[u]), deficit);
+            if (deficit <= 0.0)
+                draw = 0.0;
+            energy[u] -= draw;
+            pool += draw;
+            deficit -= draw;
+        }
+        for (int64_t k = 0; k < n_classes; k++) {
+            double served = minimum(loads[k], pool);
+            pool -= served;
+            double short_kwh = loads[k] - served;
+            if (keep)
+                span_unserved[class_order[k] * pairs + p] += short_kwh;
+            pair_cost += short_kwh * volls[k];
+        }
+        span_cost[p] = pair_cost;
+    }
+}
+
+/* Islanding dispatch of every (span, portfolio) pair, behind
+ * dispatch_spans in outageplan.simulate.
+ *
+ * Span s covers lengths[s] hours from hour-of-year starts[s], wrapping at
+ * the year's end, and starts with every unit full: `left`, a work buffer of
+ * (n_portfolios, n_units), is set to deliverable0 at each span's onset.
+ * deliverable0 and power_cap are (n_portfolios, n_units), demand is
+ * (n_classes, 8760) and pv (8760,), all row-major; class_order lists the
+ * classes in descending value-of-lost-load order. Writes cost (n_spans,
+ * n_portfolios) in $ and, unless it is NULL, unserved (n_classes, n_spans,
+ * n_portfolios) in kWh; both start from 0.0.
+ *
+ * The float operations and their order are those of the scalar reference
+ * loop in tests/test_simulate.py and of numpy's minimum. That holds when
+ * deliverable0, demand and pv are finite and power_cap is not NaN: then
+ * the energy left, the deficit and the pool are never NaN, so `minimum`
+ * never meets a NaN second argument.
+ */
+void dispatch_spans(int64_t n_spans, const int64_t *starts,
+                    const int64_t *lengths, int64_t n_portfolios,
+                    int64_t n_units, int64_t n_classes,
+                    const double *deliverable0, const double *power_cap,
+                    const double *demand, const double *pv,
+                    const int64_t *class_order, const double *voll,
+                    double *left, double *cost, double *unserved)
+{
+    const int64_t pairs = n_spans * n_portfolios;
+    /* per class, in dispatch order: its VoLL and its load in the hour */
+    double volls[n_classes > 0 ? n_classes : 1], loads[n_classes > 0 ? n_classes : 1];
+    for (int64_t k = 0; k < n_classes; k++)
+        volls[k] = voll[class_order[k]];
+    for (int64_t s = 0; s < n_spans; s++) {
+        double *span_cost = cost + s * n_portfolios;
+        double *span_unserved = unserved ? unserved + s * n_portfolios : NULL;
+        for (int64_t p = 0; p < n_portfolios; p++)
+            span_cost[p] = 0.0;
+        for (int64_t ci = 0; span_unserved && ci < n_classes; ci++)
+            for (int64_t p = 0; p < n_portfolios; p++)
+                span_unserved[ci * pairs + p] = 0.0;
+        memcpy(left, deliverable0, (size_t)(n_portfolios * n_units) * sizeof(double));
+        for (int64_t h = 0; h < lengths[s]; h++) {
+            int64_t hour = (starts[s] + h) % HOURS_PER_YEAR;
+            double total_load = 0.0;
+            for (int64_t ci = 0; ci < n_classes; ci++)
+                total_load = total_load + demand[ci * HOURS_PER_YEAR + hour];
+            for (int64_t k = 0; k < n_classes; k++)
+                loads[k] = demand[class_order[k] * HOURS_PER_YEAR + hour];
+            if (span_unserved)
+                dispatch_hour(n_portfolios, n_units, n_classes, power_cap, left, pv[hour], total_load - pv[hour],
+                              loads, volls, class_order, span_cost, span_unserved, pairs, 1);
+            else
+                dispatch_hour(n_portfolios, n_units, n_classes, power_cap, left, pv[hour], total_load - pv[hour],
+                              loads, volls, class_order, span_cost, NULL, pairs, 0);
+        }
+    }
+}
+
+/* The first-maximum action of each row of an (n_rows, n_actions) row-major
+ * table of doubles at any alignment, written to policy[0..). Returns the
+ * index of the first row whose maximum is not finite (one holding a NaN, a
+ * +inf maximum, or all -inf), whose action and those after it are not
+ * written, or n_rows. */
+int64_t greedy_rows(const void *values, int64_t n_rows, int64_t n_actions,
+                    int64_t *policy)
+{
+    const unsigned char *row = values;
+    const size_t width = (size_t)n_actions * sizeof(double);
+    for (int64_t i = 0; i < n_rows; i++, row += width) {
+        int64_t best = first_max(row, n_actions);
+        if (!isfinite(at(row + best * sizeof(double))))
+            return i;
+        /* a NaN is never above the maximum, so the scan passed over it */
+        for (int64_t j = 0; j < n_actions; j++)
+            if (isnan(at(row + j * sizeof(double))))
+                return i;
+        policy[i] = best;
+    }
+    return n_rows;
+}

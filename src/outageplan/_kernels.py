@@ -1,17 +1,22 @@
-"""The Q-learning episode kernel.
+"""The compiled kernels: the Q-learning episode loop, islanding dispatch and
+the greedy row scan.
 
 All randomness is pre-drawn by the caller, so a fixed seed reproduces every
-result bit for bit. The episode loop is C (`_qloop.c`): it reads each step's
+result bit for bit. The episode loop is C (`_kernels.c`): it reads each step's
 explore, action and price draws from the chunk's uniforms, walks the price
 digits itself and updates the stored Q-table rows in place, appending a
-state's row to the store at its first update. Its float operations
-and their order are those of a plain scalar loop over the arrays, which
-`tests/test_solver.py` keeps as the reference.
+state's row to the store at its first update. Dispatch walks each outage
+span's hours and, per hour, every portfolio's units and load classes. The
+row scan takes each row's first maximum with the same strict `>` scan the
+episode loop uses. The float operations of each kernel and their order are
+those of a plain scalar loop over the arrays, which `tests/test_solver.py`
+and `tests/test_simulate.py` keep as the references.
 
 The C source is compiled with the system's `cc` on first use into
 `${XDG_CACHE_HOME:-~/.cache}/outageplan/`, under a name keyed by the source's
-sha256 and the platform, and loaded through ctypes at the first `train` call.
-Islanding dispatch is vectorised numpy in `outageplan.simulate.dispatch_spans`.
+sha256 and the platform, and loaded through ctypes at the first kernel call.
+The C code indexes without bounds checks, so each wrapper here refuses
+arrays of the wrong dtype, layout or size before it passes a pointer.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from outageplan.errors import BuildError
+from outageplan.outage import HOURS_PER_YEAR
 
 # Names the implementation that ran the kernel in the train command's
 # output and in benchmark results.
@@ -36,24 +42,24 @@ COMPILER = "cc"
 # scalar reference loop.
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-_loop = None
+_lib = None
 
 
 def _build_library() -> Path:
-    """Path of the compiled episode loop, compiling it into the cache first
-    if no library for this source and platform is there yet."""
+    """Path of the compiled kernels, compiling them into the cache first if
+    no library for this source and platform is there yet."""
     import subprocess
     import tempfile
 
-    source = resources.files(__package__).joinpath("_qloop.c").read_bytes()
+    source = resources.files(__package__).joinpath("_kernels.c").read_bytes()
     key = hashlib.sha256(source + " ".join(CFLAGS).encode()).hexdigest()[:16]
     folder = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "outageplan"
-    target = folder / f"qloop-{key}-{sys.platform}-{platform.machine()}.so"
+    target = folder / f"kernels-{key}-{sys.platform}-{platform.machine()}.so"
     if target.is_file():
         return target
     try:
         folder.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=folder, prefix=".qloop-", suffix=".so")
+        fd, tmp = tempfile.mkstemp(dir=folder, prefix=".kernels-", suffix=".so")
         os.close(fd)
     except OSError as exc:
         raise BuildError(
@@ -69,13 +75,13 @@ def _build_library() -> Path:
         except OSError as exc:
             raise BuildError(
                 f"cannot run the C compiler {COMPILER!r} ({exc.strerror or exc}); it builds the "
-                f"Q-learning loop into {folder}"
+                f"compiled kernels into {folder}"
             ) from exc
         if proc.returncode != 0:
             tail = " | ".join(proc.stderr.decode(errors="replace").strip().splitlines()[-5:])
             raise BuildError(
                 f"the C compiler {COMPILER!r} failed (exit {proc.returncode}) building the "
-                f"Q-learning loop into {folder}: {tail}"
+                f"compiled kernels into {folder}: {tail}"
             )
         os.replace(tmp, target)
     finally:
@@ -84,25 +90,33 @@ def _build_library() -> Path:
     return target
 
 
-def _episode_loop():
-    """The C episode loop, built and loaded on first use."""
-    global _loop
-    if _loop is None:
+def _library():
+    """The compiled kernels, built and loaded on first use, with every
+    function's argument and result types declared."""
+    global _lib
+    if _lib is None:
         import ctypes
 
         path = _build_library()
-        try:
-            fn = ctypes.CDLL(str(path)).qlearn_episodes
-        except (OSError, AttributeError) as exc:
-            raise BuildError(f"cannot load the compiled Q-learning loop {path}: {exc}; delete it to rebuild") from exc
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        fn.argtypes = [
-            ptr, ptr, ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
-            f64, f64, ptr, ptr,
-        ]
-        fn.restype = None
-        _loop = fn
-    return _loop
+        signatures = {
+            "qlearn_episodes": (
+                [ptr, ptr, ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr, ptr,
+                 f64, f64, ptr, ptr],
+                None,
+            ),
+            "dispatch_spans": ([i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr], None),
+            "greedy_rows": ([ptr, i64, i64, ptr], i64),
+        }
+        try:
+            lib = ctypes.CDLL(str(path))
+            for name, (argtypes, restype) in signatures.items():
+                fn = getattr(lib, name)
+                fn.argtypes, fn.restype = argtypes, restype
+        except (OSError, AttributeError) as exc:
+            raise BuildError(f"cannot load the compiled kernels {path}: {exc}; delete it to rebuild") from exc
+        _lib = lib
+    return _lib
 
 
 def qlearn_chunk(q, visits, slots, n_used, tables, gamma, uniforms, alphas, epsilons):
@@ -144,7 +158,7 @@ def qlearn_chunk(q, visits, slots, n_used, tables, gamma, uniforms, alphas, epsi
     needed = min(rows - n_used, steps[0] * tables.horizon)
     if len(q) - n_used < needed:
         raise ValueError(f"the store has {len(q) - n_used} free rows; this chunk may append {needed}")
-    loop = _episode_loop()
+    loop = _library().qlearn_episodes
 
     alphas = np.ascontiguousarray(alphas, np.float64)
     epsilons = np.ascontiguousarray(epsilons, np.float64)
@@ -164,3 +178,73 @@ def qlearn_chunk(q, visits, slots, n_used, tables, gamma, uniforms, alphas, epsi
         float(gamma), float(tables.q_lower), out.ctypes.data, counts.ctypes.data,
     )
     return float(out[0]), float(out[1]), int(counts[0]), int(counts[1]), int(used[0])
+
+
+def _is_buffer(a, shape, dtype=np.float64) -> bool:
+    """Whether `a` is a C-contiguous, aligned ndarray of `shape` and `dtype`."""
+    return isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape and a.flags.carray
+
+
+def dispatch(starts, lengths, deliverable, power_cap, demand, pv, class_order, voll, left, cost, unserved=None):
+    """Islanding dispatch of every (span, portfolio) pair into `cost`, and
+    into `unserved` unless it is None; see `outageplan.simulate.dispatch_spans`.
+
+    Spans are int64 start hours in [0, 8760) and lengths >= 0. `deliverable`
+    (finite) and `power_cap` (not NaN) are (portfolios, units) float64,
+    `left` a float64 work buffer of the same shape, `demand` (classes, 8760)
+    and `pv` (8760,) finite float64, `class_order` an int64 permutation of
+    the classes in dispatch order, `voll` one float64 per class, `cost`
+    (spans, portfolios) and `unserved` (classes, spans, portfolios) float64.
+    Every array must be C-contiguous and aligned, `left`, `cost` and
+    `unserved` writable; ValueError otherwise, before the C kernel runs."""
+    n_spans = len(starts) if np.ndim(starts) == 1 else -1
+    if not (_is_buffer(starts, (n_spans,), np.int64) and _is_buffer(lengths, (n_spans,), np.int64)):
+        raise ValueError("starts and lengths must be C-contiguous, aligned int64 arrays of one length")
+    if n_spans and not (starts.min() >= 0 and starts.max() < HOURS_PER_YEAR and lengths.min() >= 0):
+        raise ValueError(f"span starts must lie in [0, {HOURS_PER_YEAR}) and span lengths be >= 0")
+    pairs = np.shape(deliverable) if np.ndim(deliverable) == 2 else (-1, -1)
+    if not (_is_buffer(deliverable, pairs) and _is_buffer(power_cap, pairs)):
+        raise ValueError(
+            "deliverable and power_cap must be C-contiguous, aligned float64 arrays of one (portfolios, units) shape"
+        )
+    # the kernel's minimum is numpy's only while no NaN can arise in it
+    if not (np.isfinite(deliverable).all() and not np.isnan(power_cap).any()):
+        raise ValueError("deliverable must be finite and power_cap not NaN")
+    n_classes = len(demand) if np.ndim(demand) == 2 else -1
+    if not _is_buffer(demand, (n_classes, HOURS_PER_YEAR)):
+        raise ValueError(f"demand must be a C-contiguous, aligned float64 array of shape (classes, {HOURS_PER_YEAR})")
+    if not _is_buffer(pv, (HOURS_PER_YEAR,)):
+        raise ValueError(f"pv must be a C-contiguous, aligned float64 array of shape ({HOURS_PER_YEAR},)")
+    if not (np.isfinite(demand).all() and np.isfinite(pv).all()):
+        raise ValueError("demand and pv must be finite")
+    if not (_is_buffer(class_order, (n_classes,), np.int64)
+            and np.array_equal(np.sort(class_order), np.arange(n_classes))):
+        raise ValueError(f"class_order must be an int64 permutation of the {n_classes} classes")
+    if not _is_buffer(voll, (n_classes,)):
+        raise ValueError(f"voll must be a C-contiguous, aligned float64 array of one value per class ({n_classes})")
+    outputs = {"left": (left, pairs), "cost": (cost, (n_spans, pairs[0]))}
+    if unserved is not None:
+        outputs["unserved"] = (unserved, (n_classes, n_spans, pairs[0]))
+    for name, (array, shape) in outputs.items():
+        if not (_is_buffer(array, shape) and array.flags.writeable):
+            raise ValueError(f"{name} must be a C-contiguous, aligned, writable float64 array of shape {shape}")
+    _library().dispatch_spans(
+        n_spans, starts.ctypes.data, lengths.ctypes.data, pairs[0], pairs[1], n_classes,
+        deliverable.ctypes.data, power_cap.ctypes.data, demand.ctypes.data, pv.ctypes.data,
+        class_order.ctypes.data, voll.ctypes.data, left.ctypes.data, cost.ctypes.data,
+        None if unserved is None else unserved.ctypes.data,
+    )
+
+
+def greedy_rows(values, policy) -> int:
+    """The first-maximum action of each row of `values`, a C-contiguous
+    (rows, actions) float64 table at any alignment, written into `policy`,
+    a writable C-contiguous int64 array of one entry per row. Returns the
+    index of the first row whose maximum is not finite (a NaN anywhere, a
+    +inf maximum or all -inf), where the scan stopped, or the row count."""
+    if not (isinstance(values, np.ndarray) and values.ndim == 2 and values.dtype == np.float64
+            and values.flags.c_contiguous and values.shape[1] > 0):
+        raise ValueError("values must be a C-contiguous float64 array of shape (rows, actions >= 1)")
+    if not (_is_buffer(policy, values.shape[:1], np.int64) and policy.flags.writeable):
+        raise ValueError(f"policy must be a C-contiguous, aligned, writable int64 array of shape ({len(values)},)")
+    return _library().greedy_rows(values.ctypes.data, len(values), values.shape[1], policy.ctypes.data)

@@ -100,13 +100,14 @@ class StoredRows:
         self.dtype = store.dtype
 
     def take(self, start: int, out: np.ndarray) -> np.ndarray:
-        """Rows start .. start + len(out) of the array, written into `out`,
-        which may be of a wider dtype."""
+        """Write rows start .. start + len(out) of the array into `out`, which
+        must be all zeros and may be of a wider dtype. Returns the indices of
+        the rows of `out` that were written, so a caller that reuses `out`
+        clears only those."""
         slots = self.slots[start : start + len(out)]
         stored = np.flatnonzero(slots >= 0)
-        out.fill(0)
         out[stored] = np.take(self.store, slots[stored], axis=0)
-        return out
+        return stored
 
 
 def save_container(path, meta: dict, arrays: dict, schema: dict[str, tuple[str, int]]) -> None:
@@ -118,7 +119,8 @@ def save_container(path, meta: dict, arrays: dict, schema: dict[str, tuple[str, 
     castable to that dtype; otherwise ValueError, and nothing is written.
     The bytes are converted and written a block of at most 1 MiB at a time,
     so no full-size copy of a C-contiguous array is made, and a `StoredRows`
-    is gathered block by block into one reused buffer."""
+    is gathered block by block into one reused buffer, which stays zero
+    between blocks: only the rows a block scattered are cleared after it."""
     if arrays.keys() != schema.keys():
         raise ValueError(f"arrays {list(arrays)} differ from the schema's {list(schema)}")
     for name, (dtype, ndim) in schema.items():
@@ -136,9 +138,12 @@ def save_container(path, meta: dict, arrays: dict, schema: dict[str, tuple[str, 
             if isinstance(array, StoredRows):
                 rows, width = array.shape
                 step = max(_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(width, 1)), 1)
-                buffer = np.empty((min(step, rows), width), dtype)
+                buffer = np.zeros((min(step, rows), width), dtype)
                 for start in range(0, rows, step):
-                    fh.write(array.take(start, buffer[: rows - start]).view(np.uint8))
+                    block = buffer[: rows - start]
+                    stored = array.take(start, block)
+                    fh.write(block.view(np.uint8))
+                    block[stored] = 0
                 continue
             flat, step = array.reshape(-1), max(_BLOCK_BYTES // np.dtype(dtype).itemsize, 1)
             for start in range(0, flat.size, step):

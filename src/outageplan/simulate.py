@@ -5,8 +5,11 @@ installed storage, highest value-of-lost-load first. Expected outage cost
 per decision period is estimated by replicated simulation with common random
 numbers: every portfolio replays the same sampled outage spans, so the
 replications' merged spans and the portfolios form one (span x portfolio)
-grid that `dispatch_spans` dispatches with numpy, hour by hour, in blocks of
-spans whose working set stays under `DISPATCH_BLOCK_PAIRS`.
+grid that `dispatch_spans` dispatches in one call of the compiled kernel
+(`outageplan._kernels.dispatch`), span by span and hour by hour, every
+portfolio within each hour. Its working set is the energy left in every
+portfolio's units; only the (span x portfolio) cost array grows with the
+replication count.
 
 A storage portfolio is one row of a float64 (portfolios, units) array of
 installed kWh, its columns in catalog order (the order of
@@ -27,17 +30,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from outageplan import persist
+from outageplan import _kernels, persist
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.outage import HOURS_PER_YEAR, OutageEvent, OutageModel, outage_model_to_config, sample_trace
 
 METAMODEL_MAGIC = "# outageplan-metamodel "
-
-# Working-set budget of one `dispatch_spans` call in `_crn_estimates`, in
-# (span, portfolio) pairs. A pair holds about units + classes + 6 float64 values
-# while it is dispatched, so at the case study's 4 units and 3 classes the
-# budget is about 7 MB; the 1120 case-study portfolios get 58-span blocks.
-DISPATCH_BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,8 +58,8 @@ class StorageUnitSpec:
             raise ValueError(f"{self.name}: round_trip_efficiency must be in (0, 1]")
         if not 0 < self.usable_fraction <= 1:
             raise ValueError(f"{self.name}: usable_fraction must be in (0, 1]")
-        if self.power_limit <= 0:
-            raise ValueError(f"{self.name}: power_limit must be > 0")
+        if not 0 < self.power_limit < math.inf:
+            raise ValueError(f"{self.name}: power_limit must be finite and > 0")
 
     def deliverable_kwh(self, installed_kwh: float) -> float:
         return installed_kwh * self.usable_fraction * self.round_trip_efficiency
@@ -105,8 +102,9 @@ class HourlyProfiles:
             raise ValueError(f"demand must be (n_classes, {HOURS_PER_YEAR})")
         if self.pv.shape != (HOURS_PER_YEAR,):
             raise ValueError(f"pv must have shape ({HOURS_PER_YEAR},)")
-        if np.any(self.demand < 0) or np.any(self.pv < 0):
-            raise ValueError("profiles must be non-negative")
+        for values in (self.demand, self.pv):
+            if not np.all((values >= 0) & (values < math.inf)):
+                raise ValueError("profiles must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ class Microgrid:
             raise ValueError("one demand row per facility class required")
 
     def voll(self) -> np.ndarray:
-        return np.array([f.value_of_lost_load for f in self.facilities])
+        return np.array([f.value_of_lost_load for f in self.facilities], dtype=np.float64)
 
     def dispatch_order(self) -> np.ndarray:
         # descending VoLL, declaration order breaking ties
@@ -141,10 +139,10 @@ class CostEstimate:
 
 def _portfolio_kwh(portfolios, specs: Sequence[StorageUnitSpec]) -> np.ndarray:
     kwh = np.asarray(portfolios, dtype=np.float64)
-    if kwh.ndim != 2 or kwh.shape[1] != len(specs) or not np.all(kwh >= 0.0):
+    if kwh.ndim != 2 or kwh.shape[1] != len(specs) or not np.all((kwh >= 0.0) & (kwh < math.inf)):
         raise ConfigError(
             f"portfolio array of shape {kwh.shape} needs one column per storage unit ({len(specs)}) "
-            "and installed kWh >= 0"
+            "and finite installed kWh >= 0"
         )
     return kwh
 
@@ -181,55 +179,26 @@ def dispatch_spans(
     if bad.size:
         raise ValueError(f"span {bad[0]} lasts {hours[bad[0]].item()!r} h; a span lasts whole hours >= 0")
     n_hours = hours.astype(np.int64, copy=False)
-    kwh = _portfolio_kwh(portfolios, specs)
-    deliverable0 = np.empty(kwh.T.shape)
-    power_cap = np.empty(kwh.T.shape)
+    return _dispatch(start_hours, n_hours, _portfolio_kwh(portfolios, specs), specs, grid, with_unserved=True)
+
+
+def _dispatch(starts: np.ndarray, lengths: np.ndarray, kwh: np.ndarray, specs: Sequence[StorageUnitSpec],
+              grid: Microgrid, with_unserved: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """`dispatch_spans` of valid int64 spans and a checked kWh array; the
+    unserved kWh are not kept, and are None, unless `with_unserved`."""
+    deliverable = np.empty(kwh.shape)
+    power_cap = np.empty(kwh.shape)
     for u, spec in enumerate(specs):
-        deliverable0[u] = spec.deliverable_kwh(kwh[:, u])
-        power_cap[u] = spec.power_cap_kw(kwh[:, u])
-    demand = grid.profiles.demand
-    pv = grid.profiles.pv
-    n_classes = demand.shape[0]
-    # Every span starts full, so spans are independent. Sorted longest first,
-    # the spans still running at hour h are a prefix of the sorted order.
-    order = np.argsort(-n_hours, kind="stable")
-    starts = start_hours[order]
-    lengths = n_hours[order]
-    deliverable = np.repeat(deliverable0[:, None, :], len(order), axis=1)
-    cost = np.zeros((len(order), len(kwh)))
-    unserved = np.zeros((n_classes,) + cost.shape)
-    voll = grid.voll()
-    class_order = grid.dispatch_order()
-    for h in range(int(lengths.max(initial=0))):
-        n = int(np.count_nonzero(lengths > h))
-        hh = (starts[:n] + h) % HOURS_PER_YEAR
-        total_load = 0.0
-        for ci in range(n_classes):
-            total_load = total_load + demand[ci, hh]
-        pool = np.repeat(pv[hh][:, None], len(kwh), axis=1)
-        deficit = np.repeat((total_load - pv[hh])[:, None], len(kwh), axis=1)
-        for u in range(len(deliverable)):
-            draw = np.minimum(power_cap[u], deliverable[u, :n])
-            np.minimum(draw, deficit, out=draw)
-            # a unit draws nothing once the deficit is covered (or never was)
-            draw[deficit <= 0.0] = 0.0
-            deliverable[u, :n] -= draw
-            pool += draw
-            deficit -= draw
-        for ci in class_order:
-            load = demand[ci, hh][:, None]
-            served = np.minimum(load, pool)
-            pool -= served
-            short = np.subtract(load, served, out=served)
-            unserved[ci, :n] += short
-            short *= voll[ci]
-            cost[:n] += short
-    # Back to span order one (span, portfolio) plane at a time, so the
-    # reordering copies one plane, not the whole working set.
-    rank = np.argsort(order)
-    cost[:] = cost[rank]
-    for plane in unserved:
-        plane[:] = plane[rank]
+        deliverable[:, u] = spec.deliverable_kwh(kwh[:, u])
+        power_cap[:, u] = spec.power_cap_kw(kwh[:, u])
+    demand = np.ascontiguousarray(grid.profiles.demand, np.float64)
+    cost = np.empty((len(starts), len(kwh)))
+    unserved = np.empty((len(demand),) + cost.shape) if with_unserved else None
+    _kernels.dispatch(
+        np.ascontiguousarray(starts), np.ascontiguousarray(lengths), deliverable, power_cap, demand,
+        np.ascontiguousarray(grid.profiles.pv, np.float64), grid.dispatch_order(), grid.voll(),
+        np.empty(kwh.shape), cost, unserved,
+    )
     return cost, unserved
 
 
@@ -304,23 +273,10 @@ def _crn_estimates(
     """Mean and standard error of the period cost of every row of a
     (portfolios, units) kWh array, all portfolios dispatched against the same
     replications' outage spans.
-
-    The spans are dispatched longest first, in blocks of at most
-    `DISPATCH_BLOCK_PAIRS` (span, portfolio) pairs (at least one span), so
-    the working set is bounded by that budget, not by the replication count;
-    only the (spans, portfolios) cost array spans every block. Each pair's
-    arithmetic is independent of every other pair, so the costs are the
-    bytes one call over all spans would give.
     """
     kwh = _portfolio_kwh(portfolios, specs)
     starts, lengths, offsets = _outage_spans(model, period_length_years, seeds)
-    # longest first, so each block's hour loop runs only as long as its own longest span
-    order = np.argsort(-lengths, kind="stable")
-    block = max(1, DISPATCH_BLOCK_PAIRS // max(len(kwh), 1))
-    span_cost = np.empty((len(order), len(kwh)))
-    for first in range(0, len(order), block):
-        rows = order[first : first + block]
-        span_cost[rows], _ = dispatch_spans(starts[rows], lengths[rows], kwh, specs, grid)
+    span_cost, _ = _dispatch(starts, lengths, kwh, specs, grid, with_unserved=False)
     # Each replication's total adds its spans' costs in span order from 0.0.
     counts = np.diff(offsets)
     totals = np.zeros((len(counts), span_cost.shape[1]))
@@ -402,9 +358,13 @@ class CostTable:
     def save(self, path) -> None:
         lines = [METAMODEL_MAGIC + persist.canonical_json(self.meta)]
         lines.append(",".join([f"cap_{u}" for u in self.units] + ["cost", "stderr"]))
-        # repr of a Python float is persist.format_float
-        for row, cost, stderr in zip(self.kwh.tolist(), self.cost.tolist(), self.stderr.tolist()):
-            lines.append(",".join(map(repr, row + [cost, stderr])))
+        # repr of a Python float is persist.format_float; a table has few
+        # distinct kWh levels, so each is formatted once
+        levels, index = np.unique(self.kwh, return_inverse=True)
+        names = list(map(repr, levels.tolist()))
+        columns = [[names[i] for i in column] for column in index.reshape(self.kwh.shape).T.tolist()]
+        columns += [map(repr, self.cost.tolist()), map(repr, self.stderr.tolist())]
+        lines.extend(map(",".join, zip(*columns)))
         with persist.atomic_write(path, newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from outageplan import persist
-from outageplan._kernels import qlearn_chunk
+from outageplan._kernels import greedy_rows, qlearn_chunk
 from outageplan.errors import ArtifactMismatchError
 from outageplan.mdp import PlanningEnv, row_index
 
@@ -111,33 +111,28 @@ def schedule_at(schedule: TrainingSchedule, episode: int | np.ndarray) -> tuple:
 
 def first_max(block: np.ndarray, first_row: int, out: np.ndarray | None = None) -> np.ndarray:
     """First-maximum action per row of `block`, rows first_row onward of an
-    action-value table; ValueError naming the first table row whose maximum
-    is not finite. numpy's argmax picks a row's first NaN, so reading the
-    value at each argmax catches every NaN, every +inf and every row of -inf."""
-    out = np.argmax(block, axis=1, out=out)
-    bad = np.flatnonzero(~np.isfinite(block.reshape(-1)[np.arange(0, block.size, block.shape[1]) + out]))
-    if bad.size:
-        row, best = first_row + bad[0], float(block[bad[0], out[bad[0]]])
-        raise ValueError(f"row {row} of the action values has the non-finite maximum {best}")
+    action-value table, C-contiguous float64 at any alignment; ValueError
+    naming the first table row whose maximum is not finite: a row with a
+    NaN, a +inf maximum, or all -inf. The compiled scan stops at that row,
+    and numpy's argmax, which picks a row's first NaN, reads its value."""
+    out = np.empty(len(block), np.int64) if out is None else out
+    bad = greedy_rows(block, out)
+    if bad < len(block):
+        row = block[bad]
+        raise ValueError(f"row {first_row + bad} of the action values has the non-finite maximum "
+                         f"{float(row[np.argmax(row)])}")
     return out
 
 
 def greedy_policy(values: np.ndarray, release: bool = False) -> np.ndarray:
     """`first_max` of every row of an action-value table, a block of rows at
-    a time. An unaligned table, as a loaded one is, is copied block by block
-    into one aligned buffer first, which numpy would otherwise do itself
-    inside each reduction. With `release`, `values` is a table that
-    `persist.load_container` mapped, and the file pages of each scanned
-    block are given back, so the scan holds about one block of them."""
+    a time. With `release`, `values` is a table that `persist.load_container`
+    mapped, and the file pages of each scanned block are given back, so the
+    scan holds about one block of them."""
     policy = np.empty(len(values), np.int64)
-    buffer = None if values.flags.aligned else np.empty((min(len(values), _BLOCK_ROWS), values.shape[1]))
     for start in range(0, len(values), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        block = values[rows]
-        if buffer is not None:
-            block = buffer[:len(block)]
-            block[...] = values[rows]
-        first_max(block, start, out=policy[rows])
+        first_max(values[rows], start, out=policy[rows])
         if release:
             persist.release_pages(values, values[:rows.stop].nbytes)
     return policy
@@ -267,8 +262,9 @@ class TrainResult:
     def qtable(self) -> QTable:
         if self._qtable is None:
             values, visits = _zeroed_tables(*self.values.shape)
-            self._qtable = QTable(self.state_codes, self.values.take(0, values), self.visits.take(0, visits),
-                                  **self.header)
+            self.values.take(0, values)
+            self.visits.take(0, visits)
+            self._qtable = QTable(self.state_codes, values, visits, **self.header)
         return self._qtable
 
     def save(self, path) -> None:

@@ -392,12 +392,18 @@ class TestErrorPaths:
         assert err.startswith("outageplan-error: --label ") and err.count("\n") == 1, err
         assert list(tmp_path.rglob("*")) == []
 
-    def test_train_without_a_c_compiler(self, pipeline, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["metamodel", "train", "evaluate"])
+    def test_a_compiled_command_without_a_c_compiler(self, pipeline, tmp_path, capsys, monkeypatch, command):
+        # dispatch, the episode loop and the greedy scan are all compiled
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-        monkeypatch.setattr(_kernels, "_loop", None)
-        argv = ["train", "--config", "tiny", "--episodes", "10", "--metamodel", str(pipeline / "metamodel.csv"),
-                "--out", str(tmp_path)]
+        monkeypatch.setattr(_kernels, "_lib", None)
+        argv = {
+            "metamodel": ["metamodel", "--config", "tiny", "--replications", "4"],
+            "train": ["train", "--config", "tiny", "--episodes", "10", "--metamodel", str(pipeline / "metamodel.csv")],
+            "evaluate": ["evaluate", "--config", "tiny", "--qtable", str(pipeline / "qtable.bin"),
+                         "--trajectory", str(TINY_TRAJECTORY), "--label", "single"],
+        }[command] + ["--out", str(tmp_path)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("outageplan-error: cannot run the C compiler 'cc' (") and err.count("\n") == 1

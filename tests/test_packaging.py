@@ -44,13 +44,13 @@ def test_every_declared_dependency_is_imported_by_the_package():
     assert not unused, f"runtime dependencies that src/outageplan never imports: {unused}"
 
 
-def test_episode_loop_source_is_package_data():
+def test_kernel_source_is_package_data():
     with open(PYPROJECT, "rb") as fh:
         package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["outageplan"]
-    assert "_qloop.c" in package_data
-    source = resources.files("outageplan").joinpath("_qloop.c")
+    assert "_kernels.c" in package_data
+    source = resources.files("outageplan").joinpath("_kernels.c")
     assert source.is_file()
-    assert b"qlearn_episodes" in source.read_bytes()
+    assert all(name in source.read_bytes() for name in (b"qlearn_episodes", b"dispatch_spans", b"greedy_rows"))
 
 
 def test_no_unused_module_imports():

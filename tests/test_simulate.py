@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import outageplan.simulate as sim
-from outageplan import persist
+from outageplan import _kernels, persist
 from outageplan.config import load_config
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.mdp import PlanningEnv, PriceChain, UnitCatalogEntry
@@ -159,8 +159,19 @@ class TestSpecs:
             StorageUnitSpec(name="x", round_trip_efficiency=1.5, usable_fraction=1.0, power_limit=1.0)
         with pytest.raises(ValueError, match="usable_fraction"):
             StorageUnitSpec(name="x", round_trip_efficiency=1.0, usable_fraction=0.0, power_limit=1.0)
-        with pytest.raises(ValueError, match="power_limit"):
-            StorageUnitSpec(name="x", round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=0.0)
+        for power_limit in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="power_limit must be finite and > 0"):
+                StorageUnitSpec(name="x", round_trip_efficiency=1.0, usable_fraction=1.0, power_limit=power_limit)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_profiles_must_be_finite_and_non_negative(self, bad):
+        demand, pv = np.ones((2, H)), np.zeros(H)
+        demand[1, 7] = bad
+        with pytest.raises(ValueError, match="profiles must be finite and non-negative"):
+            HourlyProfiles(demand=demand, pv=pv)
+        pv[8759] = bad
+        with pytest.raises(ValueError, match="profiles must be finite and non-negative"):
+            HourlyProfiles(demand=np.ones((2, H)), pv=pv)
 
     def test_facility_validation(self):
         with pytest.raises(ValueError, match="count must be > 0"):
@@ -256,8 +267,8 @@ class TestDispatch:
             dispatch_spans([0], [1], [[1.0, 2.0]], specs, grid)
         with pytest.raises(ConfigError, match="one column per storage unit"):
             dispatch_spans([0], [1], np.ones((3, 2)), specs, grid)
-        for kwh in (-1.0, math.nan):
-            with pytest.raises(ConfigError, match="installed kWh >= 0"):
+        for kwh in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite installed kWh >= 0"):
                 dispatch_spans([0], [1], [[kwh]], specs, grid)
 
     @pytest.mark.parametrize("lengths, shown", [([2, -3], "-3"), ([2.5], "2.5"), ([1.0, math.nan], "nan"), ([math.inf], "inf")],
@@ -287,30 +298,69 @@ class TestDispatch:
         assert whole[0].tobytes() == integer[0].tobytes()
 
 
+def oracle_dispatch(grid, specs, portfolios, starts, lengths):
+    """Cost (spans, portfolios) and unserved kWh (classes, spans, portfolios)
+    of `dispatch_span_oracle`, one pair at a time."""
+    demand, pv = grid.profiles.demand, grid.profiles.pv
+    order, voll = grid.dispatch_order(), grid.voll()
+    cost = np.zeros((len(starts), len(portfolios)))
+    unserved = np.zeros((len(voll), len(starts), len(portfolios)))
+    for s, (start, n_hours) in enumerate(zip(starts, lengths)):
+        for p, portfolio in enumerate(portfolios):
+            deliverable, power_cap = oracle_arrays(portfolio, specs)
+            short = np.zeros(len(voll))
+            cost[s, p] = dispatch_span_oracle(start, n_hours, demand, pv, order, voll, deliverable, power_cap, short)
+            unserved[:, s, p] = short
+    return cost, unserved
+
+
+def random_grid():
+    """Three classes, two of them tied on VoLL, with random demand and PV."""
+    rng = np.random.default_rng(0)
+    facilities = tuple(
+        FacilityClass(name=f"c{i}", count=1, peak_load_kw=40.0, value_of_lost_load=v, profile="flat")
+        for i, v in enumerate([6.0, 60.0, 6.0])
+    )
+    profiles = HourlyProfiles(demand=rng.uniform(0.0, 40.0, (3, H)), pv=rng.uniform(0.0, 60.0, H))
+    return Microgrid(facilities=facilities, profiles=profiles)
+
+
+TWO_UNITS = (
+    StorageUnitSpec(name="a", round_trip_efficiency=0.85, usable_fraction=0.9, power_limit=0.25),
+    StorageUnitSpec(name="b", round_trip_efficiency=0.7, usable_fraction=0.8, power_limit=6.0),
+)
+
+
 class TestDispatchParity:
+    @staticmethod
+    def assert_matches_oracle(grid, specs, portfolios, starts, lengths):
+        cost, unserved = dispatch_spans(starts, lengths, portfolios, specs, grid)
+        want_cost, want_unserved = oracle_dispatch(grid, specs, portfolios, starts, lengths)
+        assert cost.tobytes() == want_cost.tobytes()
+        assert unserved.tobytes() == want_unserved.tobytes()
+        # each pair dispatched on its own
+        for s, p in itertools.product(range(len(starts)), range(len(portfolios))):
+            one_cost, one_unserved = dispatch_spans([starts[s]], [lengths[s]], [portfolios[p]], specs, grid)
+            assert one_cost[0, 0].tobytes() == want_cost[s, p].tobytes()
+            assert one_unserved[:, 0, 0].tobytes() == want_unserved[:, s, p].tobytes()
+
     @given(case=dispatch_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_oracle_bit_for_bit(self, case):
-        grid, specs, portfolios, starts, lengths = case
-        demand, pv = grid.profiles.demand, grid.profiles.pv
-        order, voll = grid.dispatch_order(), grid.voll()
-        cost, unserved = dispatch_spans(starts, lengths, portfolios, specs, grid)
-        want_cost = np.zeros((len(starts), len(portfolios)))
-        want_unserved = np.zeros((len(voll), len(starts), len(portfolios)))
-        for s, (start, n_hours) in enumerate(zip(starts, lengths)):
-            for p, portfolio in enumerate(portfolios):
-                deliverable, power_cap = oracle_arrays(portfolio, specs)
-                short = np.zeros(len(voll))
-                want_cost[s, p] = dispatch_span_oracle(
-                    start, n_hours, demand, pv, order, voll, deliverable, power_cap, short
-                )
-                want_unserved[:, s, p] = short
-                # the same pair dispatched on its own
-                one_cost, one_unserved = dispatch_spans([start], [n_hours], [portfolio], specs, grid)
-                assert one_unserved[:, 0, 0].tobytes() == short.tobytes()
-                assert one_cost[0, 0].tobytes() == want_cost[s, p].tobytes()
-        assert cost.tobytes() == want_cost.tobytes()
-        assert unserved.tobytes() == want_unserved.tobytes()
+        self.assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize(
+        "portfolios, starts, lengths",
+        [
+            ([[250.0, 10.0], [0.0, 37.5]], [5, 8759, 100], [0, 0, 0]),
+            ([[0.0, 0.0], [0.0, 0.0]], [0, 4000, 8750], [3, 24, 30]),
+            ([[1000.0, 250.0], [10.0, 0.0]], [8759, 8740, 8759], [30, 25, 1]),
+            ([[37.5, 10.0]], [], []),
+        ],
+        ids=["zero-length-spans", "all-zero-portfolios", "wraps-past-hour-8759", "no-spans"],
+    )
+    def test_edge_cases_match_scalar_oracle(self, portfolios, starts, lengths):
+        self.assert_matches_oracle(random_grid(), TWO_UNITS, np.array(portfolios), starts, lengths)
 
     def test_metamodel_matches_scalar_oracle(self):
         # The replication totals and estimates of the scalar path: each span
@@ -342,51 +392,89 @@ class TestDispatchParity:
             assert np.array([table.cost[i], table.stderr[i]]).tobytes() == want.tobytes()
 
 
-def crn_estimates_oracle(starts, lengths, offsets, portfolios, specs, grid):
-    """The unblocked estimator: every span in one `dispatch_spans` call,
-    each replication's total added in span order from 0.0."""
-    span_cost, _ = dispatch_spans(starts, lengths, portfolios, specs, grid)
-    counts = np.diff(offsets)
-    totals = np.zeros((len(counts), span_cost.shape[1]))
-    for j in range(int(counts.max(initial=0))):
-        reps = np.flatnonzero(counts > j)
-        totals[reps] += span_cost[offsets[reps] + j]
-    return sim._mean_stderr(np.ascontiguousarray(totals.T))
+def kernel_arguments(n_spans=3, n_portfolios=2):
+    """Valid arguments of `_kernels.dispatch` for `random_grid()` and `TWO_UNITS`."""
+    grid = random_grid()
+    n_classes = len(grid.facilities)
+    deliverable = np.full((n_portfolios, len(TWO_UNITS)), 5.0)
+    return {
+        "starts": np.arange(n_spans, dtype=np.int64) * 100,
+        "lengths": np.full(n_spans, 4, np.int64),
+        "deliverable": deliverable,
+        "power_cap": deliverable.copy(),
+        "demand": grid.profiles.demand,
+        "pv": grid.profiles.pv,
+        "class_order": grid.dispatch_order(),
+        "voll": grid.voll(),
+        "left": np.empty_like(deliverable),
+        "cost": np.full((n_spans, n_portfolios), math.nan),
+        "unserved": np.full((n_classes, n_spans, n_portfolios), math.nan),
+    }
 
 
-class TestBlockedDispatchParity:
+class TestDispatchKernelGuards:
+    # the kernel indexes without bounds checks: each of these would read or
+    # write outside an array
+    BAD = {
+        "demand-fortran-order": ("demand", lambda a: np.asfortranarray(np.tile(a, (2, 1)))[:3], "demand must be"),
+        "demand-float32": ("demand", lambda a: a.astype(np.float32), "demand must be"),
+        "demand-short-year": ("demand", lambda a: np.ascontiguousarray(a[:, :-1]), "demand must be"),
+        "class-order-repeats-a-class": ("class_order", lambda a: np.array([1, 1, 0]), "class_order must be"),
+        "class-order-outside-the-classes": ("class_order", lambda a: np.array([1, 3, 0]), "class_order must be"),
+        "class-order-too-short": ("class_order", lambda a: a[:2].copy(), "class_order must be"),
+        "voll-too-short": ("voll", lambda a: a[:2].copy(), "voll must be"),
+        "voll-too-long": ("voll", lambda a: np.append(a, 1.0), "voll must be"),
+        "work-buffer-too-small": ("left", lambda a: a[:1].copy(), "left must be"),
+        "cost-too-few-spans": ("cost", lambda a: a[:2].copy(), "cost must be"),
+        "cost-read-only": ("cost", lambda a: np.frombuffer(a.tobytes()).reshape(a.shape), "cost must be"),
+        "unserved-too-few-classes": ("unserved", lambda a: a[:2].copy(), "unserved must be"),
+        "demand-nan": ("demand", lambda a: np.where(np.arange(H) == 5, math.nan, a), "demand and pv must be finite"),
+        "pv-inf": ("pv", lambda a: np.where(np.arange(H) == 5, math.inf, a), "demand and pv must be finite"),
+        "deliverable-inf": ("deliverable", lambda a: a * math.inf, "deliverable must be finite"),
+        "power-cap-nan": ("power_cap", lambda a: a * math.nan, "deliverable must be finite and power_cap not NaN"),
+        "start-past-the-year": ("starts", lambda a: a + 8700, "span starts must lie"),
+        "negative-length": ("lengths", lambda a: a - 5, "span starts must lie"),
+        "lengths-of-another-count": ("lengths", lambda a: a[:2].copy(), "starts and lengths must be"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_refuses_before_the_c_kernel(self, case):
+        args = kernel_arguments()
+        name, make, message = self.BAD[case]
+        args[name] = make(args[name])
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _kernels.dispatch(**args)
+        assert np.isnan(args["cost"]).all() and np.isnan(args["unserved"]).all()
+        # the same call runs with the valid argument, and without unserved
+        valid = kernel_arguments()
+        _kernels.dispatch(**valid)
+        assert not np.isnan(valid["cost"]).any() and not np.isnan(valid["unserved"]).any()
+        _kernels.dispatch(**{**kernel_arguments(), "unserved": None})
+
+
+class TestCrnEstimatesParity:
     @given(case=dispatch_cases(), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_matches_one_unblocked_call(self, case, data):
-        grid, specs, portfolios, _, _ = case
-        block = data.draw(st.integers(1, 4), label="block")
-        n_spans = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 2]), label="spans")
-        starts = np.array(data.draw(st.lists(st.integers(0, H - 1), min_size=n_spans, max_size=n_spans)), dtype=np.int64)
-        lengths = np.array(data.draw(st.lists(st.integers(0, 30), min_size=n_spans, max_size=n_spans)), dtype=np.int64)
-        # replications own consecutive spans; some own none
+    def test_matches_the_oracles_span_sums(self, case, data):
+        # each replication's total adds the scalar oracle's span costs in
+        # span order from 0.0; replications own consecutive spans, some none
+        grid, specs, portfolios, starts, lengths = case
+        n_spans = len(starts)
         cuts = sorted(data.draw(st.lists(st.integers(0, n_spans), min_size=0, max_size=4)))
         offsets = np.array([0, *cuts, n_spans], dtype=np.int64)
-        want = crn_estimates_oracle(starts, lengths, offsets, portfolios, specs, grid)
+        span_cost, _ = oracle_dispatch(grid, specs, portfolios, starts, lengths)
+        totals = np.zeros((len(portfolios), len(offsets) - 1))
+        for p, r in itertools.product(range(len(portfolios)), range(len(offsets) - 1)):
+            total = 0.0
+            for m in range(offsets[r], offsets[r + 1]):
+                total += span_cost[m, p]
+            totals[p, r] = total
+        want = sim._mean_stderr(totals)
+        spans = (np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64), offsets)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "DISPATCH_BLOCK_PAIRS", block * len(portfolios))
-            mp.setattr(sim, "_outage_spans", lambda *args: (starts, lengths, offsets))
+            mp.setattr(sim, "_outage_spans", lambda *args: spans)
             got = sim._crn_estimates(None, portfolios, specs, grid, 1.0, np.zeros(len(offsets) - 1))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-
-    def test_a_block_holds_the_budget_in_pairs(self, monkeypatch):
-        # 10 portfolios and a 25-pair budget: blocks of 2 spans, so 5 spans
-        # take three dispatch calls
-        grid = flat_grid([(5.0, 10.0)])
-        specs, kwh = one_unit(8.0, 3.0)
-        portfolios = np.array([kwh] * 10) * np.arange(10)[:, None]
-        calls = []
-        real = sim.dispatch_spans
-        monkeypatch.setattr(sim, "DISPATCH_BLOCK_PAIRS", 25)
-        monkeypatch.setattr(sim, "dispatch_spans", lambda s, n, *rest: calls.append(list(n)) or real(s, n, *rest))
-        spans = (np.arange(5, dtype=np.int64), np.array([1, 4, 2, 5, 3]), np.array([0, 2, 5]))
-        monkeypatch.setattr(sim, "_outage_spans", lambda *args: spans)
-        sim._crn_estimates(None, portfolios, specs, grid, 1.0, np.zeros(2))
-        assert calls == [[5, 4], [3, 2], [1]]
 
 
 class TestMeanStderrParity:
@@ -812,6 +900,29 @@ class TestCostTable:
         saved = tmp_path_factory.getbasetemp() / "parity-saved.csv"
         table.save(saved)
         assert saved.read_bytes() == save_oracle(units, entries, meta).encode()
+
+    @given(
+        units=st.integers(1, 4),
+        levels=st.lists(st.sampled_from([0.0, -0.0, 0.1, 250.0, 1e3, 37.5, 1e-300, 2.0**60]), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_save_writes_the_row_wise_text(self, tmp_path_factory, units, levels, seed, rows):
+        # rows whose kWh was -0.0 are stored as 0.0, and each is written so
+        rng = np.random.default_rng(seed)
+        kwh = np.unique(rng.choice(levels, size=(rows, units)) + 0.0, axis=0)
+        kwh[kwh == 0.0] = rng.choice([0.0, -0.0], size=np.count_nonzero(kwh == 0.0))
+        cost = rng.choice([0.0, -0.0, 1.0 / 3.0, 12.5, 1e-300, 7e22], size=len(kwh)) * rng.random(len(kwh))
+        stderr = rng.choice([0.0, 0.1, 2.0 / 7.0], size=len(kwh))
+        table = CostTable(units=[f"u{i}" for i in range(units)], kwh=kwh, cost=cost, stderr=stderr, meta={"seed": seed})
+        path = tmp_path_factory.getbasetemp() / "column-saved.csv"
+        table.save(path)
+        lines = [sim.METAMODEL_MAGIC + persist.canonical_json(table.meta)]
+        lines.append(",".join([f"cap_u{i}" for i in range(units)] + ["cost", "stderr"]))
+        for row, c, e in zip(table.kwh.tolist(), table.cost.tolist(), table.stderr.tolist()):
+            lines.append(",".join(map(repr, row + [c, e])))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_more_storage_never_costs_more(self, tmp_path):
         # one shared event set across the whole grid: dispatch with a superset

@@ -28,6 +28,7 @@ from outageplan.solver import (
     QTable,
     TrainingSchedule,
     _BLOCK_ROWS,
+    first_max,
     greedy_policy,
     policy_value,
     schedule_at,
@@ -498,6 +499,66 @@ class TestGreedyPolicy:
         values = np.array([[-math.inf, -1.0, -math.inf], [-2.0, -2.0, -math.inf]])
         assert greedy_policy(values).tolist() == [1, 0]
 
+    @staticmethod
+    def numpy_greedy(values):
+        """The numpy scan the compiled one replaced: argmax per row, and the
+        error of the first row whose value at its argmax is not finite."""
+        policy = np.argmax(values, axis=1)
+        bad = np.flatnonzero(~np.isfinite(values[np.arange(len(values)), policy]))
+        if bad.size:
+            return f"row {bad[0]} of the action values has the non-finite maximum {values[bad[0], policy[bad[0]]]}"
+        return policy.tolist()
+
+    @pytest.mark.parametrize("layout", [np.asarray, unaligned], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize("column", ["first", "middle", "last", None], ids=lambda c: f"nan-{c}" if c else "no-nan")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_numpys_argmax(self, layout, column, seed):
+        # ties, -0.0 against 0.0, and infinities; a NaN row among finite
+        # ones, placed in one column; every table is scanned in two blocks
+        rng = np.random.default_rng(seed)
+        menu = [0.0, -0.0, -1.0, -2.5, -math.inf] + [math.inf] * (seed % 2)
+        values = rng.choice(menu, size=(_BLOCK_ROWS + 40, 7))
+        # rows that stay finite up to a late row the NaN or inf may go into
+        values[: _BLOCK_ROWS + 20, 0] = 0.0
+        values[: _BLOCK_ROWS + 20][np.isposinf(values[: _BLOCK_ROWS + 20])] = -1.0
+        if column is not None:
+            values[_BLOCK_ROWS + 3, {"first": 0, "middle": 3, "last": 6}[column]] = math.nan
+        want = self.numpy_greedy(values)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                greedy_policy(layout(values))
+        else:
+            assert greedy_policy(layout(values)).tolist() == want
+
+    @pytest.mark.parametrize("layout", [np.asarray, unaligned], ids=["aligned", "unaligned"])
+    def test_each_row_of_a_random_table_matches_numpys_argmax(self, layout):
+        values = np.random.default_rng(11).choice([0.0, -0.0, -1.0, -2.5, -math.inf, math.inf, math.nan],
+                                                  size=(500, 5), p=[0.3, 0.3, 0.2, 0.1, 0.05, 0.03, 0.02])
+        table = layout(values)
+        for row in range(len(values)):
+            want = self.numpy_greedy(values[row : row + 1])
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=f"^{re.escape(want.replace('row 0 ', f'row {row} '))}$"):
+                    first_max(table[row : row + 1], row)
+            else:
+                assert first_max(table[row : row + 1], row).tolist() == want
+
+    @pytest.mark.parametrize(
+        "values, policy, message",
+        [
+            (np.zeros((4, 3)), np.empty(3, np.int64), "policy must be"),
+            (np.zeros((4, 3)), np.empty(5, np.int64), "policy must be"),
+            (np.zeros((4, 3)), np.empty(4, np.int32), "policy must be"),
+            (np.zeros((4, 6))[:, ::2], np.empty(4, np.int64), "values must be"),
+            (np.zeros((4, 3), np.float32), np.empty(4, np.int64), "values must be"),
+            (np.zeros((4, 0)), np.empty(4, np.int64), "values must be"),
+        ],
+        ids=["policy-too-short", "policy-too-long", "policy-int32", "strided-values", "float32-values", "no-actions"],
+    )
+    def test_the_scan_refuses_before_the_c_kernel(self, values, policy, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _kernels.greedy_rows(values, policy)
+
 
 def qlearn_chunk_oracle(
     q,
@@ -874,7 +935,7 @@ class TestChunkInputs:
 class TestBuild:
     def test_builds_into_an_empty_cache_then_reuses_it(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(_kernels, "_loop", None)
+        monkeypatch.setattr(_kernels, "_lib", None)
         env, schedule = mini_env(), TrainingSchedule(episodes=300, seed=1)
         first = train(env, schedule)
         built = list((tmp_path / "outageplan").iterdir())
@@ -884,33 +945,35 @@ class TestBuild:
             raise AssertionError(f"the compiler ran again: {args}")
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        monkeypatch.setattr(_kernels, "_loop", None)
+        monkeypatch.setattr(_kernels, "_lib", None)
         again = train(env, schedule)
         assert list((tmp_path / "outageplan").iterdir()) == built
         assert again.qtable.values.tobytes() == first.qtable.values.tobytes()
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_source_compiles_without_warnings(self, tmp_path):
-        source = resources.files("outageplan").joinpath("_qloop.c")
+        source = resources.files("outageplan").joinpath("_kernels.c")
         flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-ffp-contract=off", "-fPIC", "-shared"]
         proc = subprocess.run(
-            ["cc", *flags, str(source), "-o", str(tmp_path / "qloop.so")], capture_output=True, text=True
+            ["cc", *flags, str(source), "-o", str(tmp_path / "kernels.so")], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_argtypes_match_the_c_prototype(self):
+    @pytest.mark.parametrize("name", ["qlearn_episodes", "dispatch_spans", "greedy_rows"])
+    def test_argtypes_match_the_c_prototype(self, name):
         # a parameter ctypes does not declare shifts every later argument
-        source = resources.files("outageplan").joinpath("_qloop.c").read_text()
-        params = re.search(r"\bvoid qlearn_episodes\(([^)]*)\)", source).group(1).split(",")
-        ctype = {"ptr": ctypes.c_void_p, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
-        want = [ctype["ptr" if "*" in p else p.split()[0]] for p in params]
-        assert _kernels._episode_loop().argtypes == want
-        assert _kernels._episode_loop().restype is None
+        source = resources.files("outageplan").joinpath("_kernels.c").read_text()
+        restype, params = re.search(rf"^(void|int64_t) {name}\(([^)]*)\)", source, re.M).groups()
+        ctype = {"ptr": ctypes.c_void_p, "int64_t": ctypes.c_int64, "double": ctypes.c_double, "void": None}
+        want = [ctype["ptr" if "*" in p else p.split()[0]] for p in params.split(",")]
+        fn = getattr(_kernels._library(), name)
+        assert fn.argtypes == want
+        assert fn.restype is ctype[restype]
 
     def test_missing_compiler(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-        monkeypatch.setattr(_kernels, "_loop", None)
+        monkeypatch.setattr(_kernels, "_lib", None)
         with pytest.raises(OutagePlanError, match=f"cannot run the C compiler 'cc' .* into {re.escape(str(tmp_path / 'outageplan'))}"):
             train(mini_env(), TrainingSchedule(episodes=10))
         assert list((tmp_path / "outageplan").iterdir()) == []
@@ -918,7 +981,7 @@ class TestBuild:
     def test_failed_build_names_the_compiler_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(_kernels, "CFLAGS", _kernels.CFLAGS + ("-fno-such-flag",))
-        monkeypatch.setattr(_kernels, "_loop", None)
+        monkeypatch.setattr(_kernels, "_lib", None)
         with pytest.raises(OutagePlanError, match=f"the C compiler 'cc' failed .* into {re.escape(str(tmp_path / 'outageplan'))}: .*no-such-flag"):
             train(mini_env(), TrainingSchedule(episodes=10))
         assert list((tmp_path / "outageplan").iterdir()) == []
@@ -927,7 +990,7 @@ class TestBuild:
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        monkeypatch.setattr(_kernels, "_loop", None)
+        monkeypatch.setattr(_kernels, "_lib", None)
         with pytest.raises(OutagePlanError, match=f"cannot write the compiled-kernel cache {re.escape(str(blocker / 'outageplan'))} .*XDG_CACHE_HOME"):
             train(mini_env(), TrainingSchedule(episodes=10))
 
