@@ -1,7 +1,8 @@
-/* The compiled kernels behind outageplan._kernels: the Q-learning episode
- * loop, islanding dispatch and the greedy row scan. Each indexes its arrays
- * without bounds checks; the Python wrapper of each checks every shape,
- * dtype and index range first.
+/* The four compiled kernels behind outageplan._kernels: the Q-learning
+ * episode loop, islanding dispatch, the greedy row scan and one period of
+ * the exact solver's backward induction. Each indexes its arrays without
+ * bounds checks; the Python wrapper of each checks every shape, dtype and
+ * index range first.
  *
  * Build without FMA contraction (-ffp-contract=off) and without
  * -ffast-math, so every value rounds as in the reference loops the tests
@@ -263,4 +264,65 @@ int64_t greedy_rows(const void *values, int64_t n_rows, int64_t n_actions,
         policy[i] = best;
     }
     return n_rows;
+}
+
+/* One period of the exact solver's backward induction, behind
+ * backward_period in outageplan._kernels.
+ *
+ * The period stores n_combos price combos, combos[0..) in [0, p_full), each
+ * with capacities c < c_count; its state (i, c) is row i * c_count + c.
+ * Action a of capacity c leads to cap_next[c * n_actions + a], and its
+ * value at combo p is
+ *
+ *     (-invest[p * n_actions + a]) - cost_of_cap[c2] + next,
+ *
+ * where next is gamma * expectation[p * width + c2], or 0.0 with no
+ * expectation (the last period, whose terminal values are zero: adding
+ * 0.0 turns a -0.0 into +0.0 as the expectation of zeros would). With no
+ * policy every action is taken, its value is written to values, (rows,
+ * n_actions) row-major, and v_next[p * c_count + c] is the row's first
+ * maximum, or a NaN if the row holds one, as numpy's max (which may pick
+ * either zero of a +0.0/-0.0 tie; only the do-nothing action can score
+ * zero, every install costing more, so no row holds one); with a policy,
+ * one action per row, v_next is that action's value and values is not
+ * read. v_next is (p_full, c_count) row-major, and only the period's
+ * combos' rows are written.
+ *
+ * The float operations and their order are those of the numpy expression
+ * ((-invest) - cost) + gamma * expectation, which tests/test_solver.py
+ * keeps as the reference.
+ */
+void backward_period(int64_t n_combos, const int64_t *combos, int64_t c_count,
+                     int64_t n_actions, const int64_t *policy,
+                     const int64_t *cap_next, const double *invest,
+                     const double *cost_of_cap, const double *expectation,
+                     int64_t width, double gamma, double *values,
+                     double *v_next)
+{
+    for (int64_t i = 0; i < n_combos; i++) {
+        const int64_t p = combos[i];
+        const double *spend = invest + p * n_actions;
+        const double *ev = expectation ? expectation + p * width : NULL;
+        double *v = v_next + p * c_count;
+        for (int64_t c = 0; c < c_count; c++) {
+            const int64_t row = i * c_count + c;
+            const int64_t *grow = cap_next + c * n_actions;
+            if (policy) {
+                int64_t a = policy[row], c2 = grow[a];
+                double next = ev ? gamma * ev[c2] : 0.0;
+                v[c] = (-spend[a] - cost_of_cap[c2]) + next;
+                continue;
+            }
+            double *q = values + row * n_actions, top = 0.0;
+            for (int64_t a = 0; a < n_actions; a++) {
+                int64_t c2 = grow[a];
+                double next = ev ? gamma * ev[c2] : 0.0;
+                double x = (-spend[a] - cost_of_cap[c2]) + next;
+                q[a] = x;
+                if (a == 0 || x > top || isnan(x))
+                    top = x;
+            }
+            v[c] = top;
+        }
+    }
 }

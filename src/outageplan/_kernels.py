@@ -1,5 +1,6 @@
-"""The compiled kernels: the Q-learning episode loop, islanding dispatch and
-the greedy row scan.
+"""The four compiled kernels: the Q-learning episode loop, islanding
+dispatch, the greedy row scan and one period of the exact solver's backward
+induction.
 
 All randomness is pre-drawn by the caller, so a fixed seed reproduces every
 result bit for bit. The episode loop is C (`_kernels.c`): it reads each step's
@@ -8,9 +9,12 @@ digits itself and updates the stored Q-table rows in place, appending a
 state's row to the store at its first update. Dispatch walks each outage
 span's hours and, per hour, every portfolio's units and load classes. The
 row scan takes each row's first maximum with the same strict `>` scan the
-episode loop uses. The float operations of each kernel and their order are
-those of a plain scalar loop over the arrays, which `tests/test_solver.py`
-and `tests/test_simulate.py` keep as the references.
+episode loop uses. The backward period scores every action, or a fixed
+policy's one action, of each stored state of a period against the next
+period's price expectation. The float operations of each kernel and their
+order are those of a plain scalar loop or numpy expression over the arrays,
+which `tests/test_solver.py` and `tests/test_simulate.py` keep as the
+references.
 
 The C source is compiled with the system's `cc` on first use into
 `${XDG_CACHE_HOME:-~/.cache}/outageplan/`, under a name keyed by the source's
@@ -107,6 +111,7 @@ def _library():
             ),
             "dispatch_spans": ([i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr], None),
             "greedy_rows": ([ptr, i64, i64, ptr], i64),
+            "backward_period": ([i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, i64, f64, ptr, ptr], None),
         }
         try:
             lib = ctypes.CDLL(str(path))
@@ -181,8 +186,10 @@ def qlearn_chunk(q, visits, slots, n_used, tables, gamma, uniforms, alphas, epsi
 
 
 def _is_buffer(a, shape, dtype=np.float64) -> bool:
-    """Whether `a` is a C-contiguous, aligned ndarray of `shape` and `dtype`."""
-    return isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape and a.flags.carray
+    """Whether `a` is a C-contiguous, aligned ndarray of `shape` and `dtype`,
+    writable or not."""
+    return (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+            and a.flags.c_contiguous and a.flags.aligned)
 
 
 def dispatch(starts, lengths, deliverable, power_cap, demand, pv, class_order, voll, left, cost, unserved=None):
@@ -248,3 +255,66 @@ def greedy_rows(values, policy) -> int:
     if not (_is_buffer(policy, values.shape[:1], np.int64) and policy.flags.writeable):
         raise ValueError(f"policy must be a C-contiguous, aligned, writable int64 array of shape ({len(values)},)")
     return _library().greedy_rows(values.ctypes.data, len(values), values.shape[1], policy.ctypes.data)
+
+
+def backward_period(combos, cap_next, invest, cost_of_cap, expectation, gamma, v_next, values=None, policy=None):
+    """One period of backward induction over its stored states, the price
+    combos `combos` times the capacities c < C_t, C_t being `v_next`'s
+    width; see `outageplan.solver._backward`.
+
+    Exactly one of `values` and `policy` is given. With `values`, a writable
+    (states, actions) float64 array of the period's rows, every action is
+    scored into it and `v_next[p, c]` is its row's first maximum; with
+    `policy`, int64 actions in [0, actions) for the period's rows,
+    `v_next[p, c]` is that action's value. `combos` is int64 in [0, p_full),
+    `invest` (p_full, actions) and `cost_of_cap` 1-D float64, `cap_next` an
+    int64 (>= C_t, actions) table whose first C_t rows lie in
+    [0, len(cost_of_cap)) and within `expectation`'s width, and
+    `expectation` the next period's (p_full, width) float64 expectation, or
+    None at the last period. `v_next` is (p_full, C_t) float64 and writable;
+    rows of combos outside `combos` are left as they are. Every array must
+    be C-contiguous and aligned; ValueError otherwise, before the C kernel
+    runs."""
+    shape = np.shape(invest) if np.ndim(invest) == 2 else (-1, -1)
+    if not (_is_buffer(invest, shape) and shape[1] > 0):
+        raise ValueError("invest must be a C-contiguous, aligned float64 array of shape (p_full, actions >= 1)")
+    p_full, n_actions = shape
+    c_count = np.shape(v_next)[1] if np.ndim(v_next) == 2 else -1
+    if not (_is_buffer(v_next, (p_full, c_count)) and v_next.flags.writeable):
+        raise ValueError(f"v_next must be a C-contiguous, aligned, writable float64 array of shape ({p_full}, C_t)")
+    n_combos = len(combos) if np.ndim(combos) == 1 else -1
+    if not _is_buffer(combos, (n_combos,), np.int64):
+        raise ValueError("combos must be a C-contiguous, aligned 1-D int64 array")
+    if n_combos and not (combos.min() >= 0 and combos.max() < p_full):
+        raise ValueError(f"combos must lie in [0, {p_full}), the price combos of invest")
+    if not _is_buffer(cost_of_cap, (len(cost_of_cap) if np.ndim(cost_of_cap) == 1 else -1,)):
+        raise ValueError("cost_of_cap must be a C-contiguous, aligned 1-D float64 array")
+    bound, width = len(cost_of_cap), 0
+    if expectation is not None:
+        width = np.shape(expectation)[1] if np.ndim(expectation) == 2 else -1
+        if not _is_buffer(expectation, (p_full, width)):
+            raise ValueError(f"expectation must be a C-contiguous, aligned float64 array of shape ({p_full}, width)")
+        bound = min(bound, width)
+    rows = len(cap_next) if np.ndim(cap_next) == 2 else -1
+    if not (_is_buffer(cap_next, (rows, n_actions), np.int64) and rows >= c_count):
+        raise ValueError(f"cap_next must be a C-contiguous, aligned int64 array of shape (>= {c_count}, {n_actions})")
+    grown = cap_next[:c_count]
+    if c_count and not (grown.min() >= 0 and grown.max() < bound):
+        raise ValueError(f"cap_next's first {c_count} rows must lie in [0, {bound}), the capacities that "
+                         "cost_of_cap and the expectation cover")
+    states = n_combos * c_count
+    if (values is None) == (policy is None):
+        raise ValueError("give exactly one of values and policy")
+    if values is not None and not (_is_buffer(values, (states, n_actions)) and values.flags.writeable):
+        raise ValueError(f"values must be a C-contiguous, aligned, writable float64 array of shape ({states}, {n_actions})")
+    if policy is not None:
+        if not _is_buffer(policy, (states,), np.int64):
+            raise ValueError(f"policy must be a C-contiguous, aligned int64 array of shape ({states},)")
+        if states and not (policy.min() >= 0 and policy.max() < n_actions):
+            raise ValueError(f"policy actions must lie in [0, {n_actions})")
+    _library().backward_period(
+        n_combos, combos.ctypes.data, c_count, n_actions, None if policy is None else policy.ctypes.data,
+        cap_next.ctypes.data, invest.ctypes.data, cost_of_cap.ctypes.data,
+        None if expectation is None else expectation.ctypes.data, width, float(gamma),
+        None if values is None else values.ctypes.data, v_next.ctypes.data,
+    )

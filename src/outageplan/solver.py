@@ -20,8 +20,8 @@ the learned policy is judged against, and over one action per state the
 value of a fixed policy, so the optimum's greedy policy replays its value
 bit for bit. The terminal values are zero, so the last period takes no
 expectation. Its action values sit on the codec's rows like a Q-table's,
-and one first-maximum argmax gives the greedy policy of either. It fills
-each period a block of price combos at a time.
+and one first-maximum argmax gives the greedy policy of either. Each
+period is one call of the compiled backward-period kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from outageplan import persist
-from outageplan._kernels import greedy_rows, qlearn_chunk
+from outageplan._kernels import backward_period, greedy_rows, qlearn_chunk
 from outageplan.errors import ArtifactMismatchError
 from outageplan.mdp import PlanningEnv, row_index
 
@@ -42,8 +42,7 @@ CONVERGENCE_EPOCH = 10_000
 # an int32 visit count; a state holds its period, so an episode adds at
 # most one visit to any (state, action) pair
 MAX_EPISODES = 2**31 - 1
-# rows per block of the greedy argmax and of each backward-induction period,
-# about 0.85 MB of a 13-action table
+# rows per block of the greedy argmax, about 0.85 MB of a 13-action table
 _BLOCK_ROWS = 8192
 
 QTABLE_FORMAT = "outageplan-qtable"
@@ -89,8 +88,13 @@ class TrainingSchedule:
             raise ValueError("alpha must not grow over training")
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon must not grow over training")
-        if not 0 <= self.gamma <= 1:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        _check_gamma(self.gamma)
+
+
+def _check_gamma(gamma: float) -> None:
+    """ValueError unless the discount `gamma` is in [0, 1]; NaN is not."""
+    if not 0 <= gamma <= 1:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
 
 
 def schedule_at(schedule: TrainingSchedule, episode: int | np.ndarray) -> tuple:
@@ -380,23 +384,35 @@ class ExactSolution:
 
 
 def _price_expectation(env: PlanningEnv, v_next: np.ndarray) -> np.ndarray:
-    """E[V(p', .) | p] over the factorized per-unit price transitions."""
+    """E[V(p', .) | p] over the factorized per-unit price transitions.
+
+    Per unit, one np.dot of its chain matrix with the grid's axis of that
+    unit moved first, as np.tensordot takes it: the moved grid is copied
+    into one reused buffer and the dot writes into the other, so the
+    expectation holds two grids beside `v_next`. The result is the first
+    buffer, (p_full, width)."""
     codec = env.codec
     shape = tuple(int(n) for n in codec.ladder_sizes) + (v_next.shape[1],)
-    out = v_next.reshape(shape)
+    moved, product = np.empty(v_next.size), np.empty(v_next.size)
+    grid = v_next.reshape(shape)
     for u, entry in enumerate(env.catalog):
-        mat = entry.chain.transition_matrix()
-        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [u])), 0, u)
-    return out.reshape(codec.p_full, v_next.shape[1])
+        order = (u,) + tuple(axis for axis in range(len(shape)) if axis != u)
+        dims = tuple(shape[axis] for axis in order)
+        np.copyto(moved.reshape(dims), grid.transpose(order))
+        np.dot(entry.chain.transition_matrix(), moved.reshape(shape[u], -1), out=product.reshape(shape[u], -1))
+        grid = np.moveaxis(product.reshape(dims), 0, u)
+    np.copyto(moved.reshape(shape), grid)
+    return moved.reshape(codec.p_full, v_next.shape[1])
 
 
-def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> ExactSolution:
-    """Finite-horizon backward induction over the stored states. With no
-    policy every state takes every action and its row holds all action
-    values; with one action per codec row each state takes only its own,
-    and its row holds that action's value. Each period's values are written
-    in place through a (combos, C_t, actions) view of its block of rows, a
-    block of price combos at a time, so every gather is of one block.
+def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> tuple[np.ndarray | None, float]:
+    """Finite-horizon backward induction over the stored states: the
+    action values and the start state's value. With no policy every state
+    takes every action and its row holds all action values; with one int64
+    action per codec row each state takes only its own, no action values
+    are kept (None), and policy mode holds only the next-period grid. Each
+    period is one `backward_period` call over all of its stored states, with
+    no block loop and no gathered copies.
 
     The next-period values stay on the full price grid, which the price
     expectation needs, and are zero at combos that no stored state reaches:
@@ -406,32 +422,20 @@ def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> Exac
         raise RuntimeError("attach a metamodel before backward induction")
     codec = env.codec
     invest = env.invest_table()
-    cost_of_cap = env._cost_of_cap
-    values = np.empty((codec.n_states, codec.n_actions if policy is None else 1))
+    values = np.empty((codec.n_states, codec.n_actions)) if policy is None else None
+    v_next = None
     for t in range(env.horizon - 1, -1, -1):
         combos = codec.period_combos[t]
-        c_count = codec.cap_count_at(t)
-        period = slice(codec.block_starts[t], codec.block_starts[t] + len(combos) * c_count)
-        q_period = values[period].reshape(len(combos), c_count, -1)
-        expectation = None if t == env.horizon - 1 else _price_expectation(env, v_next)
-        v_next = np.zeros((codec.p_full, c_count))
-        step = max(_BLOCK_ROWS // c_count, 1)
-        for first in range(0, len(combos), step):
-            part = slice(first, first + step)
-            q_t = q_period[part]
-            if policy is None:
-                acts = np.arange(codec.n_actions)[None, None, :]
-            else:
-                acts = policy[period].reshape(len(combos), c_count, 1)[part]
-            rows = combos[part, None, None]
-            cap2 = codec.cap_next[np.arange(c_count)[None, :, None], acts]
-            np.subtract(-invest[rows, acts], cost_of_cap[cap2], out=q_t)
-            if expectation is None:
-                q_t += 0.0  # the terminal value is zero; this turns -0.0 into +0.0 as its expectation would
-            else:
-                q_t += gamma * expectation[rows, cap2]
-            v_next[combos[part]] = q_t.max(axis=2) if policy is None else q_t[:, :, 0]
-    return ExactSolution(values, float(v_next[0, 0]))
+        period = slice(codec.block_starts[t], codec.block_starts[t] + len(combos) * codec.cap_count_at(t))
+        expectation = None if v_next is None else _price_expectation(env, v_next)
+        v_next = np.zeros((codec.p_full, codec.cap_count_at(t)))
+        backward_period(combos, codec.cap_next, invest, env._cost_of_cap, expectation, gamma, v_next,
+                        values=None if values is None else values[period],
+                        policy=None if policy is None else policy[period])
+        # the expectation is rebuilt from v_next; holding this one while the
+        # next is built would add a grid to the peak
+        del expectation
+    return values, float(v_next[0, 0])
 
 
 def value_iteration(env: PlanningEnv, gamma: float = 1.0, max_states: int = 2_000_000) -> ExactSolution:
@@ -439,17 +443,20 @@ def value_iteration(env: PlanningEnv, gamma: float = 1.0, max_states: int = 2_00
 
     Refuses instances that store more than max_states non-terminal states.
     """
+    _check_gamma(gamma)
     if env.codec.n_states > max_states:
         raise ValueError(
             f"state space has {env.codec.n_states} states, above the enumeration cap {max_states}"
         )
-    return _backward(env, gamma, None)
+    return ExactSolution(*_backward(env, gamma, None))
 
 
 def policy_value(env: PlanningEnv, policy: np.ndarray, gamma: float = 1.0) -> float:
     """Exact expected return of a fixed policy given per-row action indices
-    aligned with the codec's state enumeration. ValueError for a policy that
-    is not integer, or naming the first row whose action is outside [0, n_actions)."""
+    aligned with the codec's state enumeration. ValueError for a gamma
+    outside [0, 1], a policy that is not integer, or naming the first row
+    whose action is outside [0, n_actions)."""
+    _check_gamma(gamma)
     codec = env.codec
     if policy.shape != (codec.n_states,):
         raise ValueError(f"policy must have shape ({codec.n_states},)")
@@ -458,4 +465,4 @@ def policy_value(env: PlanningEnv, policy: np.ndarray, gamma: float = 1.0) -> fl
     bad = np.flatnonzero((policy < 0) | (policy >= codec.n_actions))
     if bad.size:
         raise ValueError(f"row {bad[0]} of the policy holds action {policy[bad[0]]}, outside [0, {codec.n_actions})")
-    return _backward(env, gamma, policy).expected_return()
+    return _backward(env, gamma, np.asarray(policy, np.int64))[1]

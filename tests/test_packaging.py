@@ -50,7 +50,7 @@ def test_kernel_source_is_package_data():
     assert "_kernels.c" in package_data
     source = resources.files("outageplan").joinpath("_kernels.c")
     assert source.is_file()
-    assert all(name in source.read_bytes() for name in (b"qlearn_episodes", b"dispatch_spans", b"greedy_rows"))
+    assert all(name in source.read_bytes() for name in (b"qlearn_episodes", b"dispatch_spans", b"greedy_rows", b"backward_period"))
 
 
 def test_no_unused_module_imports():

@@ -213,6 +213,38 @@ class TestExactSolver:
         assert sol.values.shape == (env.codec.n_states, env.codec.n_actions)
         assert peak < 1.4 * table_bytes
 
+    def test_policy_value_memory_stays_near_three_grid_tables(self):
+        # policy mode keeps no action values: the next-period grid, and while
+        # the expectation is built, its two buffers. Holding the previous
+        # expectation, the gathers or a (states, 1) values array pushes the
+        # peak past the bound
+        env = metamodel_env("casestudy-superposed")
+        codec = env.codec
+        policy = value_iteration(env).greedy_policy()
+        grid_bytes = codec.p_full * codec.cap_count_at(env.horizon - 1) * 8
+        tracemalloc.start()
+        try:
+            value = policy_value(env, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak < 3.5 * grid_bytes
+
+    @pytest.mark.parametrize("gamma", [math.nan, -0.5, 1.5, math.inf])
+    def test_refuses_a_gamma_outside_the_unit_interval(self, gamma):
+        # a NaN, an infinite or an out-of-range discount gave NaN, -inf or a
+        # plausible value
+        env = metamodel_env("tiny")
+        policy = np.zeros(env.codec.n_states, dtype=np.int64)
+        message = rf"^gamma must be in \[0, 1\], got {re.escape(str(gamma))}$"
+        with pytest.raises(ValueError, match=message):
+            value_iteration(env, gamma=gamma)
+        with pytest.raises(ValueError, match=message):
+            policy_value(env, policy, gamma=gamma)
+        with pytest.raises(ValueError, match=message):
+            TrainingSchedule(episodes=10, gamma=gamma)
+
     def test_discount_shrinks_future_weight(self):
         env = mini_env(horizon=2)
         full = value_iteration(env, gamma=1.0).expected_return()
@@ -277,6 +309,18 @@ class TestExactSolver:
             policy_value(env, np.zeros(env.codec.n_states))
 
 
+def price_expectation_oracle(env, v_next):
+    """E[V(p', .) | p] as one np.tensordot per unit, each result moved back
+    to its unit's axis: `_price_expectation` must match byte for byte."""
+    codec = env.codec
+    shape = tuple(int(n) for n in codec.ladder_sizes) + (v_next.shape[1],)
+    out = v_next.reshape(shape)
+    for u, entry in enumerate(env.catalog):
+        mat = entry.chain.transition_matrix()
+        out = np.moveaxis(np.tensordot(mat, out, axes=([1], [u])), 0, u)
+    return out.reshape(codec.p_full, v_next.shape[1])
+
+
 def value_iteration_oracle(env, gamma):
     """Backward induction that takes the price expectation at every period,
     the all-zero terminal values included: the reference `value_iteration`
@@ -287,7 +331,7 @@ def value_iteration_oracle(env, gamma):
     v_next = np.zeros((codec.p_full, codec.cap_count_at(env.horizon)))
     for t in range(env.horizon - 1, -1, -1):
         cap_next = codec.cap_next[: codec.cap_count_at(t)]
-        ev = _price_expectation(env, v_next)
+        ev = price_expectation_oracle(env, v_next)
         q_t = -invest[:, None, :] - env._cost_of_cap[cap_next][None, :, :] + gamma * ev[:, cap_next]
         q_per_period[t], v_per_period[t] = q_t, q_t.max(axis=2)
         v_next = v_per_period[t]
@@ -305,7 +349,7 @@ def policy_value_oracle(env, policy, gamma):
         start = codec.block_starts[t]
         actions = np.zeros((codec.p_full, c_count), dtype=np.int64)
         actions[combos, :] = policy[start : start + len(combos) * c_count].reshape(len(combos), c_count)
-        ev = _price_expectation(env, v_next)
+        ev = price_expectation_oracle(env, v_next)
         cap2 = codec.cap_next[np.arange(c_count)[None, :], actions]
         rows = np.arange(codec.p_full)[:, None]
         v_next = -invest[rows, actions] - env._cost_of_cap[cap2] + gamma * ev[rows, cap2]
@@ -339,6 +383,27 @@ class TestExactSolverOracle:
         if name == "tiny-zero-cost":
             last = sol.values[codec.block_starts[-1] :]
             assert not np.signbit(last[last == 0.0]).any() and (last == 0.0).any()
+
+    @given(
+        name=st.sampled_from(["tiny", "casestudy-single", "tiny-zero-cost", "unequal-ladders"]),
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 60),
+        zero_columns=st.lists(st.integers(0, 59), max_size=4),
+        negative_zero=st.sampled_from([0.0, 0.1, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_price_expectation_matches_the_tensordot_chain(self, name, seed, width, zero_columns, negative_zero):
+        # the reused buffers feed each unit's np.dot the same bytes in the
+        # same layout as np.tensordot; -0.0 and all-zero columns keep the
+        # sign of each zero product visible
+        env = named_env(name)
+        rng = np.random.default_rng(seed)
+        v_next = -rng.exponential(1e5, size=(env.codec.p_full, width))
+        v_next[rng.random(v_next.shape) < negative_zero] = -0.0
+        v_next[:, [c for c in zero_columns if c < width]] = 0.0
+        got, want = _price_expectation(env, v_next), price_expectation_oracle(env, v_next)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTraining:
@@ -932,6 +997,119 @@ class TestChunkInputs:
         assert 3 < n_used <= 3 + chunk and visits.sum() == episodes * tables.horizon
 
 
+def backward_arguments(mode):
+    """The arguments of one `backward_period` call over the middle period of
+    a 3-period mini_env, which takes an expectation, in value-iteration
+    ("values") or "policy" mode; the outputs are filled with NaN."""
+    env = mini_env(horizon=3)
+    codec = env.codec
+    c_count, states = codec.cap_count_at(1), len(codec.period_combos[1]) * codec.cap_count_at(1)
+    args = {
+        "combos": codec.period_combos[1],
+        "cap_next": codec.cap_next,
+        "invest": env.invest_table(),
+        "cost_of_cap": env._cost_of_cap,
+        "expectation": -np.random.default_rng(0).exponential(1e5, (codec.p_full, codec.cap_count_at(2))),
+        "gamma": 0.9,
+        "v_next": np.full((codec.p_full, c_count), math.nan),
+    }
+    if mode == "values":
+        args["values"] = np.full((states, codec.n_actions), math.nan)
+    else:
+        args["policy"] = np.arange(states, dtype=np.int64) % codec.n_actions
+    return args
+
+
+def read_only(a):
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+
+
+class TestBackwardKernelGuards:
+    # the kernel indexes without bounds checks: each of these would read or
+    # write outside an array. (mode, edit of the arguments, refusal)
+    BAD = {
+        "invest-float32": ("values", lambda a: a.update(invest=a["invest"].astype(np.float32)), "invest must be"),
+        "invest-fortran-order": ("values", lambda a: a.update(invest=np.asfortranarray(a["invest"])),
+                                 "invest must be"),
+        "invest-no-actions": ("values", lambda a: a.update(invest=a["invest"][:, :0].copy()), "invest must be"),
+        "v-next-a-combo-short": ("values", lambda a: a.update(v_next=a["v_next"][:-1].copy()), "v_next must be"),
+        "v-next-read-only": ("policy", lambda a: a.update(v_next=read_only(a["v_next"])), "v_next must be"),
+        "combos-int32": ("values", lambda a: a.update(combos=a["combos"].astype(np.int32)), "combos must be"),
+        "combos-strided": ("values", lambda a: a.update(combos=np.repeat(a["combos"], 2)[::2]), "combos must be"),
+        "combo-negative": ("policy", lambda a: a.update(combos=np.where(a["combos"] == 1, -1, a["combos"])),
+                           "combos must lie"),
+        "combo-past-the-grid": ("values", lambda a: a.update(combos=a["combos"] + len(a["invest"]) - 1),
+                                "combos must lie"),
+        "cost-of-cap-2-d": ("values", lambda a: a.update(cost_of_cap=a["cost_of_cap"][:, None]),
+                            "cost_of_cap must be"),
+        "cost-of-cap-short": ("values", lambda a: a.update(cost_of_cap=a["cost_of_cap"][:3].copy()),
+                              "cap_next's first"),
+        "expectation-a-combo-short": ("values", lambda a: a.update(expectation=a["expectation"][:-1].copy()),
+                                      "expectation must be"),
+        "expectation-float32": ("policy", lambda a: a.update(expectation=a["expectation"].astype(np.float32)),
+                                "expectation must be"),
+        "cap-next-a-row-short": ("values", lambda a: a.update(cap_next=a["cap_next"][:1].copy()), "cap_next must be"),
+        "cap-next-int32": ("values", lambda a: a.update(cap_next=a["cap_next"].astype(np.int32)), "cap_next must be"),
+        "cap-next-negative": ("policy", lambda a: a.update(cap_next=np.where(a["cap_next"] == 2, -1, a["cap_next"])),
+                              "cap_next's first"),
+        "cap-next-at-the-expectation-width": (
+            "values", lambda a: a.update(expectation=np.ascontiguousarray(a["expectation"][:, :-1])), "cap_next's first"
+        ),
+        "values-a-row-short": ("values", lambda a: a.update(values=a["values"][:-1].copy()), "values must be"),
+        "values-read-only": ("values", lambda a: a.update(values=read_only(a["values"])), "values must be"),
+        "policy-action-negative": ("policy", lambda a: a.update(policy=a["policy"] - 1), "policy actions must lie"),
+        "policy-action-n-actions": ("policy", lambda a: a.update(policy=a["policy"] + 1), "policy actions must lie"),
+        "policy-int32": ("policy", lambda a: a.update(policy=a["policy"].astype(np.int32)), "policy must be"),
+        "policy-a-row-short": ("policy", lambda a: a.update(policy=a["policy"][:-1].copy()), "policy must be"),
+        "values-and-policy": ("values", lambda a: a.update(policy=np.zeros(len(a["values"]), np.int64)),
+                              "give exactly one"),
+        "neither-values-nor-policy": ("values", lambda a: a.pop("values"), "give exactly one"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_refuses_before_the_c_kernel(self, case, monkeypatch):
+        mode, edit, message = self.BAD[case]
+        args = backward_arguments(mode)
+        edit(args)
+        with monkeypatch.context() as patched:
+            patched.setattr(_kernels, "_library", lambda: pytest.fail("a pointer reached the C kernel"))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                _kernels.backward_period(**args)
+        assert np.isnan(args["v_next"]).all() and np.isnan(args.get("values", math.nan)).all()
+        # the same call runs with the valid arguments: it writes the
+        # period's combos and leaves the other rows of the grid as they are
+        valid = backward_arguments(mode)
+        _kernels.backward_period(**valid)
+        reached = np.zeros(len(valid["v_next"]), bool)
+        reached[valid["combos"]] = True
+        assert np.isfinite(valid["v_next"][reached]).all() and np.isnan(valid["v_next"][~reached]).all()
+        assert np.isfinite(valid.get("values", 0.0)).all()
+
+
+class TestBackwardKernel:
+    @pytest.mark.parametrize("nan_at", [None, 0, 2, 4], ids=["finite", "nan-first", "nan-middle", "nan-last"])
+    def test_matches_the_numpy_expression(self, nan_at):
+        # a NaN in the expectation of one action of capacity 2 makes its
+        # row's maximum NaN, as numpy's max
+        args = backward_arguments("values")
+        codec = mini_env(horizon=3).codec
+        if nan_at is not None:
+            args["expectation"][:, codec.cap_next[2, nan_at]] = math.nan
+        combos, c_count = args["combos"], args["v_next"].shape[1]
+        cap2 = codec.cap_next[:c_count]
+        q = (-args["invest"][combos][:, None, :] - args["cost_of_cap"][cap2][None, :, :]
+             + args["gamma"] * args["expectation"][combos][:, cap2])
+        _kernels.backward_period(**args)
+        assert args["values"].tobytes() == q.reshape(args["values"].shape).tobytes()
+        assert np.array_equal(args["v_next"][combos], q.max(axis=2), equal_nan=True)
+        assert np.isnan(args["v_next"][combos]).any() == (nan_at is not None)
+        policy = backward_arguments("policy")
+        policy["expectation"] = args["expectation"]
+        _kernels.backward_period(**policy)
+        chosen = np.take_along_axis(q, policy["policy"].reshape(len(combos), c_count, 1), axis=2)[:, :, 0]
+        assert policy["v_next"][combos].tobytes() == chosen.tobytes()
+
+
 class TestBuild:
     def test_builds_into_an_empty_cache_then_reuses_it(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -959,7 +1137,7 @@ class TestBuild:
         )
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("name", ["qlearn_episodes", "dispatch_spans", "greedy_rows"])
+    @pytest.mark.parametrize("name", ["qlearn_episodes", "dispatch_spans", "greedy_rows", "backward_period"])
     def test_argtypes_match_the_c_prototype(self, name):
         # a parameter ctypes does not declare shifts every later argument
         source = resources.files("outageplan").joinpath("_kernels.c").read_text()
