@@ -264,7 +264,8 @@ def backward_period(combos, cap_next, invest, cost_of_cap, expectation, gamma, v
 
     Exactly one of `values` and `policy` is given. With `values`, a writable
     (states, actions) float64 array of the period's rows, every action is
-    scored into it and `v_next[p, c]` is its row's first maximum; with
+    scored into it and `v_next[p, c]` is its row's first maximum, or NaN
+    if the row holds one, as numpy's max; with
     `policy`, int64 actions in [0, actions) for the period's rows,
     `v_next[p, c]` is that action's value. `combos` is int64 in [0, p_full),
     `invest` (p_full, actions) and `cost_of_cap` 1-D float64, `cap_next` an

@@ -1026,7 +1026,8 @@ def read_only(a):
 
 class TestBackwardKernelGuards:
     # the kernel indexes without bounds checks: each of these would read or
-    # write outside an array. (mode, edit of the arguments, refusal)
+    # write outside an array, or read one as another dtype or mode.
+    # (mode, edit of the arguments, refusal)
     BAD = {
         "invest-float32": ("values", lambda a: a.update(invest=a["invest"].astype(np.float32)), "invest must be"),
         "invest-fortran-order": ("values", lambda a: a.update(invest=np.asfortranarray(a["invest"])),
