@@ -48,6 +48,26 @@ static double minimum(double a, double b)
     return b < a ? b : a;
 }
 
+/* numpy's PCG64 (PCG XSL RR 128/64): the 128-bit LCG multiplier, one step
+ * of the LCG with its output, and a float64 uniform on [0, 1) from the top
+ * 53 bits of an output, as numpy's Generator.random and outageplan.pcg64
+ * draw it. */
+typedef unsigned __int128 u128;
+#define PCG_MULTIPLIER (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+
+static inline uint64_t pcg_next64(u128 *state, u128 inc)
+{
+    *state = *state * PCG_MULTIPLIER + inc;
+    uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    unsigned rot = (unsigned)(*state >> 122);
+    return (x >> rot) | (x << ((64u - rot) & 63u));
+}
+
+static inline double pcg_uniform(u128 *state, u128 inc)
+{
+    return (double)(pcg_next64(state, inc) >> 11) * (1.0 / 9007199254740992.0);
+}
+
 /* The episode loop of qlearn_chunk.
  *
  * Plays n_episodes epsilon-greedy Q-learning episodes of `horizon` steps,
@@ -58,13 +78,20 @@ static double minimum(double a, double b)
  * the store rows from *n_used on must be zero; a next state that was never
  * updated reads as the max of an all-zero row, 0.0. A state holds its
  * period, so an episode adds at most one visit to a pair and the caller
- * bounds the counts by its episode budget. All randomness comes from
- * `uniforms`, (n_episodes, horizon, 2 + n_units) row-major: per step the
- * explore uniform, the action uniform (read only when the step explores)
- * and one uniform per unit for the price walk. Each unit's price digit
- * advances one rung when its uniform is below the unit's advance_prob and
- * stops at the ladder top; state (t, p, c) is Q-table row
- * row_base[t * p_full + p] + c, with p = sum of digit * stride.
+ * bounds the counts by its episode budget.
+ *
+ * All randomness comes from the PCG64 stream in `stream`: the 128-bit state
+ * and odd increment as four words (state low, state high, increment low,
+ * increment high), read at the start and written back at the end. Each
+ * step draws 2 + n_units uniforms in this order, whether or not it uses
+ * them: the explore uniform, the action uniform (used only when the step
+ * explores) and one uniform per unit for the price walk (unused at the
+ * last step). So an episode takes horizon * (2 + n_units) uniforms, in the
+ * order numpy's Generator.random fills an (episodes, horizon, 2 + n_units)
+ * array from the same state. Each unit's price digit advances one rung
+ * when its uniform is below the unit's advance_prob and stops at the
+ * ladder top; state (t, p, c) is Q-table row row_base[t * p_full + p] + c,
+ * with p = sum of digit * stride.
  *
  * The float operations and their order are those of the scalar reference
  * loop in tests/test_solver.py. Writes the largest |update| and the summed
@@ -75,7 +102,7 @@ static double minimum(double a, double b)
 void qlearn_episodes(double *q, int32_t *visits, int32_t *slots,
                      int64_t *n_used, int64_t n_actions,
                      int64_t n_episodes, int64_t horizon, int64_t n_units,
-                     const double *uniforms, const double *alphas,
+                     uint64_t *stream, const double *alphas,
                      const double *epsilons, const int64_t *row_base,
                      int64_t p_full, const int64_t *tops,
                      const int64_t *strides, const double *advance_prob,
@@ -84,24 +111,28 @@ void qlearn_episodes(double *q, int32_t *visits, int32_t *slots,
                      double *out, int64_t *counts)
 {
     const int64_t width = 2 + n_units;
+    u128 state = ((u128)stream[1] << 64) | stream[0];
+    const u128 inc = ((u128)stream[3] << 64) | stream[2];
     double max_delta = 0.0, total_return = 0.0;
     int64_t violations = 0, first_visits = 0, used = *n_used;
     int64_t digits[n_units];
+    double draws[width];
     for (int64_t e = 0; e < n_episodes; e++) {
-        const double *draws = uniforms + e * horizon * width;
         double alpha = alphas[e], epsilon = epsilons[e], ep_return = 0.0;
         int64_t p = 0, c = 0, s = row_base[0], slot = slots[s];
         for (int64_t u = 0; u < n_units; u++)
             digits[u] = 0;
-        for (int64_t t = 0; t < horizon; t++, draws += width) {
+        for (int64_t t = 0; t < horizon; t++) {
+            for (int64_t k = 0; k < width; k++)
+                draws[k] = pcg_uniform(&state, inc);
             if (slot < 0)
                 slots[s] = (int32_t)(slot = used++);
             double *row = q + slot * n_actions;
             int64_t a;
             if (draws[0] < epsilon) {
-                /* Any draw outside [0, 1) still names a real action. */
+                /* a uniform just below 1 can round x up to n_actions */
                 double x = draws[1] * (double)n_actions;
-                a = x >= 0.0 && x < (double)n_actions ? (int64_t)x : n_actions - 1;
+                a = x < (double)n_actions ? (int64_t)x : n_actions - 1;
             } else {
                 a = first_max(row, n_actions);
             }
@@ -145,6 +176,8 @@ void qlearn_episodes(double *q, int32_t *visits, int32_t *slots,
     counts[0] = violations;
     counts[1] = first_visits;
     *n_used = used;
+    stream[0] = (uint64_t)state;
+    stream[1] = (uint64_t)(state >> 64);
 }
 
 /* One hour of every portfolio of a span: PV is the pool, each unit in turn

@@ -2,19 +2,19 @@
 dispatch, the greedy row scan and one period of the exact solver's backward
 induction.
 
-All randomness is pre-drawn by the caller, so a fixed seed reproduces every
-result bit for bit. The episode loop is C (`_kernels.c`): it reads each step's
-explore, action and price draws from the chunk's uniforms, walks the price
-digits itself and updates the stored Q-table rows in place, appending a
-state's row to the store at its first update. Dispatch walks each outage
-span's hours and, per hour, every portfolio's units and load classes. The
-row scan takes each row's first maximum with the same strict `>` scan the
-episode loop uses. The backward period scores every action, or a fixed
-policy's one action, of each stored state of a period against the next
-period's price expectation. The float operations of each kernel and their
-order are those of a plain scalar loop or numpy expression over the arrays,
-which `tests/test_solver.py` and `tests/test_simulate.py` keep as the
-references.
+The episode loop is C (`_kernels.c`): it draws each step's explore, action
+and price uniforms from the package's PCG64 stream (`outageplan.pcg64`),
+stepping the generator's state in place, so a fixed seed reproduces every
+result bit for bit; it walks the price digits itself and updates the stored
+Q-table rows in place, appending a state's row to the store at its first
+update. Dispatch walks each outage span's hours and, per hour, every
+portfolio's units and load classes. The row scan takes each row's first
+maximum with the same strict `>` scan the episode loop uses. The backward
+period scores every action, or a fixed policy's one action, of each stored
+state of a period against the next period's price expectation. The float
+operations of each kernel and their order are those of a plain scalar loop
+or numpy expression over the arrays, which `tests/test_solver.py` and
+`tests/test_simulate.py` keep as the references.
 
 The C source is compiled with the system's `cc` on first use into
 `${XDG_CACHE_HOME:-~/.cache}/outageplan/`, under a name keyed by the source's
@@ -124,20 +124,24 @@ def _library():
     return _lib
 
 
-def qlearn_chunk(q, visits, slots, n_used, tables, gamma, uniforms, alphas, epsilons):
-    """One chunk of epsilon-greedy Q-learning episodes over a store of the
-    Q-table rows that exist, updating `q` (float64) and `visits` (int32),
-    both (store rows, n_actions), and the int32 slot map `slots` in place.
-    `slots[s]` is the store row of Q-table row s, or -1 while s has never
-    been updated; the first `n_used` store rows are in use and the rest must
-    be zero. Returns (largest |update|, summed return, number of Q-values
-    that left [q_lower, 0], number of pairs first visited in the chunk, store
-    rows in use after it). An episode adds at most one visit to a pair, so
-    int32 counts hold 2^31 - 1 episodes.
+def qlearn_chunk(q, visits, slots, n_used, tables, gamma, stream, alphas, epsilons):
+    """One chunk of epsilon-greedy Q-learning episodes, one per entry of
+    `alphas` and `epsilons`, over a store of the Q-table rows that exist,
+    updating `q` (float64) and `visits` (int32), both (store rows,
+    n_actions), and the int32 slot map `slots` in place. `slots[s]` is the
+    store row of Q-table row s, or -1 while s has never been updated; the
+    first `n_used` store rows are in use and the rest must be zero. Returns
+    (largest |update|, summed return, number of Q-values that left
+    [q_lower, 0], number of pairs first visited in the chunk, store rows in
+    use after it). An episode adds at most one visit to a pair, so int32
+    counts hold 2^31 - 1 episodes.
 
-    Per step the stream supplies: explore uniform, action uniform (drawn
-    whether or not the step explores), then one uniform per unit for the
-    price walk, so a fixed seed always yields the same trajectory.
+    `stream` is a PCG64 generator's `words()`: a writable uint64 array of
+    the state and the odd increment, (state low, state high, increment low,
+    increment high), which the chunk advances in place. Per step the loop
+    draws the explore uniform, the action uniform (whether or not the step
+    explores), then one uniform per unit for the price walk, so a fixed
+    seed always yields the same trajectory.
     """
     # carray: C-contiguous, aligned and writable, as the C loop needs (a
     # loaded Q-table is a read-only, possibly unaligned view of its file)
@@ -154,13 +158,15 @@ def qlearn_chunk(q, visits, slots, n_used, tables, gamma, uniforms, alphas, epsi
     if slots.min() < -1 or slots.max() >= n_used:
         bad = np.flatnonzero((slots < -1) | (slots >= n_used))[0]
         raise ValueError(f"slot {slots[bad]} of row {bad} is outside [-1, {n_used})")
-    n_units = len(tables.ladder_sizes)
-    steps = uniforms.shape[:1] + (tables.horizon, 2 + n_units)
-    if uniforms.dtype != np.float64 or not (uniforms.flags.c_contiguous and uniforms.flags.aligned) or uniforms.shape != steps:
-        raise ValueError(f"uniforms must be a C-contiguous, aligned float64 array of shape (episodes, {steps[1]}, {steps[2]})")
-    if np.shape(alphas) != steps[:1] or np.shape(epsilons) != steps[:1]:
-        raise ValueError("alphas and epsilons must hold one entry per episode of uniforms")
-    needed = min(rows - n_used, steps[0] * tables.horizon)
+    if not (_is_buffer(stream, (4,), np.uint64) and stream.flags.writeable):
+        raise ValueError("stream must be a C-contiguous, aligned, writable array of 4 uint64 words: "
+                         "state low, state high, increment low, increment high")
+    if not stream[2] & 1:
+        raise ValueError("the stream's increment must be odd")
+    n_episodes = len(alphas) if np.ndim(alphas) == 1 else -1
+    if n_episodes < 0 or np.shape(epsilons) != (n_episodes,):
+        raise ValueError("alphas and epsilons must be 1-D arrays of one entry per episode")
+    needed = min(rows - n_used, n_episodes * tables.horizon)
     if len(q) - n_used < needed:
         raise ValueError(f"the store has {len(q) - n_used} free rows; this chunk may append {needed}")
     loop = _library().qlearn_episodes
@@ -176,9 +182,9 @@ def qlearn_chunk(q, visits, slots, n_used, tables, gamma, uniforms, alphas, epsi
     cost_of_cap = np.ascontiguousarray(tables.cost_of_cap, np.float64)
     out, counts, used = np.zeros(2), np.zeros(2, np.int64), np.array([n_used], np.int64)
     loop(
-        q.ctypes.data, visits.ctypes.data, slots.ctypes.data, used.ctypes.data, tables.n_actions, steps[0],
-        tables.horizon, n_units, uniforms.ctypes.data, alphas.ctypes.data, epsilons.ctypes.data, row_base.ctypes.data,
-        tables.p_full, tops.ctypes.data, strides.ctypes.data, advance_prob.ctypes.data,
+        q.ctypes.data, visits.ctypes.data, slots.ctypes.data, used.ctypes.data, tables.n_actions, n_episodes,
+        tables.horizon, len(tables.ladder_sizes), stream.ctypes.data, alphas.ctypes.data, epsilons.ctypes.data,
+        row_base.ctypes.data, tables.p_full, tops.ctypes.data, strides.ctypes.data, advance_prob.ctypes.data,
         cap_next.ctypes.data, invest.ctypes.data, cost_of_cap.ctypes.data,
         float(gamma), float(tables.q_lower), out.ctypes.data, counts.ctypes.data,
     )

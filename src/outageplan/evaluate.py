@@ -179,15 +179,23 @@ def rollout(
     hold raises KeyError, and one whose greedy action value is not finite
     ValueError, as `greedy_policy` does. Each row's state is (period, price
     per unit in $, installed kWh per unit), whole numbers as ints.
+
+    A state's row is the codec's (`row_base`) when the table holds the
+    state's code there, as a table trained on this codec does; only a
+    table laid out otherwise is searched, because a search of a loaded
+    table's mapped, unaligned codes copies all of them.
     """
     codec = env.codec
     cap = 0
     rows = []
     first_invest: Optional[int] = None
     for t, price_idx in enumerate(trajectory.indices_for(env)):
-        code = (t * codec.p_full + codec.price_combo(price_idx)) * codec.c_full + cap
+        combo = codec.price_combo(price_idx)
+        code = (t * codec.p_full + combo) * codec.c_full + cap
+        row = int(codec.row_base[t, combo]) + cap
+        if not (0 <= row < len(qtable.state_codes) and qtable.state_codes[row] == code):
+            row = qtable.index_of(code)
         # first maximum wins: do-nothing, then unit-major, level-minor
-        row = qtable.index_of(code)
         a = int(first_max(qtable.values[row : row + 1], row)[0])
         prices = [e.chain.values[i] for e, i in zip(env.catalog, price_idx)]
         cells = [t] + prices + env.installed_kwh[cap].tolist()

@@ -9,11 +9,13 @@ Poisson number of extra hours, with a separate extra-hours rate per event
 class.
 
 `sample_trace` draws every event of a window from an explicitly passed
-numpy Generator and consumes a fixed uniform budget per decision (one per
-count, three per event), so runs that share a seed stay aligned under
-common random numbers when a rate parameter moves. A single model
-consumes the same stream layout as a superposed model with
-severe_rate=0, and produces identical traces.
+uniform source, any object whose `random()` returns a float on [0, 1): the
+package passes its own PCG64 stream (`outageplan.pcg64`), and a numpy
+Generator seeded alike draws the same numbers. It consumes a fixed
+uniform budget per decision (one per count, three per event), so runs that
+share a seed stay aligned under common random numbers when a rate
+parameter moves. A single model consumes the same stream layout as a
+superposed model with severe_rate=0, and produces identical traces.
 """
 
 from __future__ import annotations
@@ -261,7 +263,7 @@ def poisson_pmf(k: int, mean: float) -> float:
     return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
 
 
-def sample_outage_count(model: OutageModel, horizon_years: float, rng: np.random.Generator) -> int:
+def sample_outage_count(model: OutageModel, horizon_years: float, rng) -> int:
     """Number of outages in a window, built as the merge of the component streams."""
     if horizon_years < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon_years}")
@@ -271,7 +273,7 @@ def sample_outage_count(model: OutageModel, horizon_years: float, rng: np.random
     return n_regular + n_severe
 
 
-def sample_trace(model: OutageModel, horizon_years: float, rng: np.random.Generator) -> list[OutageEvent]:
+def sample_trace(model: OutageModel, horizon_years: float, rng) -> list[OutageEvent]:
     """All outages in a window, sorted by start time.
 
     Draw order is fixed: two count uniforms, then (start, type, duration)

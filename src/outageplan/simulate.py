@@ -33,6 +33,7 @@ import numpy as np
 from outageplan import _kernels, persist
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.outage import HOURS_PER_YEAR, OutageEvent, OutageModel, outage_model_to_config, sample_trace
+from outageplan.pcg64 import PCG64
 
 METAMODEL_MAGIC = "# outageplan-metamodel "
 
@@ -217,7 +218,9 @@ def merge_events(events: Iterable[OutageEvent]) -> list[tuple[float, float]]:
     return merged
 
 
-def _replication_seeds(rng: np.random.Generator, replications: int) -> np.ndarray:
+def _replication_seeds(rng, replications: int) -> np.ndarray:
+    """One int64 seed on [0, 2**63) per replication, drawn by `rng`'s
+    `integers`: a `PCG64`, or a numpy Generator, which draws the same."""
     if replications <= 0:
         raise ValueError(f"replications must be > 0, got {replications}")
     return rng.integers(0, 2**63, size=replications, dtype=np.int64)
@@ -228,15 +231,15 @@ def _outage_spans(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merged outage spans for every replication, placed on the calendar.
 
-    Per replication the stream draws one calendar-offset uniform, then the
-    trace. Returns (start_hours, n_hours, offsets) where offsets[r]:offsets[r+1]
-    slices replication r's spans.
+    Replication r draws from its own PCG64 stream seeded with seeds[r]: one
+    calendar-offset uniform, then the trace. Returns (start_hours, n_hours,
+    offsets) where offsets[r]:offsets[r+1] slices replication r's spans.
     """
     starts: list[int] = []
     lengths: list[int] = []
     offsets = [0]
     for seed in seeds:
-        gen = np.random.Generator(np.random.PCG64(int(seed)))
+        gen = PCG64(int(seed))
         calendar_offset = gen.random() * HOURS_PER_YEAR
         events = sample_trace(model, period_length_years, gen)
         for span_start, span_end in merge_events(events):
@@ -293,11 +296,13 @@ def expected_period_cost(
     grid: Microgrid,
     period_length_years: float,
     replications: int,
-    rng: np.random.Generator,
+    rng,
 ) -> CostEstimate:
     """Mean outage cost over one decision period of the portfolio with
     installed kWh `kwh` per unit of `specs`, with its standard error.
 
+    `rng` draws the replication seeds with `integers(0, 2**63, size=...,
+    dtype=np.int64)`: a `PCG64`, or a numpy Generator, which draws the same.
     Events are drawn per replication with a uniformly placed calendar offset;
     overlapping outages merge into one islanding episode before dispatch.
     """
@@ -453,13 +458,13 @@ def build_metamodel(
 
     All portfolios share one set of replication event draws (events do not
     depend on capacity), so estimates are common-random-number comparable and
-    deterministic for a fixed seed.
+    deterministic for a fixed seed: a PCG64 stream seeded with `seed` draws
+    one seed per replication, and each replication's own stream its events.
     """
     if not len(capacity_grid):
         raise ValueError("capacity grid is empty")
     units = tuple(s.name for s in specs)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    seeds = _replication_seeds(rng, replications)
+    seeds = _replication_seeds(PCG64(seed), replications)
     mean, stderr = _crn_estimates(model, capacity_grid, specs, grid, period_length_years, seeds)
     meta = {
         "format": "outageplan-metamodel",

@@ -1,18 +1,18 @@
 """Tabular Q-learning on the planning MDP, plus an exact solver.
 
-Training runs in chunks of up to 10^4 episodes: the uniform stream for a
-chunk is drawn up front from one PCG64 generator and handed to the episode
-kernel, so a fixed seed reproduces training bit-for-bit. The kernel's
-episode loop is compiled C that walks the prices from those uniforms and
-updates the Q-table in place. Training holds only the rows it updates: an
-int32 slot map from codec row to store row, and a store of float64 values
-and int32 visit counts in one anonymous mapping, sized for the rows the
-budget can reach and unmapped when the result is dropped; a row never
-updated is all zeros and is not stored. It also holds one uniforms buffer
-of a chunk's size that every chunk refills. `qtable.bin` is written from
-the store a block of rows at a time, and the dense table is built only when
-asked for. A loaded table's greedy scan gives back the pages of the mapped
-file it has read, so `evaluate` holds about one block of them.
+Training runs in chunks of up to 10^4 episodes, one per entry of the
+convergence log. The kernel's episode loop is compiled C that draws its
+uniforms inline from one PCG64 stream (`outageplan.pcg64`, seeded with the
+schedule's seed), whose state it carries from chunk to chunk, so a fixed
+seed reproduces training bit-for-bit; it walks the prices from those
+uniforms and updates the Q-table in place. Training holds only the rows it
+updates: an int32 slot map from codec row to store row, and a store of
+float64 values and int32 visit counts in one anonymous mapping, sized for
+the rows the budget can reach and unmapped when the result is dropped; a
+row never updated is all zeros and is not stored. `qtable.bin` is written
+from the store a block of rows at a time, and the dense table is built only
+when asked for. A loaded table's greedy scan gives back the pages of the
+mapped file it has read, so `evaluate` holds about one block of them.
 
 The exact solver is one backward induction over the stored states with the
 factorized price-chain expectation: over every action it gives the optimum
@@ -37,6 +37,7 @@ from outageplan import persist
 from outageplan._kernels import backward_period, greedy_rows, qlearn_chunk
 from outageplan.errors import ArtifactMismatchError
 from outageplan.mdp import PlanningEnv, row_index
+from outageplan.pcg64 import PCG64
 
 CONVERGENCE_EPOCH = 10_000
 # an int32 visit count; a state holds its period, so an episode adds at
@@ -245,10 +246,11 @@ def _save_qtable(path, arrays: dict, action_labels, config_hash, schedule, seed,
 
 
 class TrainResult:
-    """What `train` learned. `values` and `visits` hold the Q-table rows
-    training updated, as `persist.StoredRows` over the codec's rows; a row
-    never updated is zero. `save` writes `qtable.bin` from them, and
-    `qtable` is the dense table, built the first time it is asked for."""
+    """What `train` learned. `state_codes` is the codec's read-only code
+    array, not a copy. `values` and `visits` hold the Q-table rows training
+    updated, as `persist.StoredRows` over the codec's rows; a row never
+    updated is zero. `save` writes `qtable.bin` from them, and `qtable` is
+    the dense table, built the first time it is asked for."""
 
     def __init__(self, state_codes: np.ndarray, values: persist.StoredRows, visits: persist.StoredRows,
                  header: dict, convergence: list[ConvergencePoint], pairs_visited: int):
@@ -307,21 +309,18 @@ def train(
     result also counts the (state, action) pairs visited at least once.
     """
     tables = env.kernel_tables()
-    rng = np.random.Generator(np.random.PCG64(schedule.seed))
-    n_units = len(env.catalog)
+    stream = PCG64(schedule.seed).words()
     rows = tables.state_codes.shape[0]
     # an episode updates one row per period, so it appends at most horizon rows
     q, visits = _zeroed_tables(min(rows, schedule.episodes * tables.horizon), tables.n_actions)
     slots = np.full(rows, -1, np.int32)
-    draws = np.empty((min(CONVERGENCE_EPOCH, schedule.episodes), tables.horizon, 2 + n_units))
     log: list[ConvergencePoint] = []
     done = pairs_visited = n_used = 0
     while done < schedule.episodes:
         m = min(CONVERGENCE_EPOCH, schedule.episodes - done)
         alphas, epsilons = schedule_at(schedule, np.arange(done, done + m))
-        uniforms = rng.random(out=draws[:m])
         max_delta, total_return, violations, first_visits, n_used = qlearn_chunk(
-            q, visits, slots, n_used, tables, schedule.gamma, uniforms, alphas, epsilons
+            q, visits, slots, n_used, tables, schedule.gamma, stream, alphas, epsilons
         )
         if violations:
             raise RuntimeError(
@@ -346,7 +345,7 @@ def train(
         },
     }
     return TrainResult(
-        state_codes=tables.state_codes.copy(),
+        state_codes=tables.state_codes,
         values=persist.StoredRows(slots, q),
         visits=persist.StoredRows(slots, visits),
         header=header,

@@ -213,6 +213,33 @@ class TestRollout:
         with pytest.raises(KeyError, match="not a reachable non-terminal state"):
             rollout(table, env, traj, config_hash="c", planning_hash="p")
 
+    def test_a_table_on_the_codec_rows_is_read_without_a_search(self, tmp_path, monkeypatch):
+        env = make_env()
+        traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))
+        scripted = scripted_qtable(env, {(0, (0, 0), ()): 3, (1, (1, 1), (2,)): 2})
+        want = rollout(scripted, env, traj, config_hash="c", planning_hash="p")
+        scripted.save(tmp_path / "q.bin")
+        loaded = QTable.load(tmp_path / "q.bin")
+
+        def no_search(self, code):
+            raise AssertionError(f"searched the table for state code {code}")
+
+        monkeypatch.setattr(QTable, "index_of", no_search)
+        assert rollout(loaded, env, traj, config_hash="c", planning_hash="p") == want
+
+    def test_a_table_laid_out_otherwise_is_searched(self, tmp_path):
+        env = make_env()
+        codec = env.codec
+        traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))
+        full = scripted_qtable(env, {(0, (0, 0), ()): 3, (1, (1, 1), (2,)): 2})
+        # drop a period-1 state off the rollout's path: every later row moves up one
+        keep = np.ones(len(full.state_codes), dtype=bool)
+        keep[codec.row_base[1, codec.price_combo((0, 0))]] = False
+        table = QTable(full.state_codes[keep], full.values[keep], full.visits[keep], full.action_labels, "cfg", {}, 0, {})
+        trace = rollout(table, env, traj, config_hash="c", planning_hash="p")
+        assert trace == rollout(full, env, traj, config_hash="c", planning_hash="p")
+        assert [r.action for r in trace.rows] == ["install beta 200 kWh", "install alpha 500 kWh", "do-nothing"]
+
     def test_a_state_without_a_finite_maximum_is_refused(self, tmp_path):
         env = make_env()
         traj = PriceTrajectory.from_csv(write_trajectory(tmp_path, GOOD_TRAJECTORY))

@@ -1,5 +1,6 @@
 """Planning MDP: price chains, state codec, dynamics, and dense tables."""
 
+import dataclasses
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from outageplan.config import load_config
 from outageplan.errors import ArtifactMismatchError, ConfigError
 from outageplan.evaluate import PriceTrajectory, rollout
 from outageplan.mdp import PlanningEnv, PriceChain, StateCodec, UnitCatalogEntry, row_index, unique_rows
+from outageplan.pcg64 import PCG64
 from outageplan.simulate import CostTable, StorageUnitSpec
 from outageplan.solver import QTable, TrainingSchedule, policy_value, train, value_iteration
 
@@ -133,24 +135,36 @@ def one_unit_env(chain, horizon):
     return PlanningEnv(horizon=horizon, catalog=(entry,), levels_kwh=(100.0,))
 
 
-def compiled_episode(env, actions, price_uniforms):
+def stream_prices(seed, horizon, n_units):
+    """The price uniforms, (horizon, n_units), that one episode of the
+    compiled Q-learning loop draws from the PCG64 stream of `seed`: per
+    step it draws the explore and action uniforms, then one per unit, in
+    the order numpy's Generator(PCG64(seed)).random fills an array."""
+    return np.random.default_rng(seed).random((horizon, 2 + n_units))[:, 2:]
+
+
+def first_seed(condition, horizon, n_units):
+    """The first seed whose `stream_prices` meet `condition`."""
+    return next(seed for seed in range(1000) if condition(stream_prices(seed, horizon, n_units)))
+
+
+def compiled_episode(env, actions, advance_prob, seed=0):
     """The (period, price indices, sorted installs) states that one episode
     of the compiled Q-learning loop visits when it takes `actions` in turn
-    and walks the prices with `price_uniforms`, one row of per-unit
-    uniforms per period."""
+    and each unit's price advances with probability `advance_prob[unit]`,
+    drawing from the PCG64 stream of `seed`."""
     env.attach_metamodel(linear_cost_table(env))
-    tables = env.kernel_tables()
+    tables = dataclasses.replace(env.kernel_tables(), advance_prob=np.array(advance_prob, np.float64))
     codec = env.codec
-    uniforms = np.zeros((1, env.horizon, 2 + len(env.catalog)))
-    # explore uniform 0.0 < epsilon 1 at every step, so the action uniform
-    # picks the scripted action; alpha 0 leaves every Q-value at zero
-    uniforms[0, :, 1] = (np.array(actions) + 0.5) / tables.n_actions
-    uniforms[0, :, 2:] = price_uniforms
-    q = np.zeros((len(tables.state_codes), tables.n_actions))
+    # epsilon 0, so every step takes its row's first maximum: the scripted
+    # action's 0.0 above the others' -1.0; alpha 0 leaves every Q-value as it is
+    periods = codec.state_codes // (codec.p_full * codec.c_full)
+    q = np.full((len(tables.state_codes), tables.n_actions), -1.0)
+    q[np.arange(len(q)), np.array(actions)[periods]] = 0.0
     visits = np.zeros(q.shape, np.int32)
     # every row already in the store, at its own row, so visits is dense
     slots = np.arange(len(q), dtype=np.int32)
-    _kernels.qlearn_chunk(q, visits, slots, len(q), tables, 1.0, uniforms, np.zeros(1), np.ones(1))
+    _kernels.qlearn_chunk(q, visits, slots, len(q), tables, 1.0, PCG64(seed).words(), np.zeros(1), np.zeros(1))
     rows, taken = np.nonzero(visits)  # rows ascend with the period
     assert taken.tolist() == list(actions)
     states = []
@@ -175,13 +189,18 @@ class TestPriceChain:
 
     def test_step_advances_below_threshold(self):
         env = one_unit_env(PriceChain(values=(10.0, 5.0, 2.0), advance_prob=0.7), horizon=4)
+        # a stream whose first price uniform is above the next two
+        seed = first_seed(lambda u: u[1, 0] < u[0, 0] and u[2, 0] < u[0, 0], horizon=4, n_units=1)
+        first = stream_prices(seed, 4, 1)[0, 0]
         # a uniform at advance_prob stays, one below it moves one rung down
-        states = compiled_episode(env, [0, 0, 0, 0], [[0.7], [0.69], [0.0], [0.0]])
+        states = compiled_episode(env, [0, 0, 0, 0], [first], seed)
         assert [idx for _, idx, _ in states] == [(0,), (0,), (1,), (2,)]
+        states = compiled_episode(env, [0, 0, 0, 0], [np.nextafter(first, 1.0)], seed)
+        assert [idx for _, idx, _ in states] == [(0,), (1,), (2,), (2,)]
 
     def test_floor_is_absorbing(self):
         env = one_unit_env(PriceChain(values=(10.0, 5.0), advance_prob=0.9), horizon=3)
-        states = compiled_episode(env, [0, 0, 0], [[0.0], [0.0], [0.0]])
+        states = compiled_episode(env, [0, 0, 0], [1.0])
         assert [idx for _, idx, _ in states] == [(0,), (1,), (1,)]
 
     def test_transition_matrix_is_stochastic(self):
@@ -420,7 +439,7 @@ class TestPlanningEnv:
         assert codec.row_base[0, 0] == 0
         assert codec.cap_sets[0] == ()
         assert env.capacity_of(0) == {"alpha": 0.0, "beta": 0.0}
-        assert compiled_episode(env, [0, 0, 0], [[0.99, 0.99]] * 3)[0] == (0, (0, 0), ())
+        assert compiled_episode(env, [0, 0, 0], [0.0, 0.0])[0] == (0, (0, 0), ())
 
     def test_legal_actions_empty_at_terminal(self):
         # a multiset of horizon installs is reached only at the horizon: it
@@ -436,18 +455,22 @@ class TestPlanningEnv:
 
     def test_transition_applies_install_and_walks_prices(self):
         env = make_env()
-        # install beta 200 (option 1 * 2 levels + 0); alpha advances
-        # (0.0 < 0.7), beta stays (0.99 >= 0.6)
-        states = compiled_episode(env, [3, 0, 0], [[0.0, 0.99]] * 3)
+        # install beta 200 (option 1 * 2 levels + 0); alpha always
+        # advances, beta never
+        states = compiled_episode(env, [3, 0, 0], [1.0, 0.0])
         assert states[1] == (1, (1, 0), (2,))
         assert env.capacity_of(env.codec.cap_sets.index((2,))) == {"alpha": 0.0, "beta": 200.0}
 
     def test_transition_consumes_uniform_at_absorbing_floor(self):
         env = make_env()
-        states = compiled_episode(env, [0, 0, 0], [[0.0, 0.99], [0.0, 0.99], [0.0, 0.99]])
-        # in period 1 the first uniform still went to alpha (stuck at its
-        # floor), so beta saw 0.99 and stayed; skipping floor units would
-        # wrongly advance beta
+        # alpha always advances; beta advances below the smaller of its own
+        # first two uniforms, which alpha's second one is below
+        seed = first_seed(lambda u: u[1, 0] < min(u[0, 1], u[1, 1]), horizon=3, n_units=2)
+        beta = min(stream_prices(seed, 3, 2)[:2, 1])
+        states = compiled_episode(env, [0, 0, 0], [1.0, beta], seed)
+        # in period 1 alpha's uniform still went to alpha (stuck at its
+        # floor), so beta drew its own and stayed; skipping floor units
+        # would hand beta alpha's uniform and wrongly advance it
         assert [idx for _, idx, _ in states] == [(0, 0), (1, 0), (1, 0)]
 
     def test_state_validation(self):

@@ -4,10 +4,13 @@ and the package imports, and the package ships the C source it compiles."""
 import ast
 import importlib
 import re
+import subprocess
 from importlib import resources
 from pathlib import Path
 
 import pytest
+
+from outageplan import _kernels
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -51,6 +54,18 @@ def test_kernel_source_is_package_data():
     source = resources.files("outageplan").joinpath("_kernels.c")
     assert source.is_file()
     assert all(name in source.read_bytes() for name in (b"qlearn_episodes", b"dispatch_spans", b"greedy_rows", b"backward_period"))
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # the package's flags plus every common warning as an error: catches
+    # 128-bit and signedness slips in the C source before they build
+    source = resources.files("outageplan").joinpath("_kernels.c").read_bytes()
+    done = subprocess.run(
+        [_kernels.COMPILER, *_kernels.CFLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-lm",
+         "-o", str(tmp_path / "kernels.so")],
+        input=source, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
 
 
 def test_no_unused_module_imports():

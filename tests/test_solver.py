@@ -21,6 +21,7 @@ from outageplan import _kernels, persist
 from outageplan.config import load_config
 from outageplan.errors import ArtifactMismatchError, OutagePlanError
 from outageplan.mdp import PlanningEnv, PriceChain, UnitCatalogEntry
+from outageplan.pcg64 import PCG64
 from outageplan.simulate import StorageUnitSpec, build_metamodel
 from outageplan.solver import (
     CONVERGENCE_EPOCH,
@@ -37,7 +38,7 @@ from outageplan.solver import (
     write_convergence_csv,
 )
 
-from conftest import cost_table
+from conftest import cost_table, stream_words
 
 
 def unit(name, ladder, advance_prob):
@@ -427,6 +428,12 @@ class TestTraining:
         assert q[1] == pytest.approx(-5013.0, rel=1e-3)
         assert res.qtable.greedy_policy()[0] == 0  # do nothing
 
+    def test_the_result_holds_the_codec_codes_not_a_copy(self):
+        env = mini_env()
+        res = train(env, TrainingSchedule(episodes=10, seed=0))
+        assert res.state_codes is env.codec.state_codes
+        assert not res.state_codes.flags.writeable
+
     def test_deterministic_per_seed(self):
         env = mini_env()
         a = train(env, TrainingSchedule(episodes=7000, seed=11))
@@ -646,7 +653,9 @@ def qlearn_chunk_oracle(
 ):
     """Scalar reference for one chunk: the step-by-step loop over numpy
     arrays that `_kernels.qlearn_chunk` and its compiled episode loop must
-    reproduce bit for bit."""
+    reproduce bit for bit. `uniforms` (episodes, horizon, 2 + units) holds
+    every step's explore, action and per-unit price uniforms, as numpy's
+    Generator.random draws them from the stream the compiled loop steps."""
     n_episodes = uniforms.shape[0]
     n_units = ladder_sizes.shape[0]
     n_actions = cap_next.shape[1]
@@ -722,12 +731,16 @@ def qlearn_chunk_oracle(
 def run_chunks(kernel, env, schedule, epoch):
     """Train's chunk loop with a given chunk kernel and epoch length; the
     schedule formula is written out as the reference for `schedule_at`.
-    The oracle updates a dense table; the compiled kernel updates a store of
-    the rows it appends, sized as `train` sizes it, which is then laid out
-    on the codec's rows. Returns the dense values and visits and each
-    chunk's (max |update|, summed return, violations, first visits)."""
+    The oracle updates a dense table from uniforms that numpy's
+    Generator(PCG64(seed)) draws; the compiled kernel draws its own from the
+    package's PCG64 stream of the same seed, which after each chunk must
+    stand where numpy's does, and updates a store of the rows it appends,
+    sized as `train` sizes it, which is then laid out on the codec's rows.
+    Returns the dense values and visits and each chunk's (max |update|,
+    summed return, violations, first visits)."""
     tables = env.kernel_tables()
     rng = np.random.Generator(np.random.PCG64(schedule.seed))
+    stream = PCG64(schedule.seed).words()
     rows = (tables.state_codes.shape[0], tables.n_actions)
     q = np.zeros(rows)
     # the oracle counts in int64, the compiled loop in int32
@@ -752,8 +765,9 @@ def run_chunks(kernel, env, schedule, epoch):
             )
         else:
             *out, n_used = kernel(
-                store_q, store_visits, slots, n_used, tables, schedule.gamma, uniforms, alphas, epsilons
+                store_q, store_visits, slots, n_used, tables, schedule.gamma, stream, alphas, epsilons
             )
+            assert stream.tolist() == stream_words(rng).tolist()
         returned.append(tuple(out))
         done += m
     if kernel is not qlearn_chunk_oracle:
@@ -852,6 +866,7 @@ class TestKernelParity:
         env = named_env(name)
         tables = env.kernel_tables()
         rows = (tables.state_codes.shape[0], tables.n_actions)
+        # default_rng(4) is Generator(PCG64(4)), the kernel's stream
         uniforms = np.random.default_rng(4).random((1, tables.horizon, 2 + len(env.catalog)))
         alphas, epsilons = np.full(1, 0.5), np.full(1, 0.3)
         want_q, want_visits = np.zeros(rows), np.zeros(rows, np.int64)
@@ -862,7 +877,7 @@ class TestKernelParity:
         )
         store = (tables.horizon, tables.n_actions)
         q, visits, slots = np.zeros(store), np.zeros(store, np.int32), np.full(rows[0], -1, np.int32)
-        *got, n_used = _kernels.qlearn_chunk(q, visits, slots, 0, tables, 1.0, uniforms, alphas, epsilons)
+        *got, n_used = _kernels.qlearn_chunk(q, visits, slots, 0, tables, 1.0, PCG64(4).words(), alphas, epsilons)
         assert n_used == tables.horizon
         touched = np.flatnonzero(slots >= 0)
         # rows ascend with the period, and each period's row was appended in turn
@@ -903,6 +918,7 @@ class TestTies:
         rng = np.random.default_rng(5)
         start = rng.choice([0.0, -0.0, -1.0], size=(tables.state_codes.shape[0], tables.n_actions))
         assert np.signbit(start[start == 0.0]).any() and (~np.signbit(start[start == 0.0])).any()
+        stream = stream_words(rng)
         uniforms = rng.random((400, tables.horizon, 2 + len(env.catalog)))
         alphas, epsilons = np.full(400, 0.25), np.full(400, epsilon)
         want_q, want_visits = start.copy(), np.zeros(start.shape, dtype=np.int64)
@@ -915,8 +931,9 @@ class TestTies:
         got_q, got_visits = start.copy(), np.zeros(start.shape, dtype=np.int32)
         slots = np.arange(len(start), dtype=np.int32)
         *got, n_used = _kernels.qlearn_chunk(
-            got_q, got_visits, slots, len(start), tables, gamma, uniforms, alphas, epsilons
+            got_q, got_visits, slots, len(start), tables, gamma, stream, alphas, epsilons
         )
+        assert stream.tolist() == stream_words(rng).tolist()
         assert n_used == len(start) and slots.tolist() == list(range(len(start)))
         assert got_q.tobytes() == want_q.tobytes()
         assert got_visits.astype(np.int64).tobytes() == want_visits.tobytes()
@@ -925,21 +942,23 @@ class TestTies:
 
 
 class TestChunkInputs:
+    # each case turns (visits, stream, alphas, epsilons) into a bad set
     BAD = {
-        "int64 visits": lambda v, u, a, e: (np.zeros(v.shape, np.int64), u, a, e),
-        "float32 uniforms": lambda v, u, a, e: (v, u.astype(np.float32), a, e),
-        "Fortran-order uniforms": lambda v, u, a, e: (v, np.asfortranarray(u), a, e),
-        "strided uniforms": lambda v, u, a, e: (v, np.repeat(u, 2, axis=0)[::2], a, e),
-        "unaligned uniforms": lambda v, u, a, e: (
-            v, np.frombuffer(b"\0" + u.tobytes(), np.float64, offset=1).reshape(u.shape), a, e
-        ),
-        "a period short": lambda v, u, a, e: (v, u[:, :-1].copy(), a, e),
-        "a uniform per step short": lambda v, u, a, e: (v, u[:, :, :-1].copy(), a, e),
-        "2-D uniforms": lambda v, u, a, e: (v, u.reshape(len(u), -1), a, e),
-        "short alphas": lambda v, u, a, e: (v, u, a[:-1], e),
-        "short epsilons": lambda v, u, a, e: (v, u, a, e[:-1]),
-        "long epsilons": lambda v, u, a, e: (v, u, a, np.append(e, 0.5)),
-        "2-D epsilons": lambda v, u, a, e: (v, u, a, e[:, None]),
+        "int64 visits": lambda v, s, a, e: (np.zeros(v.shape, np.int64), s, a, e),
+        "int64 stream": lambda v, s, a, e: (v, s.astype(np.int64), a, e),
+        "float64 stream": lambda v, s, a, e: (v, s.astype(np.float64), a, e),
+        "a stream word short": lambda v, s, a, e: (v, s[:3].copy(), a, e),
+        "a stream word long": lambda v, s, a, e: (v, np.append(s, np.uint64(1)), a, e),
+        "2-D stream": lambda v, s, a, e: (v, s.reshape(2, 2), a, e),
+        "strided stream": lambda v, s, a, e: (v, np.repeat(s, 2)[::2], a, e),
+        "unaligned stream": lambda v, s, a, e: (v, np.frombuffer(bytearray(b"\0" + s.tobytes()), np.uint64, offset=1), a, e),
+        "read-only stream": lambda v, s, a, e: (v, np.frombuffer(s.tobytes(), np.uint64), a, e),
+        "an even increment": lambda v, s, a, e: (v, s - np.array([0, 0, 1, 0], np.uint64), a, e),
+        "short alphas": lambda v, s, a, e: (v, s, a[:-1], e),
+        "short epsilons": lambda v, s, a, e: (v, s, a, e[:-1]),
+        "long epsilons": lambda v, s, a, e: (v, s, a, np.append(e, 0.5)),
+        "2-D epsilons": lambda v, s, a, e: (v, s, a, e[:, None]),
+        "2-D alphas": lambda v, s, a, e: (v, s, a[:, None], e[:, None]),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD))
@@ -949,13 +968,16 @@ class TestChunkInputs:
         q = np.zeros((tables.state_codes.shape[0], tables.n_actions))
         visits = np.zeros(q.shape, np.int32)
         slots = np.full(len(q), -1, np.int32)
-        uniforms = np.random.default_rng(0).random((6, tables.horizon, 2 + len(env.catalog)))
+        stream = PCG64(0).words()
         alphas, epsilons = np.full(6, 0.5), np.full(6, 0.5)
-        bad_visits, *bad = self.BAD[case](visits, uniforms, alphas, epsilons)
-        with pytest.raises(ValueError, match="q and visits must be|uniforms must be|alphas and epsilons must"):
-            _kernels.qlearn_chunk(q, bad_visits, slots, 0, tables, 1.0, *bad)
+        bad_visits, bad_stream, *bad = self.BAD[case](visits, stream.copy(), alphas, epsilons)
+        before = bad_stream.copy()
+        message = "q and visits must be|stream must be|the stream's increment must be odd|alphas and epsilons must"
+        with pytest.raises(ValueError, match=message):
+            _kernels.qlearn_chunk(q, bad_visits, slots, 0, tables, 1.0, bad_stream, *bad)
         assert not q.any() and not visits.any() and not bad_visits.any() and (slots == -1).all()
-        _kernels.qlearn_chunk(q, visits, slots, 0, tables, 1.0, uniforms, alphas, epsilons)
+        assert np.array_equal(bad_stream, before)
+        _kernels.qlearn_chunk(q, visits, slots, 0, tables, 1.0, stream, alphas, epsilons)
         assert visits.sum() == 6 * tables.horizon
 
     # (slots, n_used, store rows) made from a valid map of 3 rows in use and
@@ -985,15 +1007,15 @@ class TestChunkInputs:
         slots, n_used, store_rows = make(valid.copy(), chunk)
         message = message.format(free=store_rows - n_used, chunk=chunk)
         q, visits = np.zeros((store_rows, tables.n_actions)), np.zeros((store_rows, tables.n_actions), np.int32)
-        uniforms = np.random.default_rng(0).random((episodes, tables.horizon, 2 + len(env.catalog)))
+        stream = PCG64(0).words()
         alphas, epsilons = np.full(episodes, 0.5), np.full(episodes, 0.5)
         before = slots.copy()
         with pytest.raises(ValueError, match=message):
-            _kernels.qlearn_chunk(q, visits, slots, n_used, tables, 1.0, uniforms, alphas, epsilons)
+            _kernels.qlearn_chunk(q, visits, slots, n_used, tables, 1.0, stream, alphas, epsilons)
         assert not q.any() and not visits.any() and np.array_equal(slots, before)
         # the same chunk runs on the valid store
         q, visits = np.zeros((3 + chunk, tables.n_actions)), np.zeros((3 + chunk, tables.n_actions), np.int32)
-        *_, n_used = _kernels.qlearn_chunk(q, visits, valid, 3, tables, 1.0, uniforms, alphas, epsilons)
+        *_, n_used = _kernels.qlearn_chunk(q, visits, valid, 3, tables, 1.0, stream, alphas, epsilons)
         assert 3 < n_used <= 3 + chunk and visits.sum() == episodes * tables.horizon
 
 
@@ -1279,10 +1301,9 @@ class TestQTablePersistence:
         train(env, TrainingSchedule(episodes=100, seed=0)).qtable.save(tmp_path / "q.bin")
         loaded = QTable.load(tmp_path / "q.bin")
         tables = env.kernel_tables()
-        uniforms = np.zeros((1, tables.horizon, 2 + len(env.catalog)))
         with pytest.raises(ValueError, match="aligned, writable"):
             _kernels.qlearn_chunk(loaded.values, loaded.visits, np.full(len(loaded.values), -1, np.int32), 0, tables,
-                                  1.0, uniforms, np.ones(1), np.ones(1))
+                                  1.0, PCG64(0).words(), np.ones(1), np.ones(1))
 
     def test_index_of_unknown_code(self):
         env = mini_env()
