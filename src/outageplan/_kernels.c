@@ -48,22 +48,47 @@ static double minimum(double a, double b)
     return b < a ? b : a;
 }
 
-/* numpy's PCG64 (PCG XSL RR 128/64): the 128-bit LCG multiplier, one step
- * of the LCG with its output, and a float64 uniform on [0, 1) from the top
- * 53 bits of an output, as numpy's Generator.random and outageplan.pcg64
- * draw it. */
-typedef unsigned __int128 u128;
-#define PCG_MULTIPLIER (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+/* numpy's PCG64 (PCG XSL RR 128/64): the 128-bit LCG state and increment
+ * as two 64-bit halves, one step of the LCG with its output, and a float64
+ * uniform on [0, 1) from the top 53 bits of an output, as numpy's
+ * Generator.random and outageplan.pcg64 draw it. */
+typedef struct {
+    uint64_t hi, lo;
+} pcg128;
 
-static inline uint64_t pcg_next64(u128 *state, u128 inc)
+#define PCG_MULTIPLIER_HI 0x2360ED051FC65DA4ULL
+#define PCG_MULTIPLIER_LO 0x4385DF649FCCF645ULL
+
+/* The high 64 bits of the 128-bit product a * b: one multiply where the
+ * compiler has a 128-bit integer type (64-bit GCC and Clang), four 32-bit
+ * partial products elsewhere. */
+static inline uint64_t mul_hi64(uint64_t a, uint64_t b)
 {
-    *state = *state * PCG_MULTIPLIER + inc;
-    uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
-    unsigned rot = (unsigned)(*state >> 122);
+#ifdef __SIZEOF_INT128__
+    return (uint64_t)(((unsigned __int128)a * b) >> 64);
+#else
+    uint64_t a_lo = a & 0xFFFFFFFFu, a_hi = a >> 32;
+    uint64_t b_lo = b & 0xFFFFFFFFu, b_hi = b >> 32;
+    uint64_t cross = a_hi * b_lo + ((a_lo * b_lo) >> 32);
+    uint64_t mid = (cross & 0xFFFFFFFFu) + a_lo * b_hi;
+    return a_hi * b_hi + (cross >> 32) + (mid >> 32);
+#endif
+}
+
+static inline uint64_t pcg_next64(pcg128 *state, pcg128 inc)
+{
+    /* state * multiplier + increment, modulo 2^128 */
+    uint64_t hi = mul_hi64(state->lo, PCG_MULTIPLIER_LO)
+                  + state->lo * PCG_MULTIPLIER_HI + state->hi * PCG_MULTIPLIER_LO;
+    uint64_t lo = state->lo * PCG_MULTIPLIER_LO + inc.lo;
+    state->hi = hi + inc.hi + (lo < inc.lo);
+    state->lo = lo;
+    uint64_t x = state->hi ^ state->lo;
+    unsigned rot = (unsigned)(state->hi >> 58);
     return (x >> rot) | (x << ((64u - rot) & 63u));
 }
 
-static inline double pcg_uniform(u128 *state, u128 inc)
+static inline double pcg_uniform(pcg128 *state, pcg128 inc)
 {
     return (double)(pcg_next64(state, inc) >> 11) * (1.0 / 9007199254740992.0);
 }
@@ -111,8 +136,8 @@ void qlearn_episodes(double *q, int32_t *visits, int32_t *slots,
                      double *out, int64_t *counts)
 {
     const int64_t width = 2 + n_units;
-    u128 state = ((u128)stream[1] << 64) | stream[0];
-    const u128 inc = ((u128)stream[3] << 64) | stream[2];
+    pcg128 state = {stream[1], stream[0]};
+    const pcg128 inc = {stream[3], stream[2]};
     double max_delta = 0.0, total_return = 0.0;
     int64_t violations = 0, first_visits = 0, used = *n_used;
     int64_t digits[n_units];
@@ -176,8 +201,8 @@ void qlearn_episodes(double *q, int32_t *visits, int32_t *slots,
     counts[0] = violations;
     counts[1] = first_visits;
     *n_used = used;
-    stream[0] = (uint64_t)state;
-    stream[1] = (uint64_t)(state >> 64);
+    stream[0] = state.lo;
+    stream[1] = state.hi;
 }
 
 /* One hour of every portfolio of a span: PV is the pool, each unit in turn

@@ -12,7 +12,6 @@ new one, never a partial write.
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import math
@@ -121,13 +120,7 @@ def save_container(path, meta: dict, arrays: dict, schema: dict[str, tuple[str, 
     The bytes are converted and written a block of at most 1 MiB at a time,
     so no full-size copy of a C-contiguous array is made, and a `StoredRows`
     is gathered block by block into one reused buffer, which stays zero
-    between blocks: only the rows a block scattered are cleared after it.
-
-    The temp file is first preallocated to the container's exact size
-    (`os.posix_fallocate`, where the platform has it), so replacing an
-    existing file does not wait for the new one's delayed block allocation.
-    Preallocation would hide a short write, so OSError unless the last block
-    ends at that size."""
+    between blocks: only the rows a block scattered are cleared after it."""
     if arrays.keys() != schema.keys():
         raise ValueError(f"arrays {list(arrays)} differ from the schema's {list(schema)}")
     for name, (dtype, ndim) in schema.items():
@@ -136,20 +129,10 @@ def save_container(path, meta: dict, arrays: dict, schema: dict[str, tuple[str, 
         if not np.can_cast(arrays[name].dtype, dtype, "safe"):
             raise ValueError(f"array {name!r} of dtype {arrays[name].dtype} cannot be stored as {np.dtype(dtype)}")
     manifest = [[name, dtype, list(arrays[name].shape)] for name, (dtype, _) in schema.items()]
-    header = canonical_json({"magic": CONTAINER_MAGIC, "meta": meta, "arrays": manifest}).encode("utf-8") + b"\n"
-    size = len(header) + sum(np.dtype(dtype).itemsize * math.prod(arrays[name].shape)
-                             for name, (dtype, _) in schema.items())
+    header = canonical_json({"magic": CONTAINER_MAGIC, "meta": meta, "arrays": manifest})
     with atomic_write(path, "wb") as fh:
-        if hasattr(os, "posix_fallocate"):
-            try:
-                os.posix_fallocate(fh.fileno(), 0, size)
-            except OSError as exc:
-                # a file system that cannot preallocate (EINVAL in POSIX,
-                # EOPNOTSUPP from a C library that does not emulate it)
-                # still takes the writes
-                if exc.errno not in (errno.EINVAL, errno.EOPNOTSUPP):
-                    raise
-        fh.write(header)
+        fh.write(header.encode("utf-8"))
+        fh.write(b"\n")
         for name, (dtype, _) in schema.items():
             array = arrays[name]
             if isinstance(array, StoredRows):
@@ -166,8 +149,6 @@ def save_container(path, meta: dict, arrays: dict, schema: dict[str, tuple[str, 
             for start in range(0, flat.size, step):
                 # one expression, so a block is freed before the next exists
                 fh.write(np.ascontiguousarray(flat[start : start + step], dtype=dtype).view(np.uint8))
-        if fh.tell() != size:
-            raise OSError(f"{path}: wrote {fh.tell()} bytes of a {size}-byte container")
 
 
 def _checked_specs(path, header: dict, schema: dict[str, tuple[str, int]]) -> list[tuple[str, np.dtype, tuple]]:

@@ -56,12 +56,14 @@ def test_kernel_source_is_package_data():
     assert all(name in source.read_bytes() for name in (b"qlearn_episodes", b"dispatch_spans", b"greedy_rows", b"backward_period"))
 
 
-def test_kernel_source_compiles_without_warnings(tmp_path):
+@pytest.mark.parametrize("extra", [(), ("-U__SIZEOF_INT128__",)], ids=["native", "no-int128"])
+def test_kernel_source_compiles_without_warnings(tmp_path, extra):
     # the package's flags plus every common warning as an error: catches
-    # 128-bit and signedness slips in the C source before they build
+    # 128-bit and signedness slips in the C source before they build, also
+    # in the multiply a compiler without a 128-bit integer type takes
     source = resources.files("outageplan").joinpath("_kernels.c").read_bytes()
     done = subprocess.run(
-        [_kernels.COMPILER, *_kernels.CFLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-lm",
+        [_kernels.COMPILER, *_kernels.CFLAGS, *extra, "-Wall", "-Wextra", "-Werror", "-x", "c", "-", "-lm",
          "-o", str(tmp_path / "kernels.so")],
         input=source, capture_output=True, timeout=120,
     )

@@ -3,9 +3,7 @@ memory-mapped container loads that accept only their schema's layout, and
 Q-table saves that widen the visit counts to their stored dtype."""
 
 import builtins
-import errno
 import json
-import os
 import tracemalloc
 from pathlib import Path
 
@@ -227,64 +225,6 @@ class TestMappedLoad:
         with pytest.raises(ArtifactMismatchError) as info:
             persist.load_container(target, schema)
         assert str(info.value) == message
-
-
-class ShortArray:
-    """An array stand-in whose shape claims one element more than its data
-    holds, so a container of it comes out a block short."""
-
-    ndim, dtype, shape = 1, np.dtype(np.float64), (4,)
-
-    def reshape(self, *shape):
-        return np.arange(3.0)
-
-
-class TestPreallocation:
-    SCHEMA = {"a": ("<f8", 1)}
-
-    def test_the_temp_file_is_preallocated_to_the_container_size(self, tmp_path, monkeypatch):
-        calls, fallocate = [], os.posix_fallocate
-
-        def recording(fd, offset, length):
-            calls.append((offset, length))
-            fallocate(fd, offset, length)
-
-        monkeypatch.setattr(os, "posix_fallocate", recording)
-        target = tmp_path / "c.bin"
-        persist.save_container(target, {"k": 1}, {"a": np.arange(5.0)}, self.SCHEMA)
-        assert calls == [(0, target.stat().st_size)]
-
-    def test_a_short_write_is_refused_and_the_previous_file_kept(self, tmp_path):
-        target = tmp_path / "c.bin"
-        persist.save_container(target, {}, {"a": np.arange(4.0)}, self.SCHEMA)
-        before = target.read_bytes()
-        with pytest.raises(OSError, match=r"c\.bin: wrote \d+ bytes of a \d+-byte container$"):
-            persist.save_container(target, {}, {"a": ShortArray()}, self.SCHEMA)
-        assert target.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
-
-    def test_a_file_system_that_cannot_preallocate_still_gets_the_file(self, tmp_path, monkeypatch):
-        def unsupported(fd, offset, length):
-            raise OSError(errno.EOPNOTSUPP, "Operation not supported")
-
-        monkeypatch.setattr(os, "posix_fallocate", unsupported)
-        target = tmp_path / "c.bin"
-        persist.save_container(target, {}, {"a": np.arange(4.0)}, self.SCHEMA)
-        assert persist.load_container(target, self.SCHEMA)[1]["a"].tolist() == [0.0, 1.0, 2.0, 3.0]
-
-    def test_a_full_disk_fails_before_any_write(self, tmp_path, monkeypatch):
-        target = tmp_path / "c.bin"
-        persist.save_container(target, {}, {"a": np.arange(4.0)}, self.SCHEMA)
-        before = target.read_bytes()
-
-        def full(fd, offset, length):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(os, "posix_fallocate", full)
-        with pytest.raises(OSError, match="No space left on device"):
-            persist.save_container(target, {}, {"a": np.arange(9.0)}, self.SCHEMA)
-        assert target.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
 
 
 class TestSchema:

@@ -1151,6 +1151,18 @@ class TestBuild:
         assert list((tmp_path / "outageplan").iterdir()) == built
         assert again.qtable.values.tobytes() == first.qtable.values.tobytes()
 
+    def test_the_portable_multiply_draws_the_same_stream(self, tmp_path, monkeypatch):
+        # a compiler without a 128-bit integer type (a 32-bit target) steps
+        # the generator from 32-bit partial products
+        env, schedule = mini_env(), TrainingSchedule(episodes=300, seed=1)
+        native = train(env, schedule)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_kernels, "CFLAGS", _kernels.CFLAGS + ("-U__SIZEOF_INT128__",))
+        monkeypatch.setattr(_kernels, "_lib", None)
+        portable = train(env, schedule)
+        assert portable.qtable.values.tobytes() == native.qtable.values.tobytes()
+        assert portable.convergence == native.convergence
+
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_source_compiles_without_warnings(self, tmp_path):
         source = resources.files("outageplan").joinpath("_kernels.c")
