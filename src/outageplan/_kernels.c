@@ -305,13 +305,27 @@ void dispatch_spans(int64_t n_spans, const int64_t *starts,
  * table of doubles at any alignment, written to policy[0..). Returns the
  * index of the first row whose maximum is not finite (one holding a NaN, a
  * +inf maximum, or all -inf), whose action and those after it are not
- * written, or n_rows. */
+ * written, or n_rows.
+ *
+ * A row whose words OR to zero is all +0.0, as a row that Q-learning never
+ * updated is: its first maximum is action 0, with no scan. A -0.0 or a NaN
+ * sets a bit, so such a row takes the scan. */
 int64_t greedy_rows(const void *values, int64_t n_rows, int64_t n_actions,
                     int64_t *policy)
 {
     const unsigned char *row = values;
     const size_t width = (size_t)n_actions * sizeof(double);
     for (int64_t i = 0; i < n_rows; i++, row += width) {
+        uint64_t bits = 0;
+        for (int64_t j = 0; j < n_actions; j++) {
+            uint64_t word;
+            memcpy(&word, row + j * sizeof(double), sizeof word);
+            bits |= word;
+        }
+        if (!bits) {
+            policy[i] = 0;
+            continue;
+        }
         int64_t best = first_max(row, n_actions);
         if (!isfinite(at(row + best * sizeof(double))))
             return i;

@@ -9,7 +9,8 @@ result bit for bit; it walks the price digits itself and updates the stored
 Q-table rows in place, appending a state's row to the store at its first
 update. Dispatch walks each outage span's hours and, per hour, every
 portfolio's units and load classes. The row scan takes each row's first
-maximum with the same strict `>` scan the episode loop uses. The backward
+maximum with the same strict `>` scan the episode loop uses, and gives a
+row of all +0.0 action 0 without one. The backward
 period scores every action, or a fixed policy's one action, of each stored
 state of a period against the next period's price expectation. The float
 operations of each kernel and their order are those of a plain scalar loop
@@ -254,7 +255,8 @@ def greedy_rows(values, policy) -> int:
     (rows, actions) float64 table at any alignment, written into `policy`,
     a writable C-contiguous int64 array of one entry per row. Returns the
     index of the first row whose maximum is not finite (a NaN anywhere, a
-    +inf maximum or all -inf), where the scan stopped, or the row count."""
+    +inf maximum or all -inf), where the scan stopped, or the row count. A
+    row of all +0.0 (every bit zero) gets action 0 without a compare."""
     if not (isinstance(values, np.ndarray) and values.ndim == 2 and values.dtype == np.float64
             and values.flags.c_contiguous and values.shape[1] > 0):
         raise ValueError("values must be a C-contiguous float64 array of shape (rows, actions >= 1)")

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 import outageplan
@@ -212,7 +211,7 @@ def cmd_evaluate(args) -> int:
     qtable = QTable.load(args.qtable, expect_config_hash=cfg.config_hash)
     trajectory = ev.PriceTrajectory.from_csv(args.trajectory)
     env = cfg.env()
-    if not np.array_equal(qtable.state_codes, env.codec.state_codes):
+    if not qtable.rows_match(env.codec.state_codes):
         raise ArtifactMismatchError(f"{args.qtable}: Q-table rows do not match the states of the active config")
     if qtable.action_labels != env.action_labels:
         raise ArtifactMismatchError(f"{args.qtable}: Q-table columns do not match the actions of the active config")

@@ -16,11 +16,15 @@ numbers, so the package owns the slice it uses:
 
 `PCG64(seed)` therefore gives the numbers of
 `numpy.random.Generator(numpy.random.PCG64(seed))` bit for bit, and
-`tests/test_pcg64.py` checks it. The compiled Q-learning loop
+`tests/test_pcg64.py` checks it. `PCG64.streams(seeds)` seeds one generator
+per seed with the same SeedSequence hash run over numpy arrays, every seed
+of a word count at once. The compiled Q-learning loop
 (`_kernels.c`) steps the same generator from the `words()` of one.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -36,24 +40,30 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
 
-def _seed_words(seed: int) -> list[int]:
-    """SeedSequence(seed).generate_state(4, np.uint64) as Python ints."""
-    entropy = []  # the seed's 32-bit words, least significant first
-    while True:
-        entropy.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
+def _entropy(seed: int) -> list[int]:
+    """The 32-bit words SeedSequence hashes from an int seed: at least one,
+    least significant first."""
+    return [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+
+
+def _generate_state(entropy: list) -> list:
+    """SeedSequence's pool mixing and `generate_state(4, uint64)` of one
+    seed's entropy words: Python ints, or uint64 arrays that each hold one
+    word of many seeds with the same word count. The four words come back
+    in the same kind. The hash constant steps once per word hashed, so such
+    seeds share every constant. On arrays, uint64 arithmetic masked to 32
+    bits gives the ints' results: no product of two 32-bit words overflows
+    it, and a wrapped difference is right modulo 2**32."""
     hash_const = _INIT_A
 
-    def hashmix(value: int) -> int:
+    def hashmix(value):
         nonlocal hash_const
-        value ^= hash_const
+        value = value ^ hash_const
         hash_const = hash_const * _MULT_A & _MASK32
         value = value * hash_const & _MASK32
         return value ^ value >> 16
 
-    def mix(x: int, y: int) -> int:
+    def mix(x, y):
         result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
         return result ^ result >> 16
 
@@ -76,6 +86,27 @@ def _seed_words(seed: int) -> list[int]:
     return [state[i] | state[i + 1] << 32 for i in range(0, len(state), 2)]
 
 
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) for each int seed >= 0
+    of `seeds`, as the rows of a (len(seeds), 4) uint64 array: the seeds
+    with the same word count are hashed at once."""
+    words = [_entropy(seed) for seed in seeds]
+    groups: dict[int, list[int]] = {}
+    for i, entropy in enumerate(words):
+        groups.setdefault(len(entropy), []).append(i)
+    out = np.empty((len(seeds), _POOL_SIZE), np.uint64)
+    for members in groups.values():
+        columns = np.array([words[i] for i in members], np.uint64).T
+        out[members] = np.stack(_generate_state(list(columns)), axis=1)
+    return out
+
+
+def _check_seed(seed) -> int:
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 class PCG64:
     """numpy's PCG64 generator seeded with an int >= 0, drawing the numbers
     `numpy.random.Generator(numpy.random.PCG64(seed))` draws with the
@@ -85,11 +116,21 @@ class PCG64:
     __slots__ = ("state", "inc")
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        high_state, low_state, high_seq, low_seq = _seed_words(seed)
+        self._srandom(*_generate_state(_entropy(_check_seed(seed))))
+
+    @classmethod
+    def streams(cls, seeds: Sequence[int]) -> list["PCG64"]:
+        """`[PCG64(seed) for seed in seeds]`, with every seed hashed at once."""
+        gens = [cls.__new__(cls) for _ in seeds]
+        for gen, words in zip(gens, _seed_words([_check_seed(seed) for seed in seeds]).tolist()):
+            gen._srandom(*words)
+        return gens
+
+    def _srandom(self, high_state: int, low_state: int, high_seq: int, low_seq: int) -> None:
+        """PCG's srandom_r from the four seed words: the first two are the
+        initial state and the last two the stream selector. From state 0,
+        step, add the initial state, step again."""
         self.inc = ((high_seq << 64 | low_seq) << 1 | 1) & _MASK128
-        # srandom_r: from state 0, step, add the initial state, step again
         self.state = (self.inc + (high_state << 64 | low_state)) & _MASK128
         self.state = (self.state * MULTIPLIER + self.inc) & _MASK128
 

@@ -119,8 +119,8 @@ def save_container(path, meta: dict, arrays: dict, schema: dict[str, tuple[str, 
     castable to that dtype; otherwise ValueError, and nothing is written.
     The bytes are converted and written a block of at most 1 MiB at a time,
     so no full-size copy of a C-contiguous array is made, and a `StoredRows`
-    is gathered block by block into one reused buffer, which stays zero
-    between blocks: only the rows a block scattered are cleared after it."""
+    is gathered block by block into one reused buffer (`_write_rows`), freed
+    before the next array is written: the save holds one block buffer."""
     if arrays.keys() != schema.keys():
         raise ValueError(f"arrays {list(arrays)} differ from the schema's {list(schema)}")
     for name, (dtype, ndim) in schema.items():
@@ -136,19 +136,27 @@ def save_container(path, meta: dict, arrays: dict, schema: dict[str, tuple[str, 
         for name, (dtype, _) in schema.items():
             array = arrays[name]
             if isinstance(array, StoredRows):
-                rows, width = array.shape
-                step = max(_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(width, 1)), 1)
-                buffer = np.zeros((min(step, rows), width), dtype)
-                for start in range(0, rows, step):
-                    block = buffer[: rows - start]
-                    stored = array.take(start, block)
-                    fh.write(block.view(np.uint8))
-                    block[stored] = 0
+                _write_rows(fh, array, dtype)
                 continue
             flat, step = array.reshape(-1), max(_BLOCK_BYTES // np.dtype(dtype).itemsize, 1)
             for start in range(0, flat.size, step):
                 # one expression, so a block is freed before the next exists
                 fh.write(np.ascontiguousarray(flat[start : start + step], dtype=dtype).view(np.uint8))
+
+
+def _write_rows(fh: IO, array: StoredRows, dtype: str) -> None:
+    """Write `array` as `dtype` a block of rows at a time, gathered into one
+    zeroed buffer of at most 1 MiB (or one row) that is freed on return, so
+    no two arrays' buffers are ever alive together. The buffer stays zero
+    between blocks: only the rows a block scattered are cleared after it."""
+    rows, width = array.shape
+    step = max(_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(width, 1)), 1)
+    buffer = np.zeros((min(step, rows), width), dtype)
+    for start in range(0, rows, step):
+        block = buffer[: rows - start]
+        stored = array.take(start, block)
+        fh.write(block.view(np.uint8))
+        block[stored] = 0
 
 
 def _checked_specs(path, header: dict, schema: dict[str, tuple[str, int]]) -> list[tuple[str, np.dtype, tuple]]:

@@ -238,8 +238,7 @@ def _outage_spans(
     starts: list[int] = []
     lengths: list[int] = []
     offsets = [0]
-    for seed in seeds:
-        gen = PCG64(int(seed))
+    for gen in PCG64.streams(seeds.tolist()):
         calendar_offset = gen.random() * HOURS_PER_YEAR
         events = sample_trace(model, period_length_years, gen)
         for span_start, span_end in merge_events(events):

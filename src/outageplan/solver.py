@@ -11,8 +11,9 @@ float64 values and int32 visit counts in one anonymous mapping, sized for
 the rows the budget can reach and unmapped when the result is dropped; a
 row never updated is all zeros and is not stored. `qtable.bin` is written
 from the store a block of rows at a time, and the dense table is built only
-when asked for. A loaded table's greedy scan gives back the pages of the
-mapped file it has read, so `evaluate` holds about one block of them.
+when asked for. A loaded table gives back the pages of its mapped state
+codes once they are compared, and its greedy scan the pages of the mapped
+values it has read, so `evaluate` holds about one block of them.
 
 The exact solver is one backward induction over the stored states with the
 factorized price-chain expectation: over every action it gives the optimum
@@ -183,6 +184,15 @@ class QTable:
 
     def index_of(self, code: int) -> int:
         return row_index(self.state_codes, code)
+
+    def rows_match(self, state_codes: np.ndarray) -> bool:
+        """Whether the table's rows are the states `state_codes` lists. A
+        loaded table gives back the pages of its mapped codes once they are
+        compared."""
+        match = np.array_equal(self.state_codes, state_codes)
+        if self._mapped:
+            persist.release_pages(self.state_codes, self.state_codes.nbytes)
+        return match
 
     def greedy_policy(self) -> np.ndarray:
         return greedy_policy(self.values, release=self._mapped)
@@ -387,12 +397,14 @@ def _price_expectation(env: PlanningEnv, v_next: np.ndarray) -> np.ndarray:
 
     Per unit, one np.dot of its chain matrix with the grid's axis of that
     unit moved first, as np.tensordot takes it: the moved grid is copied
-    into one reused buffer and the dot writes into the other, so the
-    expectation holds two grids beside `v_next`. The result is the first
-    buffer, (p_full, width)."""
+    into one buffer and the dot writes into another. `v_next`, a
+    C-contiguous float64 (p_full, width) grid, is dead once its first moved
+    copy exists, so it is the dot's buffer and the function overwrites it:
+    the expectation holds one grid beside `v_next`. The result is the
+    moved-copy buffer, (p_full, width)."""
     codec = env.codec
     shape = tuple(int(n) for n in codec.ladder_sizes) + (v_next.shape[1],)
-    moved, product = np.empty(v_next.size), np.empty(v_next.size)
+    moved, product = np.empty(v_next.size), v_next.reshape(-1)
     grid = v_next.reshape(shape)
     for u, entry in enumerate(env.catalog):
         order = (u,) + tuple(axis for axis in range(len(shape)) if axis != u)
@@ -427,6 +439,9 @@ def _backward(env: PlanningEnv, gamma: float, policy: np.ndarray | None) -> tupl
         combos = codec.period_combos[t]
         period = slice(codec.block_starts[t], codec.block_starts[t] + len(combos) * codec.cap_count_at(t))
         expectation = None if v_next is None else _price_expectation(env, v_next)
+        # the expectation overwrote v_next, which goes before the next grid
+        # is allocated, so the period holds two grids
+        del v_next
         v_next = np.zeros((codec.p_full, codec.cap_count_at(t)))
         backward_period(combos, codec.cap_next, invest, env._cost_of_cap, expectation, gamma, v_next,
                         values=None if values is None else values[period],

@@ -90,25 +90,27 @@ def test_metamodel_at_256_replications(baseline, metamodel):
 
 def test_train_holds_one_qtable(baseline, trained):
     # training stores only the rows it updates, 18,630 of 124,060 here, and
-    # the file is written from that store a block at a time: 15.2 MB above
-    # the baseline. Faulting in the whole 19.4 MB dense tables made this
-    # 25.9 MB, and loading the saved table back into fresh arrays while they
-    # were alive 56.5 MB
+    # the file is written from that store a block at a time through one
+    # block buffer: 9.8 MB above the baseline, 11.8 MB while the values
+    # block buffer stayed alive under the visits one. Faulting in the whole
+    # 19.4 MB dense tables made this 25.9 MB, and loading the saved table
+    # back into fresh arrays while they were alive 56.5 MB
     assert trained[1] - baseline < 22.0
 
 
 def test_evaluate_holds_one_qtable(baseline, trained):
-    # the greedy scan gives back the mapped file's pages block by block, and
-    # the exact policy value holds about three price-grid tables: 8.2-8.4 MB
-    # above the baseline, 10.0-10.2 MB while the policy value gathered numpy
-    # blocks. Holding the scanned pages read 22.4 MB, and the argmax over
-    # the whole unaligned mapped table, which made numpy copy it first,
-    # 29.0 MB
+    # the greedy scan gives back the mapped file's pages block by block, the
+    # compared state codes' pages go back too, and the exact policy value
+    # holds about two price-grid tables: 6.5-6.6 MB above the baseline,
+    # 8.1-8.2 MB with the codes resident and three grid tables, 10.0-10.2 MB
+    # while the policy value gathered numpy blocks. Holding the scanned
+    # pages read 22.4 MB, and the argmax over the whole unaligned mapped
+    # table, which made numpy copy it first, 29.0 MB
     assert peak_mb(evaluate_argv("casestudy-single", trained[0])) - baseline < 15.0
 
 
 def test_commands_return_their_tables(baseline, trained, tmp_path):
-    # each train's store is unmapped when the command returns: 15.2 MB above
+    # each train's store is unmapped when the command returns: 10.5 MB above
     # the baseline, 27.1 MB with dense tables. Taken from the malloc heap,
     # the second train's tables stayed resident under the evaluates: 32.6 MB
     # above the baseline with int64 visits, 40.1 MB with int32 visits
@@ -120,3 +122,46 @@ def test_commands_return_their_tables(baseline, trained, tmp_path):
         evaluate_argv("casestudy-single", single), evaluate_argv("casestudy-superposed", superposed),
     ) - baseline
     assert added < 22.0
+
+
+# runs one CLI argv and records the resident kB of the mapped Q-table, the
+# table's share of RssFile as /proc/self/smaps counts it, when the exact
+# policy value starts; the map closes when the command returns, so the
+# child prints that record after the command
+MAPPED_CHILD = """
+import contextlib, io, json, sys
+from outageplan import cli
+
+def mapped_kb(suffix):
+    total, inside = 0, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            fields = line.split()
+            if "-" in fields[0] and len(fields) >= 5:
+                inside = len(fields) >= 6 and fields[-1].endswith(suffix)
+            elif inside and fields[0] == "Rss:":
+                total += int(fields[1])
+    return total
+
+seen, policy_value = [], cli.policy_value
+def watched(*args, **kwargs):
+    seen.append(mapped_kb("/qtable.bin"))
+    return policy_value(*args, **kwargs)
+cli.policy_value = watched
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps(seen))
+"""
+
+
+def test_evaluate_gives_back_the_compared_state_codes(trained):
+    # once the rows are checked against the codec, the 0.99 MB of mapped
+    # state codes are given back: 72 kB of the table resident when the
+    # policy value starts, 1036 kB while the compared codes stayed
+    done = subprocess.run(
+        [sys.executable, "-c", MAPPED_CHILD, json.dumps(evaluate_argv("casestudy-single", trained[0]))],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    (resident_kb,) = json.loads(done.stdout.splitlines()[-1])
+    assert resident_kb < 256

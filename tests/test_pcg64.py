@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import outageplan
 from outageplan.config import load_config
-from outageplan.pcg64 import PCG64
+from outageplan.pcg64 import PCG64, _seed_words
 from outageplan.simulate import expected_period_cost
 
 SRC = Path(outageplan.__file__).resolve().parent.parent
@@ -66,6 +66,39 @@ class TestAgainstNumpy:
         ours = expected_period_cost(*args, PCG64(5))
         theirs = expected_period_cost(*args, np.random.default_rng(5))
         assert (ours.mean.hex(), ours.stderr.hex()) == (theirs.mean.hex(), theirs.stderr.hex())
+
+
+# seeds of every entropy word count from one to seven, the 32- and 64-bit
+# edges among them
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 1, 2**96 + 7, 2**128 + 3, 2**160 + 9, 2**200 + 5]
+
+
+def numpy_seed_words(seeds):
+    return np.array([np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]).reshape(-1, 4)
+
+
+class TestSeedingAtOnce:
+    def test_every_seed_word_count_matches_numpy(self):
+        got = _seed_words(SEEDS)
+        assert got.dtype == np.uint64 and got.tolist() == numpy_seed_words(SEEDS).tolist()
+
+    @given(seeds=st.lists(st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**200)), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_a_mixed_batch_matches_numpy(self, seeds):
+        # seeds of different word counts are hashed in separate groups and
+        # land back in their own rows
+        assert _seed_words(seeds).tolist() == numpy_seed_words(seeds).tolist()
+
+    def test_streams_are_the_generators_of_each_seed(self):
+        replication_seeds = PCG64(5).integers(0, 2**63, size=64, dtype=np.int64).tolist()
+        for seeds in (SEEDS, replication_seeds):
+            got = [(gen.state, gen.inc) for gen in PCG64.streams(seeds)]
+            assert got == [numpy_state(np.random.Generator(np.random.PCG64(seed))) for seed in seeds]
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, np.int64(3)])
+    def test_streams_refuse_what_the_constructor_refuses(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            PCG64.streams([1, seed])
 
 
 class TestRefusals:
